@@ -49,9 +49,7 @@ from .preclassify import kmeans_cluster, preclassify_di, sample_training
 from .propagation import (
     CleanConfig,
     TransitionMatrix,
-    WeightBlocks,
     build_transition,
-    build_weights,
     clean_labels,
     propagate,
 )

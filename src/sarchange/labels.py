@@ -1,10 +1,7 @@
 """Per-pixel label fields with an explicit unlabeled state.
 
-Hard labels take one of three values: ``UNCHANGED`` (0), ``CHANGED`` (1)
-or ``UNLABELED`` (-1).  A field may also carry a soft score pair per
-pixel, ``(score_unchanged, score_changed)``; where both hard and soft
-are present the hard label is the argmax of the pair with ties resolved
-to unchanged.
+Labels take one of three values: ``UNCHANGED`` (0), ``CHANGED`` (1) or
+``UNLABELED`` (-1).
 """
 
 from __future__ import annotations
@@ -20,15 +17,9 @@ CHANGED = 1
 UNLABELED = -1
 
 
-def hard_from_soft(soft: np.ndarray) -> np.ndarray:
-    """Argmax of the soft pair; ties (including all-zero pixels) go to unchanged."""
-    return np.where(soft[:, :, 1] > soft[:, :, 0], CHANGED, UNCHANGED).astype(np.int8)
-
-
 @dataclass
 class LabelField:
     labels: np.ndarray  # (height, width), int8 in {-1, 0, 1}
-    soft: np.ndarray | None = None  # (height, width, 2), float64
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int8)
@@ -38,25 +29,6 @@ class LabelField:
         if not valid.all():
             bad = np.unique(self.labels[~valid])
             raise ParameterError(f"labels contain unknown values {bad.tolist()}")
-        if self.soft is not None:
-            self.soft = np.asarray(self.soft, dtype=np.float64)
-            if self.soft.shape != self.labels.shape + (2,):
-                raise ShapeError(
-                    f"soft scores must have shape {self.labels.shape + (2,)}, "
-                    f"got {self.soft.shape}"
-                )
-            if not np.isfinite(self.soft).all():
-                raise ParameterError("soft scores contain non-finite values")
-            labeled = self.labels != UNLABELED
-            if not np.array_equal(
-                self.labels[labeled], hard_from_soft(self.soft)[labeled]
-            ):
-                raise ParameterError("hard labels disagree with argmax of soft scores")
-
-    @classmethod
-    def from_soft(cls, soft: np.ndarray) -> "LabelField":
-        soft = np.asarray(soft, dtype=np.float64)
-        return cls(labels=hard_from_soft(soft), soft=soft)
 
     @property
     def height(self) -> int:
@@ -73,14 +45,11 @@ class LabelField:
         return int(np.count_nonzero(self.labels != UNLABELED))
 
     def one_hot(self) -> np.ndarray:
-        """Soft encoding of the hard labels: one-hot where labeled, zero where not."""
+        """Per-class scores (unchanged, changed): one-hot where labeled, zero where not."""
         out = np.zeros(self.labels.shape + (2,), dtype=np.float64)
         out[:, :, 0] = self.labels == UNCHANGED
         out[:, :, 1] = self.labels == CHANGED
         return out
 
     def copy(self) -> "LabelField":
-        return LabelField(
-            labels=self.labels.copy(),
-            soft=None if self.soft is None else self.soft.copy(),
-        )
+        return LabelField(labels=self.labels.copy())

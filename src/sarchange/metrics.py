@@ -152,11 +152,14 @@ class MetricReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def evaluate(pred: LabelField, gt: LabelField, scores: Raster) -> MetricReport:
-    """Full report for a predicted change map against a reference."""
+def evaluate(
+    pred: LabelField, gt: LabelField, scores: Raster
+) -> tuple[MetricReport, list[tuple[float, float]]]:
+    """Full report for a predicted change map against a reference, plus
+    the ROC curve of ``scores`` (see ``roc_auc``)."""
     c = confusion(pred, gt)
-    _, auc = roc_auc(scores, gt)
-    return MetricReport(pcc=pcc(c), kc=kappa(c), f1=f1(c), auc=auc, counts=c)
+    curve, auc = roc_auc(scores, gt)
+    return MetricReport(pcc=pcc(c), kc=kappa(c), f1=f1(c), auc=auc, counts=c), curve
 
 
 def write_roc_csv(curve: list[tuple[float, float]], path: str | Path) -> None:

@@ -70,8 +70,6 @@ class PipelineConfig:
     labeled_fraction: float = 0.5
     n_regions: int | None = None  # None: about one region per 64 pixels
     compactness: float = 10.0
-    propagate_max_iter: int = 100
-    propagate_tol: float = 1e-6
     svm_c: float = 1.0
     svm_epochs: int = 200  # cap on coordinate passes; training stops early
     seed: int = 0
@@ -184,9 +182,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     timer = _StageTimer()
 
-    i1 = timer.run("load", _load_input, cfg.t1)
-    i2 = timer.run("load_t2", _load_input, cfg.t2)
-    timer.timings["load"] += timer.timings.pop("load_t2")
+    i1, i2 = timer.run("load", lambda: (_load_input(cfg.t1), _load_input(cfg.t2)))
     di = timer.run("difference", log_ratio_di, i1, i2)
     pseudo = timer.run(
         "preclassify", preclassify_di, di, cfg.patch_size,
@@ -202,8 +198,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             n_regions=cfg.n_regions,
             rounds=cfg.rounds,
             labeled_fraction=cfg.labeled_fraction,
-            max_iter=cfg.propagate_max_iter,
-            tol=cfg.propagate_tol,
             compactness=cfg.compactness,
         )
         # Segment the contextually smoothed difference image: regions that
@@ -237,20 +231,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         gt_labels = LabelField(
             labels=np.where(gt.band(0) > 0.5, CHANGED, UNCHANGED).astype(np.int8)
         )
-
-        def _evaluate():
-            c = metrics_mod.confusion(change, gt_labels)
-            auc_curve, auc = metrics_mod.roc_auc(scores, gt_labels)
-            rep = metrics_mod.MetricReport(
-                pcc=metrics_mod.pcc(c),
-                kc=metrics_mod.kappa(c),
-                f1=metrics_mod.f1(c),
-                auc=auc,
-                counts=c,
-            )
-            return rep, auc_curve
-
-        report, curve = timer.run("metrics", _evaluate)
+        report, curve = timer.run(
+            "metrics", metrics_mod.evaluate, change, gt_labels, scores
+        )
 
     change_path = out_dir / "change_map.pgm"
     scores_path = out_dir / "scores.f32"

@@ -5,14 +5,16 @@ affinity between two pixels is a Gaussian kernel on their intensity
 distance, with the kernel width set by the region's own intensity
 standard deviation; across regions the affinity is zero, so the system
 decomposes into independent per-region blocks.  Column-normalising the
-affinities yields a transition matrix, and labels evolve by
+affinities yields a transition matrix, and anchored propagation
 
     y(t+1) = alpha * T y(t) + (1 - alpha) * y(0)
 
-per class channel until the update stalls.  Cleaning repeats this over
-several rounds, each time keeping a random subset of the labeled pixels
-as anchors and demoting the rest, then takes a majority vote over the
-per-round predictions.
+converges to the fixpoint y = (1 - alpha) (I - alpha T)^-1 y(0) (Zhou et
+al., "Learning with Local and Global Consistency", NIPS 2003), which is
+solved exactly per region.  Cleaning repeats this over several rounds,
+each time keeping a random subset of the labeled pixels as anchors and
+demoting the rest, then takes a majority vote over the per-round
+predictions; all rounds share one solve as stacked right-hand sides.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, ParameterError, ShapeError
-from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField, hard_from_soft
+from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
 from .seeds import derive_seed
 from .superpixels import RegionMap, segment_superpixels
@@ -31,21 +33,12 @@ _STOCHASTIC_TOL = 1e-9
 
 
 @dataclass
-class WeightBlocks:
-    """Per-region dense affinity blocks plus the pixel index of each block."""
-
-    shape: tuple[int, int]
-    indices: list[np.ndarray]  # flat pixel indices per region
-    blocks: list[np.ndarray]   # (n_r, n_r) symmetric, W_ii = 1
-
-
-@dataclass
 class TransitionMatrix:
     """Block-diagonal column-stochastic transition probabilities."""
 
     shape: tuple[int, int]
-    indices: list[np.ndarray]
-    blocks: list[np.ndarray]
+    indices: list[np.ndarray]  # flat pixel indices per region
+    blocks: list[np.ndarray]   # (n_r, n_r) per region
 
     def __post_init__(self):
         for block in self.blocks:
@@ -56,12 +49,14 @@ class TransitionMatrix:
                 raise ConstructionError("transition columns must sum to 1")
 
 
-def build_weights(img: Raster, rm: RegionMap) -> WeightBlocks:
-    """Gaussian intensity affinities inside each region of ``rm``.
+def build_transition(img: Raster, rm: RegionMap) -> TransitionMatrix:
+    """Column-normalised Gaussian intensity affinities inside each region.
 
-    The kernel width sigma is the region's root-mean-square deviation of
-    pixel values (the standard deviation for single-channel input).  A
-    region of identical pixels gets the all-ones limit of the kernel.
+    The affinity is W_ij = exp(-|v_i - v_j|^2 / (2 sigma^2)) with sigma the
+    region's root-mean-square deviation of pixel values (the standard
+    deviation for single-channel input), and W_ii = 1; a region of
+    identical pixels gets the all-ones limit of the kernel.  Then
+    T_ij = W_ij / sum_k W_kj.
     """
     if (img.height, img.width) != (rm.height, rm.width):
         raise ShapeError("image and region map dimensions disagree")
@@ -73,64 +68,37 @@ def build_weights(img: Raster, rm: RegionMap) -> WeightBlocks:
         centred = v - v.mean(axis=0)
         sigma2 = float((centred ** 2).sum(axis=1).mean())
         if sigma2 < 1e-24:
-            blocks.append(np.ones((idx.size, idx.size)))
-            continue
-        d2 = ((v[:, np.newaxis, :] - v[np.newaxis, :, :]) ** 2).sum(axis=2)
-        w = np.exp(-d2 / (2.0 * sigma2))
-        np.fill_diagonal(w, 1.0)
-        blocks.append(w)
-    return WeightBlocks(shape=(img.height, img.width), indices=indices, blocks=blocks)
+            w = np.ones((idx.size, idx.size))
+        else:
+            d2 = ((v[:, np.newaxis, :] - v[np.newaxis, :, :]) ** 2).sum(axis=2)
+            w = np.exp(-d2 / (2.0 * sigma2))
+            np.fill_diagonal(w, 1.0)
+        blocks.append(w / w.sum(axis=0))
+    return TransitionMatrix(shape=(img.height, img.width), indices=indices, blocks=blocks)
 
 
-def build_transition(weights: WeightBlocks) -> TransitionMatrix:
-    """Column-normalise each affinity block: T_ij = W_ij / sum_k W_kj."""
-    blocks = []
-    for w in weights.blocks:
-        if w.min() < 0:
-            raise ConstructionError("affinities must be non-negative")
-        col_sums = w.sum(axis=0)
-        if (col_sums <= 0).any():
-            raise ConstructionError("a transition column has zero total affinity")
-        blocks.append(w / col_sums[np.newaxis, :])
-    return TransitionMatrix(shape=weights.shape, indices=weights.indices, blocks=blocks)
+def propagate(t: TransitionMatrix, y0: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact fixpoint of anchored propagation, per region.
 
-
-def propagate(
-    t: TransitionMatrix,
-    init: LabelField,
-    alpha: float,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-) -> LabelField:
-    """Iterate the anchored propagation to its fixpoint, per region.
-
-    ``init`` provides the anchor scores: its soft pair if present,
-    otherwise the one-hot encoding of its hard labels with unlabeled
-    pixels at zero.  Each region stops when the largest per-entry change
-    drops below ``tol`` or after ``max_iter`` sweeps.  Hard labels of the
-    result are the per-pixel argmax, ties resolved to unchanged.
+    ``y0`` is a ``(pixels, k)`` matrix of anchor scores over the flat
+    pixels of ``t``, one column per class channel; any number of columns
+    propagate independently in one solve.  Each region returns
+    ``(1 - alpha) (I - alpha T_r)^-1 y0[region]``, the limit of the
+    iteration in the module docstring.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be strictly inside (0, 1), got {alpha}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-    if (init.height, init.width) != t.shape:
-        raise ShapeError("label field and transition matrix dimensions disagree")
-    y0_full = init.soft if init.soft is not None else init.one_hot()
-    y0_flat = y0_full.reshape(-1, 2)
-    out = np.zeros_like(y0_flat)
+    y0 = np.asarray(y0, dtype=np.float64)
+    if y0.ndim != 2 or y0.shape[0] != t.shape[0] * t.shape[1]:
+        raise ShapeError(
+            f"anchor scores must have shape ({t.shape[0] * t.shape[1]}, k), "
+            f"got {y0.shape}"
+        )
+    out = np.zeros_like(y0)
     for idx, block in zip(t.indices, t.blocks):
-        y0 = y0_flat[idx]
-        y = y0.copy()
-        for _ in range(max_iter):
-            y_next = alpha * (block @ y) + (1.0 - alpha) * y0
-            delta = np.abs(y_next - y).max()
-            y = y_next
-            if delta < tol:
-                break
-        out[idx] = y
-    soft = out.reshape(init.height, init.width, 2)
-    return LabelField(labels=hard_from_soft(soft), soft=soft)
+        system = np.eye(idx.size) - alpha * block
+        out[idx] = np.linalg.solve(system, (1.0 - alpha) * y0[idx])
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,8 +107,6 @@ class CleanConfig:
     n_regions: int | None = None  # None: one region per ~64 pixels
     rounds: int = 10
     labeled_fraction: float = 0.5
-    max_iter: int = 100
-    tol: float = 1e-6
     compactness: float = 10.0
 
 
@@ -156,11 +122,13 @@ def clean_labels(
     """Clean noisy labels by repeated random keep/demote propagation rounds.
 
     Each round keeps a random ``labeled_fraction`` of the labeled pixels
-    as anchors, demotes the rest to unlabeled, propagates within regions,
-    and records the propagated hard label of every originally labeled
-    pixel.  The output label is the majority vote across rounds; pixels
-    unlabeled in ``pseudo`` stay unlabeled.  A round whose anchor set
-    misses a class is redrawn (at most 10 retries).
+    as anchors and demotes the rest to unlabeled; the rounds' one-hot
+    anchor scores propagate within regions in a single solve, and each
+    round predicts CHANGED where its changed score beats its unchanged
+    score (ties go to unchanged).  The output label of every originally
+    labeled pixel is the majority vote across rounds; pixels unlabeled in
+    ``pseudo`` stay unlabeled.  A round whose anchor set misses a class
+    is redrawn (at most 10 retries).
     """
     flat_labels = pseudo.labels.ravel()
     labeled_idx = np.flatnonzero(flat_labels != UNLABELED)
@@ -181,28 +149,24 @@ def clean_labels(
     n_regions = cfg.n_regions
     if n_regions is None:
         n_regions = max(1, (img.height * img.width) // 64)
-    rm = segment_superpixels(img, n_regions, cfg.compactness, derive_seed(seed, 0))
-    tm = build_transition(build_weights(img, rm))
+    rm = segment_superpixels(img, n_regions, cfg.compactness)
+    tm = build_transition(img, rm)
 
     n_keep = max(1, int(np.floor(cfg.labeled_fraction * labeled_idx.size + 0.5)))
-    changed_votes = np.zeros(labeled_idx.size, dtype=np.int64)
+    # Column pair (2 * rnd, 2 * rnd + 1) holds round rnd's (unchanged,
+    # changed) anchor scores; labels 0/1 index the pair directly.
+    y0 = np.zeros((flat_labels.size, cfg.rounds, 2))
     for rnd in range(cfg.rounds):
         rng = np.random.default_rng(derive_seed(seed, 1 + rnd))
-        keep = None
-        for _ in range(11):
-            cand = rng.choice(labeled_idx.size, size=n_keep, replace=False)
-            kept_labels = flat_labels[labeled_idx[cand]]
+        for _ in range(11):  # after the retries, proceed with the last draw
+            keep = rng.choice(labeled_idx.size, size=n_keep, replace=False)
+            kept_labels = flat_labels[labeled_idx[keep]]
             if (kept_labels == CHANGED).any() and (kept_labels == UNCHANGED).any():
-                keep = cand
                 break
-            keep = cand  # after retries, proceed with the last draw
-        anchors = np.full(flat_labels.shape, UNLABELED, dtype=np.int8)
-        kept_idx = labeled_idx[keep]
-        anchors[kept_idx] = flat_labels[kept_idx]
-        init = LabelField(labels=anchors.reshape(pseudo.labels.shape))
-        result = propagate(tm, init, cfg.alpha, cfg.max_iter, cfg.tol)
-        predictions = result.labels.ravel()[labeled_idx]
-        changed_votes += predictions == CHANGED
+        y0[labeled_idx[keep], rnd, kept_labels] = 1.0
+    y = propagate(tm, y0.reshape(flat_labels.size, -1), cfg.alpha)
+    y = y.reshape(flat_labels.size, cfg.rounds, 2)[labeled_idx]
+    changed_votes = np.count_nonzero(y[..., 1] > y[..., 0], axis=1)
 
     cleaned = np.full(flat_labels.shape, UNLABELED, dtype=np.int8)
     cleaned[labeled_idx] = majority_vote(changed_votes, cfg.rounds)

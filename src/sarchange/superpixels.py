@@ -5,8 +5,7 @@ pixels are assigned within a 2S-by-2S window around each centre using a
 combined intensity + spatial distance, centres are updated to the mean
 of their members, and after a fixed number of sweeps any disconnected
 fragment is absorbed into the largest adjacent region so every region
-ends up 4-connected.  The procedure is deterministic; the ``seed``
-parameter is accepted for interface symmetry with the other stages.
+ends up 4-connected.  The procedure is deterministic.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def _relabel(ids: np.ndarray) -> RegionMap:
 
 
 def segment_superpixels(
-    img: Raster, n_regions: int, compactness: float = 10.0, seed: int = 0
+    img: Raster, n_regions: int, compactness: float = 10.0
 ) -> RegionMap:
     """Partition ``img`` into roughly ``n_regions`` compact homogeneous regions.
 
@@ -114,7 +113,6 @@ def segment_superpixels(
     larger values give squarer regions.  Requesting at least as many
     regions as pixels yields the identity segmentation.
     """
-    del seed  # deterministic; kept for a uniform stage signature
     if n_regions < 1:
         raise ParameterError(f"n_regions must be >= 1, got {n_regions}")
     h, w = img.height, img.width

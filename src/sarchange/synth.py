@@ -211,7 +211,6 @@ def inject_label_noise(lf: LabelField, rate: float, seed: int) -> LabelField:
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"noise rate must be in [0, 1], got {rate}")
     out = lf.copy()
-    out.soft = None
     labeled = np.flatnonzero(out.labels.ravel() != UNLABELED)
     n_flip = int(np.floor(rate * labeled.size))
     if n_flip == 0:
