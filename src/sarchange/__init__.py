@@ -28,7 +28,6 @@ from .metrics import (
     roc_auc,
 )
 from .patch_features import (
-    FeatureStack,
     KernelSet,
     StackConfig,
     conv_layer,
@@ -65,6 +64,7 @@ from .synth import (
     inject_label_noise,
     load_scene,
     reflectance_fields,
+    write_scene,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run``: execute the pipeline on an acquisition pair.
-* ``bench``: ablation benchmark over generated synthetic scenes.
+* ``bench``: ablation benchmark (or a one-field sweep with ``--sweep``)
+  over generated synthetic scenes.
 * ``synth``: generate a speckled scene pair with ground truth.
 
 Option precedence for ``run`` and ``bench``: built-in defaults, then the
@@ -17,12 +18,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .errors import ChangeDetectionError, PipelineStageError
-from .pipeline import PipelineConfig, config_overrides, run_pipeline, run_synth_bench
-from .raster import Raster, save_raster
-from .synth import default_scene, gen_pair, load_scene, with_seed
+from .errors import ChangeDetectionError, ParameterError
+from .pipeline import (
+    ABLATION_ROWS,
+    PipelineConfig,
+    config_overrides,
+    run_pipeline,
+    run_synth_bench,
+)
+from .synth import default_scene, load_scene, with_seed, write_scene
 
 # (flag, config field, type); flags follow the config one-to-one.
 _RUN_OPTIONS = [
@@ -89,10 +93,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_or_text(raw: str):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
+def _sweep_rows(spec: str) -> dict[str, dict]:
+    """Rows ``{"field=v": {field: v}}`` from ``FIELD=V1,V2,...``."""
+    field, sep, values = spec.partition("=")
+    if not sep or not field or not values:
+        raise ParameterError(f"--sweep expects FIELD=V1,V2,..., got {spec!r}")
+    return {f"{field}={v}": {field: _json_or_text(v)} for v in values.split(",")}
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     overrides = _collect_overrides(args)
+    rows = _sweep_rows(args.sweep) if args.sweep else ABLATION_ROWS
     scene = load_scene(args.scene) if args.scene else default_scene()
-    summary = run_synth_bench(scene, overrides, args.seeds, args.out_dir)
+    summary = run_synth_bench(scene, overrides, args.seeds, args.out_dir, rows)
     print(json.dumps(summary["rows"], indent=2, sort_keys=True))
     print(f"summary written to {Path(args.out_dir) / 'summary.json'}")
     return 0
@@ -102,16 +122,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_scene(args.scene) if args.scene else default_scene()
     if args.seed is not None:
         spec = with_seed(spec, args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    i1, i2, gt = gen_pair(spec)
-    save_raster(i1, out_dir / "t1.f32", "f32raw")
-    save_raster(i2, out_dir / "t2.f32", "f32raw")
-    save_raster(
-        Raster.from_array(gt.labels.astype(np.float64)), out_dir / "gt.pgm", "pgm8"
-    )
-    (out_dir / "scene.json").write_text(spec.to_json())
-    print(f"scene written to {out_dir} (t1.f32, t2.f32, gt.pgm, scene.json)")
+    write_scene(spec, args.out_dir)
+    print(f"scene written to {args.out_dir} (t1.f32, t2.f32, gt.pgm, scene.json)")
     return 0
 
 
@@ -135,6 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--scene", default=None, help="scene JSON (default: built-in)")
     p_bench.add_argument("--seeds", type=int, default=5)
     p_bench.add_argument("--out-dir", default="bench_out")
+    p_bench.add_argument(
+        "--sweep", default=None, metavar="FIELD=V1,V2,...",
+        help="run one row per value of a config field instead of the ablation rows",
+    )
     _add_pipeline_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -151,9 +167,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ChangeDetectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

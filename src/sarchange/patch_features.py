@@ -5,8 +5,7 @@ from its input and uses them as cross-correlation kernels.  In
 "distinctive" mode the patch centres are drawn from pixels whose
 min-max-normalised activation exceeds a threshold (salient structure);
 in "random" mode they are drawn uniformly, which serves as the baseline.
-Layer outputs are reduced to three channels each, z-scored, and stacked,
-optionally together with the original input channels.
+Layer outputs are reduced to three channels each, z-scored, and stacked.
 """
 
 from __future__ import annotations
@@ -31,31 +30,6 @@ class KernelSet:
     fallback: bool = False  # distinctive pool was smaller than m; used top-m
 
 
-@dataclass
-class FeatureStack:
-    features: np.ndarray         # (height, width, vector_len)
-    layer_channels: list[int]    # channels contributed by each layer
-    include_input: bool
-
-    def __post_init__(self):
-        if self.features.ndim != 3:
-            raise ShapeError("feature stack must be (height, width, vector_len)")
-        if not np.isfinite(self.features).all():
-            raise ParameterError("feature stack contains non-finite values")
-
-    @property
-    def height(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def vector_len(self) -> int:
-        return self.features.shape[2]
-
-
 @dataclass(frozen=True)
 class StackConfig:
     depth: int = 4              # number of convolution layers
@@ -63,7 +37,6 @@ class StackConfig:
     kernel_size: int = 5
     threshold: float = DISTINCTIVE_THRESHOLD
     mode: str = "distinctive"
-    include_input: bool = True
 
 
 def normalize_activation(f: Raster) -> Raster:
@@ -230,13 +203,12 @@ def zscore_channels(data: np.ndarray) -> np.ndarray:
     return out.reshape(data.shape)
 
 
-def stack_features(input: Raster, cfg: StackConfig, seed: int = 0) -> FeatureStack:
+def stack_features(input: Raster, cfg: StackConfig, seed: int = 0) -> Raster:
     """Run ``cfg.depth`` patch-convolution layers and stack their features.
 
     Layer 1 convolves the input directly; every later layer first reduces
     its input to 3 principal channels.  Each layer's output is likewise
-    reduced to 3 channels, z-scored, and concatenated; the original input
-    channels are appended (z-scored) when ``include_input`` is set.
+    reduced to 3 channels, z-scored, and concatenated in layer order.
     Kernel selection at layer d uses the child seed ``(seed, d)``.
     """
     if cfg.depth < 1:
@@ -252,22 +224,4 @@ def stack_features(input: Raster, cfg: StackConfig, seed: int = 0) -> FeatureSta
         )
         layer_out = conv_layer(current, kernels)
         reduced.append(pca_reduce(layer_out, 3))
-
-    parts = [zscore_channels(r.data) for r in reduced]
-    layer_channels = [r.channels for r in reduced]
-    if cfg.include_input:
-        parts.append(zscore_channels(input.data))
-    return FeatureStack(
-        features=np.concatenate(parts, axis=2),
-        layer_channels=layer_channels,
-        include_input=cfg.include_input,
-    )
-
-
-def raw_feature_stack(input: Raster) -> FeatureStack:
-    """Pointwise fallback: the z-scored input channels with no convolution."""
-    return FeatureStack(
-        features=zscore_channels(input.data),
-        layer_channels=[],
-        include_input=True,
-    )
+    return Raster(np.concatenate([zscore_channels(r.data) for r in reduced], axis=2))

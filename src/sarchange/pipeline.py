@@ -26,19 +26,13 @@ from . import metrics as metrics_mod
 from .difference import log_ratio_di
 from .errors import ParameterError, PipelineStageError
 from .labels import CHANGED, UNCHANGED, LabelField
-from .patch_features import (
-    FeatureStack,
-    StackConfig,
-    raw_feature_stack,
-    stack_features,
-    zscore_channels,
-)
+from .patch_features import StackConfig, stack_features, zscore_channels
 from .preclassify import preclassify_di, sample_training
 from .propagation import CleanConfig, clean_labels
 from .raster import Raster, detect_format, load_raster, save_raster
 from .seeds import derive_seed
 from .svm import build_samples, predict_map, train_svm
-from .synth import SceneSpec, gen_pair, load_scene, with_seed
+from .synth import SceneSpec, with_seed, write_scene
 
 # Per-stage seed derivation indices (frozen; new stages append).
 STAGE_PRECLASSIFY = 1
@@ -65,7 +59,6 @@ class PipelineConfig:
     kernel_mode: str = "distinctive"
     clean: bool = True            # run label-noise cleaning
     conv: bool = True             # run the convolution stack (else pointwise)
-    include_input: bool = True
     rounds: int = 10              # cleaning rounds for the majority vote
     labeled_fraction: float = 0.5
     n_regions: int | None = None  # None: about one region per 64 pixels
@@ -127,7 +120,7 @@ def _input_channels(i1: Raster, i2: Raster, di: Raster) -> Raster:
 
 def _build_features(
     i1: Raster, i2: Raster, di: Raster, cfg: PipelineConfig, seed: int
-) -> FeatureStack:
+) -> Raster:
     """Assemble the per-pixel feature vectors.
 
     The convolution stack sees the acquisition pair plus the difference
@@ -135,38 +128,23 @@ def _build_features(
     z-scored: the averaging lifts the kernels' signal-to-speckle ratio at
     the kernels' own receptive scale, and the channel balancing keeps the
     change evidence from being drowned by background variance.  The
-    appended "input" channels are the raw z-scored triple.  Without the
-    stack the pointwise channels alone are the features.
+    z-scored raw triple is appended after the layer channels.  Without
+    the stack the z-scored triple alone is the feature vector.
     """
     channels = _input_channels(i1, i2, di)
     if not cfg.conv:
-        return raw_feature_stack(channels)
-    averaged = np.stack(
-        [
-            ndimage.uniform_filter(channels.data[:, :, j], size=cfg.kernel_size,
-                                   mode="reflect")
-            for j in range(channels.channels)
-        ],
-        axis=2,
-    )
+        return Raster(zscore_channels(channels.data))
+    k = cfg.kernel_size
+    averaged = ndimage.uniform_filter(channels.data, size=(k, k, 1), mode="reflect")
     stack_cfg = StackConfig(
         depth=cfg.depth,
         kernels_per_layer=cfg.kernels_per_layer,
-        kernel_size=cfg.kernel_size,
+        kernel_size=k,
         threshold=cfg.threshold,
         mode=cfg.kernel_mode,
-        include_input=False,
     )
-    stack = stack_features(Raster(zscore_channels(averaged)), stack_cfg, seed)
-    if not cfg.include_input:
-        return stack
-    return FeatureStack(
-        features=np.concatenate(
-            [stack.features, zscore_channels(channels.data)], axis=2
-        ),
-        layer_channels=stack.layer_channels,
-        include_input=True,
-    )
+    layers = stack_features(Raster(zscore_channels(averaged)), stack_cfg, seed)
+    return Raster(np.concatenate([layers.data, zscore_channels(channels.data)], axis=2))
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -209,7 +187,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             "clean", clean_labels, smoothed_di, training, clean_cfg,
             derive_seed(cfg.seed, STAGE_CLEAN),
         )
-    features: FeatureStack = timer.run(
+    features = timer.run(
         "features", _build_features, i1, i2, di, cfg,
         derive_seed(cfg.seed, STAGE_FEATURES),
     )
@@ -284,63 +262,46 @@ def config_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
 
 
 def run_synth_bench(
-    scene: str | Path | SceneSpec,
+    spec: SceneSpec,
     overrides: dict | None = None,
     n_seeds: int = 5,
     out_dir: str | Path = "bench_out",
+    rows: dict[str, dict] = ABLATION_ROWS,
 ) -> dict:
-    """Benchmark the ablation grid on generated scenes.
+    """Benchmark configuration rows on generated scenes.
 
-    For each of ``n_seeds`` scene realisations, runs the four ablation
-    rows with paired pipeline seeds and reports per-row mean/stdev of
-    PCC/KC/F1/AUC plus mean per-stage wall-clock seconds.  The summary is
-    returned and written to ``<out_dir>/summary.json``.
+    ``rows`` maps a row name to config overrides applied on top of
+    ``overrides``; the default is the four-row ablation grid.  For each of
+    ``n_seeds`` scene realisations, runs every row with paired pipeline
+    seeds and reports per-row mean/stdev of PCC/KC/F1/AUC plus mean
+    per-stage wall-clock seconds.  The summary is returned and written to
+    ``<out_dir>/summary.json``.
     """
     if n_seeds < 1:
         raise ParameterError(f"n_seeds must be >= 1, got {n_seeds}")
-    spec = scene if isinstance(scene, SceneSpec) else load_scene(scene)
+    base = config_overrides(PipelineConfig(), overrides or {})
+    row_cfgs = {row: config_overrides(base, flags) for row, flags in rows.items()}
+    for cfg in row_cfgs.values():
+        cfg.validate()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = PipelineConfig()
-    if overrides:
-        base = config_overrides(base, overrides)
 
     per_row: dict[str, dict[str, list[float]]] = {
-        row: {"pcc": [], "kc": [], "f1": [], "auc": []} for row in ABLATION_ROWS
+        row: {"pcc": [], "kc": [], "f1": [], "auc": []} for row in rows
     }
-    stage_seconds: dict[str, dict[str, list[float]]] = {row: {} for row in ABLATION_ROWS}
+    stage_seconds: dict[str, dict[str, list[float]]] = {row: {} for row in rows}
     for s in range(n_seeds):
         scene_dir = out_dir / f"scene_{s}"
-        scene_dir.mkdir(exist_ok=True)
-        spec_s = with_seed(spec, derive_seed(spec.seed, s))
-        i1, i2, gt = gen_pair(spec_s)
-        t1_path = scene_dir / "t1.f32"
-        t2_path = scene_dir / "t2.f32"
-        gt_path = scene_dir / "gt.pgm"
-        save_raster(i1, t1_path, "f32raw")
-        save_raster(i2, t2_path, "f32raw")
-        save_raster(Raster.from_array(gt.labels.astype(np.float64)), gt_path, "pgm8")
-        for row, flags in ABLATION_ROWS.items():
-            cfg = config_overrides(
-                base,
-                {
-                    **flags,
-                    "t1": t1_path,
-                    "t2": t2_path,
-                    "gt": gt_path,
-                    "out_dir": scene_dir / f"row_{row}",
-                    "seed": base.seed + s,
-                },
+        t1, t2, gt = write_scene(with_seed(spec, derive_seed(spec.seed, s)), scene_dir)
+        for row, row_cfg in row_cfgs.items():
+            cfg = replace(
+                row_cfg, t1=t1, t2=t2, gt=gt, out_dir=scene_dir / f"row_{row}",
+                seed=row_cfg.seed + s,
             )
             result = run_pipeline(cfg)
-            assert result.report is not None
-            per_row[row]["pcc"].append(result.report.pcc)
-            per_row[row]["kc"].append(result.report.kc)
-            per_row[row]["f1"].append(result.report.f1)
-            per_row[row]["auc"].append(result.report.auc)
+            for metric, vals in per_row[row].items():
+                vals.append(getattr(result.report, metric))
             for stage, seconds in result.timings.items():
                 stage_seconds[row].setdefault(stage, []).append(seconds)
-
     summary = {
         "n_seeds": n_seeds,
         "scene": spec.to_dict(),

@@ -16,15 +16,12 @@ short of the optimum at this objective's weak regularisation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateTrainingError, ParameterError, ShapeError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
-from .patch_features import FeatureStack
 from .raster import Raster
 
 
@@ -58,52 +55,15 @@ class FeatureScaler:
 class SvmModel:
     weights: np.ndarray  # (d_kept,)
     bias: float
-    c: float
     scaler: FeatureScaler
 
     def decision(self, x: np.ndarray) -> np.ndarray:
         """Raw scores w . x + b for standardised-on-the-fly rows of x."""
         return self.scaler.transform(x) @ self.weights + self.bias
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": self.weights.tolist(),
-                "bias": self.bias,
-                "c": self.c,
-                "scaler_mean": self.scaler.mean.tolist(),
-                "scaler_std": self.scaler.std.tolist(),
-                "scaler_kept": self.scaler.kept.tolist(),
-                "scaler_n_features": self.scaler.n_features,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SvmModel":
-        d = json.loads(text)
-        return cls(
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            bias=float(d["bias"]),
-            c=float(d["c"]),
-            scaler=FeatureScaler(
-                mean=np.asarray(d["scaler_mean"], dtype=np.float64),
-                std=np.asarray(d["scaler_std"], dtype=np.float64),
-                kept=np.asarray(d["scaler_kept"], dtype=np.int64),
-                n_features=int(d["scaler_n_features"]),
-            ),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SvmModel":
-        return cls.from_json(Path(path).read_text())
-
 
 def build_samples(
-    fs: FeatureStack, labels: LabelField
+    fs: Raster, labels: LabelField
 ) -> tuple[np.ndarray, np.ndarray, FeatureScaler]:
     """Design matrix, +/-1 targets and fitted scaler from the labeled pixels.
 
@@ -112,12 +72,12 @@ def build_samples(
     labeled pixels only.
     """
     if (fs.height, fs.width) != (labels.height, labels.width):
-        raise ShapeError("feature stack and label field dimensions disagree")
+        raise ShapeError("feature raster and label field dimensions disagree")
     flat_labels = labels.labels.ravel()
     mask = flat_labels != UNLABELED
     if not (flat_labels == CHANGED).any() or not (flat_labels == UNCHANGED).any():
         raise DegenerateTrainingError("training labels contain a single class")
-    x_full = fs.features.reshape(-1, fs.vector_len)[mask]
+    x_full = fs.data.reshape(-1, fs.channels)[mask]
     y = np.where(flat_labels[mask] == CHANGED, 1.0, -1.0)
     mean = x_full.mean(axis=0)
     std = x_full.std(axis=0)
@@ -125,7 +85,7 @@ def build_samples(
     if kept.size == 0:
         raise DegenerateTrainingError("every feature dimension is constant")
     scaler = FeatureScaler(mean=mean[kept], std=std[kept], kept=kept,
-                          n_features=fs.vector_len)
+                          n_features=fs.channels)
     x = (x_full[:, kept] - scaler.mean) / scaler.std
     return x, y, scaler
 
@@ -135,17 +95,6 @@ def hinge_objective(
 ) -> float:
     margins = y * (x @ w + b)
     return 0.5 * float(w @ w) + c * float(np.maximum(0.0, 1.0 - margins).sum())
-
-
-def hinge_subgradient(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, c: float
-) -> tuple[np.ndarray, float]:
-    """Subgradient of the primal objective; at a kink the active side is 0."""
-    margins = y * (x @ w + b)
-    active = margins < 1.0
-    gw = w - c * (y[active, np.newaxis] * x[active]).sum(axis=0)
-    gb = -c * float(y[active].sum())
-    return gw, gb
 
 
 def train_svm(
@@ -196,16 +145,15 @@ def train_svm(
     return SvmModel(
         weights=w_aug[:-1],
         bias=float(w_aug[-1]),
-        c=c,
         scaler=scaler if scaler is not None else FeatureScaler.identity(d),
     )
 
 
-def predict_map(model: SvmModel, fs: FeatureStack) -> tuple[LabelField, Raster]:
+def predict_map(model: SvmModel, fs: Raster) -> tuple[LabelField, Raster]:
     """Score every pixel; changed exactly where the score is positive."""
     if model.weights.shape != model.scaler.kept.shape:
         raise ShapeError("model weights and scaler dimensions disagree")
-    x = fs.features.reshape(-1, fs.vector_len)
+    x = fs.data.reshape(-1, fs.channels)
     scores = model.decision(x).reshape(fs.height, fs.width)
     labels = np.where(scores > 0.0, CHANGED, UNCHANGED).astype(np.int8)
     return LabelField(labels=labels), Raster.from_array(scores)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
-from .raster import Raster
+from .raster import Raster, save_raster
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,20 @@ def gen_pair(spec: SceneSpec) -> tuple[Raster, Raster, LabelField]:
         Raster.from_array(r2 * s2),
         change_truth(spec),
     )
+
+
+def write_scene(spec: SceneSpec, out_dir: str | Path) -> tuple[Path, Path, Path]:
+    """Generate the scene and write ``t1.f32``, ``t2.f32``, ``gt.pgm`` and
+    ``scene.json`` into ``out_dir``; return the (t1, t2, gt) paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    i1, i2, gt = gen_pair(spec)
+    paths = out_dir / "t1.f32", out_dir / "t2.f32", out_dir / "gt.pgm"
+    save_raster(i1, paths[0], "f32raw")
+    save_raster(i2, paths[1], "f32raw")
+    save_raster(Raster.from_array(gt.labels.astype(np.float64)), paths[2], "pgm8")
+    (out_dir / "scene.json").write_text(spec.to_json())
+    return paths
 
 
 def inject_label_noise(lf: LabelField, rate: float, seed: int) -> LabelField:

@@ -28,13 +28,14 @@ from sarchange.propagation import (
     clean_labels,
     propagate,
 )
-from sarchange.raster import Raster, save_raster
+from sarchange.raster import Raster
 from sarchange.superpixels import RegionMap
-from sarchange.svm import hinge_objective, hinge_subgradient, train_svm
+from sarchange.svm import hinge_objective, train_svm
 from scipy import ndimage
 
 from test_patch_features import naive_conv
 from test_metrics import pairwise_auc
+from test_svm import hinge_subgradient
 
 
 @contextmanager
@@ -54,14 +55,6 @@ def single_region_instance(n, seed):
     return img, rm, rng
 
 
-def write_scene(tmp, spec):
-    i1, i2, gt = sc.gen_pair(spec)
-    save_raster(i1, tmp / "t1.f32", "f32raw")
-    save_raster(i2, tmp / "t2.f32", "f32raw")
-    save_raster(Raster.from_array(gt.labels.astype(float)), tmp / "gt.pgm", "pgm8")
-    return tmp / "t1.f32", tmp / "t2.f32", tmp / "gt.pgm"
-
-
 @pytest.fixture(scope="module")
 def grid_runs(tmp_path_factory):
     """Paired ablation runs: rows 1/3/4/6 on scene seeds 0..4 (cfg seed 100+s).
@@ -70,7 +63,7 @@ def grid_runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("grid")
     runs = {}
     for s in range(5):
-        t1, t2, gt = write_scene(tmp, sc.default_scene(seed=s))
+        t1, t2, gt = sc.write_scene(sc.default_scene(seed=s), tmp)
         for row, flags in ABLATION_ROWS.items():
             cfg = config_overrides(
                 PipelineConfig(t1=t1, t2=t2, gt=gt, out_dir=tmp / "out",
@@ -170,7 +163,7 @@ def test_ablation_ordering(grid_runs):
 def test_distinctive_vs_random_kernels(tmp_path):
     with criterion("distinctive kernels beat random in mean and spread"):
         start = time.perf_counter()
-        t1, t2, gt = write_scene(tmp_path, sc.default_scene(seed=0))
+        t1, t2, gt = sc.write_scene(sc.default_scene(seed=0), tmp_path)
         results = {"distinctive": [], "random": []}
         for s in range(10):
             for mode in results:
@@ -289,7 +282,7 @@ def test_cli_determinism(tmp_path):
                      (sc.synth.Ellipse(row=32.0, col=32.0, r_row=6.0, r_col=8.0), 0.3)),
             looks=4.0, seed=5,
         )
-        t1, t2, gt = write_scene(tmp_path, scene)
+        t1, t2, gt = sc.write_scene(scene, tmp_path)
         # The child interpreter imports the package under test, installed or not.
         src = str(Path(sc.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -240,27 +240,27 @@ def test_pca_reduce_sign_fix_is_deterministic():
 def test_stack_features_single_layer_vector_len():
     rng = np.random.default_rng(7)
     img = Raster.from_array(rng.random((12, 12)))
-    cfg = StackConfig(depth=1, kernels_per_layer=8, kernel_size=3, include_input=False)
+    cfg = StackConfig(depth=1, kernels_per_layer=8, kernel_size=3)
     fs = stack_features(img, cfg, seed=11)
-    assert fs.vector_len == 3
-    assert fs.layer_channels == [3]
+    assert fs.channels == 3
 
 
 def test_stack_features_vector_len_arithmetic():
     rng = np.random.default_rng(8)
     img = Raster(rng.random((12, 12, 2)))
-    cfg = StackConfig(depth=3, kernels_per_layer=8, kernel_size=3, include_input=True)
+    cfg = StackConfig(depth=3, kernels_per_layer=8, kernel_size=3)
     fs = stack_features(img, cfg, seed=11)
-    assert fs.vector_len == 3 * 3 + 2
+    assert fs.channels == 3 * 3  # three per layer; the input channels are not appended
     assert (fs.height, fs.width) == (12, 12)
 
 
 def test_stack_features_channels_are_zscored():
     rng = np.random.default_rng(9)
     img = Raster.from_array(rng.random((16, 16)))
-    cfg = StackConfig(depth=2, kernels_per_layer=6, kernel_size=3, include_input=True)
+    cfg = StackConfig(depth=2, kernels_per_layer=6, kernel_size=3)
     fs = stack_features(img, cfg, seed=2)
-    flat = fs.features.reshape(-1, fs.vector_len)
+    assert fs.channels == 3 * 2
+    flat = fs.data.reshape(-1, fs.channels)
     np.testing.assert_array_less(np.abs(flat.mean(axis=0)), 1e-9)
     np.testing.assert_array_less(np.abs(flat.std(axis=0) - 1.0), 1e-6)
 
@@ -269,7 +269,7 @@ def test_stack_features_matches_stepwise_composition():
     rng = np.random.default_rng(10)
     img = Raster.from_array(rng.random((8, 8)))
     cfg = StackConfig(depth=2, kernels_per_layer=5, kernel_size=3,
-                      mode="distinctive", include_input=False)
+                      mode="distinctive")
     seed = 21
     fs = stack_features(img, cfg, seed=seed)
 
@@ -283,7 +283,7 @@ def test_stack_features_matches_stepwise_composition():
     expected = np.concatenate(
         [zscore_channels(r1.data), zscore_channels(r2.data)], axis=2
     )
-    np.testing.assert_allclose(fs.features, expected, atol=1e-12)
+    np.testing.assert_allclose(fs.data, expected, atol=1e-12)
 
 
 def test_stack_features_deterministic_per_seed():
@@ -292,4 +292,4 @@ def test_stack_features_deterministic_per_seed():
     cfg = StackConfig(depth=2, kernels_per_layer=4, kernel_size=3)
     a = stack_features(img, cfg, seed=5)
     b = stack_features(img, cfg, seed=5)
-    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.data, b.data)

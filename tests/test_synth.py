@@ -5,6 +5,7 @@ import pytest
 
 from sarchange.errors import ParameterError
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
+from sarchange.raster import load_raster
 from sarchange.synth import (
     BaseField,
     Ellipse,
@@ -16,6 +17,7 @@ from sarchange.synth import (
     inject_label_noise,
     load_scene,
     reflectance_fields,
+    write_scene,
 )
 
 
@@ -114,6 +116,21 @@ def test_scene_json_round_trip(tmp_path):
     # json is self-describing
     d = json.loads(spec.to_json())
     assert d["width"] == 128 and len(d["changes"]) == 3
+
+
+def test_write_scene_files_load_back_as_generated(tmp_path):
+    spec = default_scene(seed=6)
+    out = tmp_path / "nested" / "scene"
+    t1, t2, gt_path = write_scene(spec, out)
+    assert (t1, t2, gt_path) == (out / "t1.f32", out / "t2.f32", out / "gt.pgm")
+    i1, i2, gt = gen_pair(spec)
+    # f32raw stores float32 samples; the ground truth is exact 0/1
+    np.testing.assert_array_equal(load_raster(t1, "f32raw").data,
+                                  i1.data.astype(np.float32))
+    np.testing.assert_array_equal(load_raster(t2, "f32raw").data,
+                                  i2.data.astype(np.float32))
+    np.testing.assert_array_equal(load_raster(gt_path, "pgm8").band(0), gt.labels)
+    assert load_scene(out / "scene.json") == spec
 
 
 def test_default_scene_geometry():
