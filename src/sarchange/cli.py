@@ -26,6 +26,7 @@ from .pipeline import (
     run_pipeline,
     run_synth_bench,
 )
+from .raster import load_json_object
 from .synth import default_scene, load_scene, with_seed, write_scene
 
 # (flag, config field, type); flags follow the config one-to-one.
@@ -60,17 +61,10 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if args.config:
-        overrides.update(json.loads(Path(args.config).read_text()))
-    for _, dest, _ in _RUN_OPTIONS:
-        value = getattr(args, dest)
-        if value is not None:
-            overrides[dest] = value
-    for dest in ("kernel_mode", "clean", "conv"):
-        value = getattr(args, dest)
-        if value is not None:
-            overrides[dest] = value
+    overrides = load_json_object(args.config) if args.config else {}
+    for dest in [dest for _, dest, _ in _RUN_OPTIONS] + ["kernel_mode", "clean", "conv"]:
+        if getattr(args, dest) is not None:
+            overrides[dest] = getattr(args, dest)
     return overrides
 
 

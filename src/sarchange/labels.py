@@ -38,12 +38,6 @@ class LabelField:
     def width(self) -> int:
         return self.labels.shape[1]
 
-    def labeled_mask(self) -> np.ndarray:
-        return self.labels != UNLABELED
-
-    def n_labeled(self) -> int:
-        return int(np.count_nonzero(self.labels != UNLABELED))
-
     def one_hot(self) -> np.ndarray:
         """Per-class scores (unchanged, changed): one-hot where labeled, zero where not."""
         out = np.zeros(self.labels.shape + (2,), dtype=np.float64)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -68,16 +69,32 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 < self.sample_ratio <= 1.0:
-            raise ParameterError(
-                f"sample_ratio must be in (0, 1], got {self.sample_ratio}"
-            )
-        if self.kernel_mode not in ("distinctive", "random"):
-            raise ParameterError(f"unknown kernel mode {self.kernel_mode!r}")
-        if self.seed < 0:
-            raise ParameterError("seed must be non-negative")
+        """Reject, before any stage runs, every value a stage would reject;
+        the checks against the image shape stay in the stages."""
+        for name, (kind, rule, ok) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ParameterError(f"{name} must be {rule}, got {value!r}")
+
+
+# (accepted types, rule, check) of every PipelineConfig field a stage reads.
+_FIELD_RULES = {
+    "alpha": (Real, "a number in (0, 1)", lambda v: 0 < v < 1),
+    "patch_size": (Integral, "an odd integer >= 3", lambda v: v >= 3 and v % 2 == 1),
+    "sample_ratio": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
+    "depth": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "kernels_per_layer": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "kernel_size": (Integral, "an odd integer >= 1", lambda v: v >= 1 and v % 2 == 1),
+    "threshold": (Real, "a number", lambda v: True),
+    "kernel_mode": (str, "'distinctive' or 'random'", lambda v: v in ("distinctive", "random")),
+    "rounds": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "labeled_fraction": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
+    "n_regions": ((Integral, type(None)), "None or an integer >= 1", lambda v: v is None or v >= 1),
+    "compactness": (Real, "a number", lambda v: True),
+    "svm_c": (Real, "a number > 0", lambda v: v > 0),
+    "svm_epochs": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
+}
 
 
 @dataclass

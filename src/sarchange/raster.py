@@ -135,10 +135,8 @@ def _sidecar_path(path: Path) -> Path:
 
 def _load_f32raw(path: Path) -> Raster:
     sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise FormatError(f"missing f32raw sidecar {sidecar}")
+    meta = load_json_object(sidecar)
     try:
-        meta = json.loads(sidecar.read_text())
         width = int(meta["width"])
         height = int(meta["height"])
         channels = int(meta["channels"])
@@ -156,6 +154,17 @@ def _load_f32raw(path: Path) -> Raster:
     if not np.isfinite(values).all():
         raise FormatError(f"f32raw file {path} contains non-finite values")
     return Raster(values.reshape(height, width, channels))
+
+
+def load_json_object(path: str | Path) -> dict:
+    """Parse a JSON file holding one object; FormatError naming the path otherwise."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def load_raster(path: str | Path, fmt: str) -> Raster:

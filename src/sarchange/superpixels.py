@@ -66,42 +66,34 @@ def _grid_centres(h: int, w: int, n_regions: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _absorb_orphans(ids: np.ndarray) -> np.ndarray:
-    """Merge every non-largest connected fragment into its largest neighbour."""
+    """Merge every non-largest 4-connected fragment into its largest neighbour.
+
+    Merging a connected fragment into an adjacent region never splits any
+    region, so one pass over the regions split on entry leaves none.  A
+    region's bounding box holds every 4-path between its pixels, so
+    labeling the region inside its box finds the split ones exactly.
+    """
     ids = ids.copy()
-    h, w = ids.shape
-    for _ in range(h * w):  # upper bound; converges in a handful of passes
-        changed = False
-        counts = np.bincount(ids.ravel())
-        for rid in np.unique(ids):
-            mask = ids == rid
-            comp, n_comp = ndimage.label(mask, structure=_CROSS)
-            if n_comp <= 1:
+    split = [rid for rid, box in enumerate(ndimage.find_objects(ids + 1))
+             if box is not None and ndimage.label(ids[box] == rid, _CROSS)[1] > 1]
+    for rid in split:
+        comp, n_comp = ndimage.label(ids == rid, structure=_CROSS)
+        sizes = np.bincount(comp.ravel())[1:]
+        keep = int(np.argmax(sizes)) + 1
+        for ci in range(1, n_comp + 1):
+            if ci == keep:
                 continue
-            sizes = np.bincount(comp.ravel())[1:]
-            keep = int(np.argmax(sizes)) + 1
-            for ci in range(1, n_comp + 1):
-                if ci == keep:
-                    continue
-                cmask = comp == ci
-                grown = ndimage.binary_dilation(cmask, structure=_CROSS)
-                neighbour_ids = np.unique(ids[grown & ~cmask])
-                neighbour_ids = neighbour_ids[neighbour_ids != rid]
-                if neighbour_ids.size == 0:
-                    continue
-                target = neighbour_ids[int(np.argmax(counts[neighbour_ids]))]
-                ids[cmask] = target
-                counts = np.bincount(ids.ravel(), minlength=counts.size)
-                changed = True
-        if not changed:
-            break
+            cmask = comp == ci
+            grown = ndimage.binary_dilation(cmask, structure=_CROSS)
+            neighbour_ids = np.unique(ids[grown & ~cmask])
+            counts = np.bincount(ids.ravel())
+            ids[cmask] = neighbour_ids[int(np.argmax(counts[neighbour_ids]))]
     return ids
 
 
 def _relabel(ids: np.ndarray) -> RegionMap:
-    present = np.unique(ids)
-    remap = np.zeros(present[-1] + 1, dtype=np.int32)
-    remap[present] = np.arange(present.size, dtype=np.int32)
-    return RegionMap(region_id=remap[ids], region_count=int(present.size))
+    present, rank = np.unique(ids, return_inverse=True)
+    return RegionMap(region_id=rank.reshape(ids.shape), region_count=int(present.size))
 
 
 def segment_superpixels(
@@ -145,8 +137,6 @@ def segment_superpixels(
             r1 = min(h, int(np.ceil(cen_r[j] + step)) + 1)
             c0 = max(0, int(np.floor(cen_c[j] - step)))
             c1 = min(w, int(np.ceil(cen_c[j] + step)) + 1)
-            if r0 >= r1 or c0 >= c1:
-                continue
             window = colour[r0:r1, c0:c1]
             d_col = ((window - cen_colour[j]) ** 2).sum(axis=2)
             d_sp = ((rows[r0:r1, None] - cen_r[j]) ** 2

@@ -122,6 +122,8 @@ def train_svm(
         raise ParameterError("training data contains non-finite values")
     if c <= 0:
         raise ParameterError(f"C must be positive, got {c}")
+    if epochs < 1:
+        raise ParameterError(f"epochs must be >= 1, got {epochs}")
     if not ((y == 1.0).any() and (y == -1.0).any()):
         raise DegenerateTrainingError("both classes are required for training")
     n, d = x.shape
@@ -130,7 +132,7 @@ def train_svm(
     rng = np.random.default_rng(seed)
     alpha = np.zeros(n)
     w_aug = np.zeros(d + 1)
-    for _ in range(max(1, epochs)):
+    for _ in range(epochs):
         largest_step = 0.0
         for i in rng.permutation(n):
             gradient = y[i] * (aug[i] @ w_aug) - 1.0

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
-from .raster import Raster, save_raster
+from .raster import Raster, load_json_object, save_raster
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,10 @@ class SceneSpec:
 
 
 def load_scene(path: str | Path) -> SceneSpec:
-    return SceneSpec.from_dict(json.loads(Path(path).read_text()))
+    try:
+        return SceneSpec.from_dict(load_json_object(path))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed scene {path}: {type(exc).__name__} {exc}") from exc
 
 
 def reflectance_fields(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:

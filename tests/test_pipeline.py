@@ -127,6 +127,40 @@ def test_cli_bench_sweep_rows_and_unknown_field(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()  # rejected before any scene is written
     assert main(["bench", "--sweep", "depth"]) == 1
+    capsys.readouterr()
+
+    bad_values = [
+        "depth=0", "depth=x", "kernel_size=4", "kernels_per_layer=0", "rounds=0",
+        "svm_c=-1", "svm_epochs=0", "patch_size=4", "labeled_fraction=0",
+        "n_regions=0", "alpha=x",
+    ]
+    for sweep in bad_values:
+        out = tmp_path / "bad_value"
+        code = main(["bench", "--scene", str(scene_path), "--seeds", "1",
+                     "--out-dir", str(out), "--sweep", sweep])
+        assert code == 1, sweep
+        assert sweep.partition("=")[0] in capsys.readouterr().err, sweep
+        assert not out.exists(), sweep
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--config", None),  # missing file
+    ("--config", '{"depth": 2'),  # truncated
+    ("--config", "[1, 2]"),  # not an object
+    ("--scene", '{"width": 32}'),  # no height
+    ("--scene", '{"width": 32, "height": 32, "base": []}'),
+], ids=["config-missing", "config-truncated", "config-list", "scene-no-height", "scene-base-list"])
+def test_cli_malformed_json_is_an_error_not_a_traceback(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "bench"
+    code = main(["bench", "--seeds", "1", "--out-dir", str(out), flag, str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_synth_then_run_and_config_precedence(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from scipy import ndimage
 
 from sarchange.errors import ParameterError
+from sarchange import superpixels
 from sarchange.raster import Raster
 from sarchange.superpixels import INTENSITY_SCALE, RegionMap, segment_superpixels
 
@@ -23,6 +24,78 @@ def slic_objective(values, ids, n_regions, compactness):
         dc = cc[m] - cc[m].mean()
         total += (dv**2).sum() + spatial_w * ((dr**2).sum() + (dc**2).sum())
     return total
+
+
+def reference_absorb_orphans(ids):
+    """The earlier multi-pass absorber, kept verbatim as the reference."""
+    ids = ids.copy()
+    h, w = ids.shape
+    for _ in range(h * w):  # upper bound; converges in a handful of passes
+        changed = False
+        counts = np.bincount(ids.ravel())
+        for rid in np.unique(ids):
+            mask = ids == rid
+            comp, n_comp = ndimage.label(mask, structure=_CROSS)
+            if n_comp <= 1:
+                continue
+            sizes = np.bincount(comp.ravel())[1:]
+            keep = int(np.argmax(sizes)) + 1
+            for ci in range(1, n_comp + 1):
+                if ci == keep:
+                    continue
+                cmask = comp == ci
+                grown = ndimage.binary_dilation(cmask, structure=_CROSS)
+                neighbour_ids = np.unique(ids[grown & ~cmask])
+                neighbour_ids = neighbour_ids[neighbour_ids != rid]
+                if neighbour_ids.size == 0:
+                    continue
+                target = neighbour_ids[int(np.argmax(counts[neighbour_ids]))]
+                ids[cmask] = target
+                counts = np.bincount(ids.ravel(), minlength=counts.size)
+                changed = True
+        if not changed:
+            break
+    return ids
+
+
+def random_label_map(rng):
+    """1-13 px a side, 1-7 ids; about 30% are 2x2-blocky with 20% salt."""
+    h, w = rng.integers(1, 14, size=2)
+    n_ids = int(rng.integers(1, 8))
+    if rng.random() < 0.3:
+        blocks = rng.integers(0, n_ids, size=((h + 1) // 2, (w + 1) // 2))
+        ids = np.repeat(np.repeat(blocks, 2, axis=0), 2, axis=1)[:h, :w]
+        salt = rng.random((h, w)) < 0.2
+        ids[salt] = rng.integers(0, n_ids, size=int(salt.sum()))
+    else:
+        ids = rng.integers(0, n_ids, size=(h, w))
+    return ids.astype(np.int32)
+
+
+def test_absorb_orphans_matches_multi_pass_reference():
+    rng = np.random.default_rng(2024)
+    n_split = 0
+    for _ in range(600):
+        ids = random_label_map(rng)
+        expected = reference_absorb_orphans(ids)
+        np.testing.assert_array_equal(superpixels._absorb_orphans(ids), expected)
+        n_split += int((expected != ids).any())
+    assert n_split > 100  # the maps exercise the merge, not just the scan
+
+
+def test_absorb_orphans_labels_only_region_boxes_when_nothing_is_split(monkeypatch):
+    tiles = np.arange(64, dtype=np.int32).reshape(8, 8)
+    ids = np.repeat(np.repeat(tiles, 8, axis=0), 8, axis=1)  # 64x64, 8x8 tiles
+    seen = []
+    real_label = ndimage.label
+
+    def counting_label(mask, *args, **kwargs):
+        seen.append(np.shape(mask))
+        return real_label(mask, *args, **kwargs)
+
+    monkeypatch.setattr(superpixels.ndimage, "label", counting_label)
+    np.testing.assert_array_equal(superpixels._absorb_orphans(ids), ids)
+    assert seen and ids.shape not in seen
 
 
 def test_constant_image_gives_near_equal_tiles():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sarchange.errors import DegenerateTrainingError, ShapeError
+from sarchange.errors import DegenerateTrainingError, ParameterError, ShapeError
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from sarchange.raster import Raster
 from sarchange.svm import (
@@ -135,6 +135,12 @@ def test_training_deterministic_per_seed():
     b = train_svm(x, y, epochs=5, seed=11)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.bias == b.bias
+
+
+def test_training_rejects_zero_epochs():
+    x, y = blobs()
+    with pytest.raises(ParameterError, match="epochs"):
+        train_svm(x, y, epochs=0)
 
 
 def test_predict_map_constant_negative_model():
