@@ -9,6 +9,7 @@ from .difference import log_ratio_di
 from .errors import (
     ChangeDetectionError,
     ConstructionError,
+    ConvergenceError,
     DegenerateTrainingError,
     FormatError,
     ParameterError,

@@ -29,6 +29,10 @@ class DegenerateTrainingError(ChangeDetectionError):
     """Training labels collapsed to a single class."""
 
 
+class ConvergenceError(ChangeDetectionError):
+    """An iterative solver ran out of steps or broke its own invariant."""
+
+
 class PipelineStageError(ChangeDetectionError):
     """A pipeline stage failed; carries the stage name for diagnostics."""
 

@@ -40,7 +40,6 @@ STAGE_PRECLASSIFY = 1
 STAGE_SAMPLE = 2
 STAGE_CLEAN = 3
 STAGE_FEATURES = 4
-STAGE_TRAIN = 5
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class PipelineConfig:
     n_regions: int | None = None  # None: about one region per 64 pixels
     compactness: float = 10.0
     svm_c: float = 1.0
-    svm_epochs: int = 200  # cap on coordinate passes; training stops early
     seed: int = 0
 
     def validate(self) -> None:
@@ -92,7 +90,6 @@ _FIELD_RULES = {
     "n_regions": ((Integral, type(None)), "None or an integer >= 1", lambda v: v is None or v >= 1),
     "compactness": (Real, "a number", lambda v: True),
     "svm_c": (Real, "a number > 0", lambda v: v > 0),
-    "svm_epochs": (Integral, "an integer >= 1", lambda v: v >= 1),
     "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
 }
 
@@ -211,10 +208,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     def _train():
         x, y, scaler = build_samples(features, training)
-        return train_svm(
-            x, y, cfg.svm_c, cfg.svm_epochs,
-            derive_seed(cfg.seed, STAGE_TRAIN), scaler,
-        )
+        return train_svm(x, y, cfg.svm_c, scaler)
 
     model = timer.run("train", _train)
     change, scores = timer.run("predict", predict_map, model, features)

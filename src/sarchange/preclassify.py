@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 from scipy import ndimage
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
 
@@ -57,8 +57,10 @@ def kmeans_cluster(
         own = d2[np.arange(n), new_ids]
         objective = float(own.sum())
         # Lloyd's iterations never increase the within-cluster sum of squares.
-        if np.isfinite(prev_objective):
-            assert objective <= prev_objective * (1.0 + 1e-12) + 1e-12
+        if objective > prev_objective * (1.0 + 1e-12) + 1e-12:
+            raise ConvergenceError(
+                f"k-means objective rose from {prev_objective!r} to {objective!r}"
+            )
         prev_objective = objective
         if np.array_equal(new_ids, ids):
             break

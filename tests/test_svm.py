@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sarchange.errors import DegenerateTrainingError, ParameterError, ShapeError
+from sarchange import svm
+from sarchange.errors import (
+    ChangeDetectionError,
+    ConvergenceError,
+    DegenerateTrainingError,
+    ParameterError,
+    ShapeError,
+)
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from sarchange.raster import Raster
 from sarchange.svm import (
+    FeatureScaler,
     SvmModel,
     build_samples,
     hinge_objective,
@@ -20,6 +30,59 @@ def hinge_subgradient(w, b, x, y, c):
     gw = w - c * (y[active, np.newaxis] * x[active]).sum(axis=0)
     gb = -c * float(y[active].sum())
     return gw, gb
+
+
+def reference_train_svm(
+    x: np.ndarray,
+    y: np.ndarray,
+    c: float = 1.0,
+    epochs: int = 200,
+    seed: int = 0,
+    scaler: FeatureScaler | None = None,
+    tol: float = 1e-8,
+) -> SvmModel:
+    """The earlier dual coordinate descent (Hsieh et al., ICML 2008), kept
+    verbatim as the reference."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise ShapeError("x must be (n, d) and y (n,)")
+    if not np.isfinite(x).all() or not np.isfinite(y).all():
+        raise ParameterError("training data contains non-finite values")
+    if c <= 0:
+        raise ParameterError(f"C must be positive, got {c}")
+    if epochs < 1:
+        raise ParameterError(f"epochs must be >= 1, got {epochs}")
+    if not ((y == 1.0).any() and (y == -1.0).any()):
+        raise DegenerateTrainingError("both classes are required for training")
+    n, d = x.shape
+    aug = np.hstack([x, np.ones((n, 1))])  # intercept as a constant feature
+    diag = (aug * aug).sum(axis=1)
+    rng = np.random.default_rng(seed)
+    alpha = np.zeros(n)
+    w_aug = np.zeros(d + 1)
+    for _ in range(epochs):
+        largest_step = 0.0
+        for i in rng.permutation(n):
+            gradient = y[i] * (aug[i] @ w_aug) - 1.0
+            updated = min(max(alpha[i] - gradient / diag[i], 0.0), c)
+            step = updated - alpha[i]
+            if step != 0.0:
+                w_aug += step * y[i] * aug[i]
+                alpha[i] = updated
+                largest_step = max(largest_step, abs(step))
+        if largest_step < tol:
+            break
+    return SvmModel(
+        weights=w_aug[:-1],
+        bias=float(w_aug[-1]),
+        scaler=scaler if scaler is not None else FeatureScaler.identity(d),
+    )
+
+
+def folded_objective(model, x, y, c):
+    """The objective both solvers minimise: the primal plus 0.5 b^2."""
+    return hinge_objective(model.weights, model.bias, x, y, c) + 0.5 * model.bias ** 2
 
 
 def blobs(n_per_class=40, gap=3.0, seed=0):
@@ -71,7 +134,7 @@ def test_build_samples_single_class_raises():
 
 def test_separable_toy_reaches_full_training_accuracy():
     x, y = blobs()
-    model = train_svm(x, y, c=1.0, epochs=20, seed=4)
+    model = train_svm(x, y, c=1.0)
     pred = np.sign(x @ model.weights + model.bias)
     assert (pred == y).all()
 
@@ -103,10 +166,8 @@ def test_subgradient_matches_finite_differences():
 
 def test_duplicated_samples_keep_the_boundary():
     x, y = blobs(n_per_class=30, seed=6)
-    base = train_svm(x, y, c=1.0, epochs=300, seed=7)
-    dup = train_svm(
-        np.vstack([x, x]), np.concatenate([y, y]), c=1.0, epochs=300, seed=7
-    )
+    base = train_svm(x, y, c=1.0)
+    dup = train_svm(np.vstack([x, x]), np.concatenate([y, y]), c=1.0)
     u1 = base.weights / np.linalg.norm(base.weights)
     u2 = dup.weights / np.linalg.norm(dup.weights)
     np.testing.assert_allclose(u1, u2, atol=1e-3)
@@ -123,7 +184,7 @@ def test_training_never_worse_than_null_model():
     if (y == 1).all() or (y == -1).all():
         y[0] = -y[0]
     c = 2.0
-    model = train_svm(x, y, c=c, epochs=20, seed=9)
+    model = train_svm(x, y, c=c)
     trained = hinge_objective(model.weights, model.bias, x, y, c)
     null = hinge_objective(np.zeros(4), 0.0, x, y, c)
     assert trained <= null
@@ -131,16 +192,76 @@ def test_training_never_worse_than_null_model():
 
 def test_training_deterministic_per_seed():
     x, y = blobs(seed=10)
-    a = train_svm(x, y, epochs=5, seed=11)
-    b = train_svm(x, y, epochs=5, seed=11)
+    a = train_svm(x, y)
+    b = train_svm(x, y)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.bias == b.bias
 
 
-def test_training_rejects_zero_epochs():
-    x, y = blobs()
-    with pytest.raises(ParameterError, match="epochs"):
-        train_svm(x, y, epochs=0)
+def overlapping_problem(seed, n=80, d=4):
+    """Noisy linear labels: many rows inside the margin or misclassified."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = np.where(x[:, 0] + 0.8 * rng.standard_normal(n) > 0.3, 1.0, -1.0)
+    return x, y
+
+
+# At these seeds the reference's own step test stops it before 5000
+# epochs; at seeds 0 and 1 it is still 1e-5 to 1e-4 above the optimum there.
+@pytest.mark.parametrize("seed", [2, 3, 4, 5])
+def test_newton_matches_coordinate_descent_reference(seed):
+    x, y = overlapping_problem(seed)
+    c = 10.0
+    new = folded_objective(train_svm(x, y, c=c), x, y, c)
+    capped = folded_objective(reference_train_svm(x, y, c=c, epochs=200, seed=seed), x, y, c)
+    converged = folded_objective(
+        reference_train_svm(x, y, c=c, epochs=5000, seed=seed), x, y, c
+    )
+    assert new <= capped
+    assert abs(new - converged) <= 1e-6 * converged
+
+
+@pytest.mark.parametrize("c, w1", [(1.0, 0.5), (0.05, 0.2)])
+def test_two_symmetric_points_analytic_optimum(c, w1):
+    # b = 0 by symmetry; 0.5 w1^2 + 2C max(0, 1 - 2 w1) is least at
+    # w1 = min(4C, 1/2): the margin when C is large, the hinge slope otherwise.
+    x = np.array([[-2.0, 0.0], [2.0, 0.0]])
+    y = np.array([-1.0, 1.0])
+    model = train_svm(x, y, c=c)
+    np.testing.assert_allclose(model.weights, [w1, 0.0], atol=1e-6)
+    assert model.bias == pytest.approx(0.0, abs=1e-6)
+
+
+def test_step_cap_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(svm, "MAX_NEWTON_STEPS", 1)
+    x, y = blobs(seed=16)
+    with pytest.raises(ConvergenceError, match="1 Newton steps"):
+        train_svm(x, y)
+
+
+@st.composite
+def degenerate_training_sets(draw):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    value = st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0, 1e3])
+    x = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # every row again with the opposite label
+        x, y = np.vstack([x, x]), np.concatenate([y, -y])
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, d - 1))] = draw(value)
+    return x, y, draw(st.sampled_from([1e-3, 1.0, 1e3]))
+
+
+@given(degenerate_training_sets())
+def test_degenerate_training_sets_give_a_finite_model_or_a_typed_error(case):
+    x, y, c = case
+    try:
+        model = train_svm(x, y, c=c)
+    except ChangeDetectionError:
+        return
+    assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
 
 
 def test_predict_map_constant_negative_model():
@@ -176,7 +297,7 @@ def test_predict_map_sign_flip_antisymmetry():
 
 def test_predict_map_separable_training_pixels_recovered():
     x, y = blobs(n_per_class=32, seed=14)
-    model = train_svm(x, y, epochs=20, seed=15)
+    model = train_svm(x, y)
     features = x.reshape(8, 8, 2)
     labels, _ = predict_map(model, stack_from(features))
     expected = np.where(y > 0, CHANGED, UNCHANGED).reshape(8, 8)
