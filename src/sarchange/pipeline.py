@@ -68,7 +68,7 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Reject, before any stage runs, every value a stage would reject;
-        the checks against the image shape stay in the stages."""
+        the checks against the image shape run right after ``load``."""
         for name, (kind, rule, ok) in _FIELD_RULES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
@@ -175,6 +175,15 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     timer = _StageTimer()
 
     i1, i2 = timer.run("load", lambda: (_load_input(cfg.t1), _load_input(cfg.t2)))
+    # The convolution stack's own shape checks would fail only after clean.
+    h, w = i1.height, i1.width
+    if cfg.conv and cfg.kernel_size > min(h, w):
+        raise ParameterError(f"kernel_size {cfg.kernel_size} exceeds the loaded {h}x{w} image")
+    if cfg.conv and cfg.kernels_per_layer >= h * w:
+        raise ParameterError(
+            f"kernels_per_layer {cfg.kernels_per_layer} must be below the {h * w} pixels "
+            f"of the loaded {h}x{w} image, for each layer's PCA"
+        )
     di = timer.run("difference", log_ratio_di, i1, i2)
     pseudo = timer.run(
         "preclassify", preclassify_di, di, cfg.patch_size,

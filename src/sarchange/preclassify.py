@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import ndimage
 
@@ -12,68 +10,55 @@ from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
 
 
+MAX_LLOYD_STEPS = 1000  # the benchmark's scenes reach their fixpoint within 150
+
+
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def kmeans_cluster(
-    points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
-) -> np.ndarray:
-    """Lloyd's algorithm with seeded distinct-point initialisation.
+def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Two-cluster Lloyd's algorithm on ``(n, 2)`` points, run to its fixpoint.
 
-    Iterates until the assignment reaches a fixpoint or ``max_iter``.
-    Clusters that empty out are re-seeded to the point currently farthest
-    from its own centroid.  Returns per-point cluster ids in ``[0, k)``.
+    The initial centroids are two distinct points drawn with ``seed``;
+    distance ties go to cluster 0.  Returns per-point ids in ``{0, 1}``,
+    all 0 (one cluster) when the points have fewer than 2 distinct rows.
+    Raises :class:`ConvergenceError` if ``MAX_LLOYD_STEPS`` assignment
+    steps do not repeat an assignment, or if the within-cluster sum of
+    squares rises.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, np.newaxis]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ParameterError("points must be a non-empty (n, d) array")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    n = pts.shape[0]
-
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+        raise ParameterError("points must be a non-empty (n, 2) array")
     distinct = np.unique(pts, axis=0)
-    rng = np.random.default_rng(seed)
-    if distinct.shape[0] < k:
-        warnings.warn(
-            f"k={k} exceeds the {distinct.shape[0]} distinct points; "
-            "clustering is degenerate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        extra = distinct[np.zeros(k - distinct.shape[0], dtype=int)]
-        centroids = np.concatenate([distinct, extra], axis=0)
-    else:
-        chosen = rng.choice(distinct.shape[0], size=k, replace=False)
-        centroids = distinct[chosen].copy()
+    if distinct.shape[0] < 2:
+        return np.zeros(pts.shape[0], dtype=np.int64)
+    chosen = np.random.default_rng(seed).choice(distinct.shape[0], size=2, replace=False)
+    c0, c1 = distinct[chosen]
 
-    ids = np.full(n, -1, dtype=np.int64)
+    # Neither cluster can empty: each distinct seed lands in its own cluster,
+    # and afterwards each centroid is the mean of its members, which cannot
+    # all be nearer the other centroid without their mean being nearer too.
+    p0, p1 = pts.T
+    in1 = None
     prev_objective = np.inf
-    for _ in range(max_iter):
-        d2 = ((pts[:, np.newaxis, :] - centroids[np.newaxis, :, :]) ** 2).sum(axis=2)
-        new_ids = np.argmin(d2, axis=1)
-        own = d2[np.arange(n), new_ids]
-        objective = float(own.sum())
-        # Lloyd's iterations never increase the within-cluster sum of squares.
+    for _ in range(MAX_LLOYD_STEPS):
+        d0 = (p0 - c0[0]) ** 2 + (p1 - c0[1]) ** 2
+        d1 = (p0 - c1[0]) ** 2 + (p1 - c1[1]) ** 2
+        new_in1 = d1 < d0
+        objective = float(np.where(new_in1, d1, d0).sum())
+        # Lloyd's steps never increase the within-cluster sum of squares.
         if objective > prev_objective * (1.0 + 1e-12) + 1e-12:
             raise ConvergenceError(
                 f"k-means objective rose from {prev_objective!r} to {objective!r}"
             )
         prev_objective = objective
-        if np.array_equal(new_ids, ids):
-            break
-        ids = new_ids
-        for j in range(k):
-            members = ids == j
-            if members.any():
-                centroids[j] = pts[members].mean(axis=0)
-        for j in range(k):
-            if not (ids == j).any():
-                centroids[j] = pts[int(np.argmax(own))]
-                own[int(np.argmax(own))] = 0.0
-    return ids
+        if in1 is not None and np.array_equal(new_in1, in1):
+            return in1.astype(np.int64)
+        in1 = new_in1
+        c0 = pts[~in1].mean(axis=0)
+        c1 = pts[in1].mean(axis=0)
+    raise ConvergenceError(f"k-means reached no fixpoint within {MAX_LLOYD_STEPS} steps")
 
 
 def preclassify_di(di: Raster, w: int, seed: int = 0) -> LabelField:
@@ -81,9 +66,12 @@ def preclassify_di(di: Raster, w: int, seed: int = 0) -> LabelField:
 
     Each pixel is described by its value and the mean of its w-by-w
     neighbourhood (symmetric reflection at borders), so isolated speckle
-    spikes do not flip labels on their own.  The cluster with the higher
-    mean difference value becomes "changed"; a tie leaves everything
-    unchanged.  Every pixel receives a label.
+    spikes do not flip labels on their own.  The two features are
+    standardised and split by :func:`kmeans_cluster`, run to its
+    fixpoint.  The cluster with the higher mean difference value becomes
+    "changed"; tied means, or a difference image with fewer than 2
+    distinct feature rows (one cluster), leave everything unchanged.
+    Every pixel receives a label.
     """
     if w < 3 or w % 2 == 0:
         raise ParameterError(f"patch size must be odd and >= 3, got {w}")
@@ -96,7 +84,7 @@ def preclassify_di(di: Raster, w: int, seed: int = 0) -> LabelField:
     # does not drown out the smoothed neighbourhood mean in the cluster metric.
     spread = pts.std(axis=0)
     pts = (pts - pts.mean(axis=0)) / np.where(spread > 1e-12, spread, 1.0)
-    ids = kmeans_cluster(pts, k=2, seed=seed)
+    ids = kmeans_cluster(pts, seed=seed)
 
     values = band.ravel()
     labels = np.full(values.shape, UNCHANGED, dtype=np.int8)

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sarchange import pipeline
 from sarchange.cli import main
 from sarchange.errors import ParameterError, PipelineStageError
 from sarchange.pipeline import (
@@ -12,7 +14,7 @@ from sarchange.pipeline import (
     run_pipeline,
     run_synth_bench,
 )
-from sarchange.raster import load_raster
+from sarchange.raster import Raster, load_raster, save_raster
 from sarchange.synth import BaseField, Ellipse, Rect, SceneSpec, write_scene
 
 
@@ -84,6 +86,34 @@ def test_stage_error_carries_stage_name(tmp_path):
     with pytest.raises(PipelineStageError) as exc_info:
         run_pipeline(cfg)
     assert exc_info.value.stage == "load"
+
+
+@pytest.mark.parametrize(
+    "shape, overrides, field",
+    [
+        ((4, 64), {}, "kernel_size"),
+        ((12, 12), {"kernels_per_layer": 144}, "kernels_per_layer"),
+        ((12, 12), {"kernels_per_layer": 145}, "kernels_per_layer"),
+    ],
+)
+def test_conv_shape_errors_come_before_preclassify(tmp_path, monkeypatch, shape, overrides, field):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("preclassify ran on a shape the convolution stack rejects")
+
+    monkeypatch.setattr(pipeline, "preclassify_di", not_reached)
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("t1.f32", "t2.f32"):
+        save_raster(Raster.from_array(rng.gamma(4.0, 0.25, size=shape)), tmp_path / name, "f32raw")
+        paths.append(tmp_path / name)
+    cfg = PipelineConfig(t1=paths[0], t2=paths[1], out_dir=tmp_path / "o", **overrides)
+    with pytest.raises(ParameterError, match=field) as exc_info:
+        run_pipeline(cfg)
+    assert f"{shape[0]}x{shape[1]}" in str(exc_info.value)
+    # Without the convolution stack the same shape passes the check.
+    with pytest.raises(PipelineStageError) as reached:
+        run_pipeline(replace(cfg, conv=False))
+    assert reached.value.stage == "preclassify"
 
 
 def test_config_overrides_rejects_unknown_fields():
