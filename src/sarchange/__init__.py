@@ -8,7 +8,6 @@ convolution feature stack -> linear SVM -> change map and metrics.
 from .difference import log_ratio_di
 from .errors import (
     ChangeDetectionError,
-    ConstructionError,
     ConvergenceError,
     DegenerateTrainingError,
     FormatError,
@@ -48,7 +47,6 @@ from .pipeline import (
 from .preclassify import kmeans_cluster, preclassify_di, sample_training
 from .propagation import (
     CleanConfig,
-    TransitionMatrix,
     build_transition,
     clean_labels,
     propagate,

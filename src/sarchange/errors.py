@@ -21,10 +21,6 @@ class ParameterError(ChangeDetectionError):
     """A parameter or input value is outside its allowed range."""
 
 
-class ConstructionError(ChangeDetectionError):
-    """A derived matrix could not be built with the required structure."""
-
-
 class DegenerateTrainingError(ChangeDetectionError):
     """Training labels collapsed to a single class."""
 

@@ -38,12 +38,5 @@ class LabelField:
     def width(self) -> int:
         return self.labels.shape[1]
 
-    def one_hot(self) -> np.ndarray:
-        """Per-class scores (unchanged, changed): one-hot where labeled, zero where not."""
-        out = np.zeros(self.labels.shape + (2,), dtype=np.float64)
-        out[:, :, 0] = self.labels == UNCHANGED
-        out[:, :, 1] = self.labels == CHANGED
-        return out
-
     def copy(self) -> "LabelField":
         return LabelField(labels=self.labels.copy())

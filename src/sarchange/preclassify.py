@@ -104,32 +104,22 @@ def preclassify_di(di: Raster, w: int, seed: int = 0) -> LabelField:
 def sample_training(lf: LabelField, ratio: float, seed: int = 0) -> LabelField:
     """Keep a stratified random subset of the labels, drop the rest to unlabeled.
 
-    Exactly ``round(ratio * n_labeled)`` pixels stay labeled.  Each class
-    contributes its share rounded to nearest; any off-by-one from the two
-    roundings is corrected on the larger class.  An empty class whose share
-    rounds above zero is backfilled from the other class.
+    Exactly ``round(ratio * n_labeled)`` pixels stay labeled.  The smaller
+    class contributes its share rounded to nearest and the larger class
+    the rest, which is its own rounded share give or take one.
     """
     if not 0.0 < ratio <= 1.0:
         raise ParameterError(f"sample ratio must be in (0, 1], got {ratio}")
     flat = lf.labels.ravel()
     changed_idx = np.flatnonzero(flat == CHANGED)
     unchanged_idx = np.flatnonzero(flat == UNCHANGED)
-    n_labeled = changed_idx.size + unchanged_idx.size
-    n_total = _round_half_up(ratio * n_labeled)
-    n_ch = min(_round_half_up(ratio * changed_idx.size), changed_idx.size)
-    n_un = min(_round_half_up(ratio * unchanged_idx.size), unchanged_idx.size)
-    # Correct the rounding drift on the larger stratum, clamped to its size.
-    drift = n_total - (n_ch + n_un)
+    n_total = _round_half_up(ratio * (changed_idx.size + unchanged_idx.size))
     if changed_idx.size >= unchanged_idx.size:
-        n_ch = int(np.clip(n_ch + drift, 0, changed_idx.size))
+        n_un = _round_half_up(ratio * unchanged_idx.size)
+        n_ch = n_total - n_un
     else:
-        n_un = int(np.clip(n_un + drift, 0, unchanged_idx.size))
-    # Backfill whatever is still missing from the other stratum.
-    missing = n_total - (n_ch + n_un)
-    if missing > 0:
-        n_ch = int(np.clip(n_ch + missing, 0, changed_idx.size))
-        missing = n_total - (n_ch + n_un)
-        n_un = int(np.clip(n_un + missing, 0, unchanged_idx.size))
+        n_ch = _round_half_up(ratio * changed_idx.size)
+        n_un = n_total - n_ch
 
     rng = np.random.default_rng(seed)
     keep_ch = rng.choice(changed_idx, size=n_ch, replace=False) if n_ch else np.empty(0, int)

@@ -11,10 +11,11 @@ affinities yields a transition matrix, and anchored propagation
 
 converges to the fixpoint y = (1 - alpha) (I - alpha T)^-1 y(0) (Zhou et
 al., "Learning with Local and Global Consistency", NIPS 2003), which is
-solved exactly per region.  Cleaning repeats this over several rounds,
-each time keeping a random subset of the labeled pixels as anchors and
-demoting the rest, then takes a majority vote over the per-round
-predictions; all rounds share one solve as stacked right-hand sides.
+solved exactly per region, building one region's dense block at a time.
+Cleaning repeats this over several rounds, each time keeping a random
+subset of the labeled pixels as anchors and demoting the rest, then
+takes a majority vote over the per-round predictions; all rounds share
+one solve as stacked right-hand sides.
 """
 
 from __future__ import annotations
@@ -23,80 +24,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
 from .seeds import derive_seed
 from .superpixels import RegionMap, segment_superpixels
 
-_STOCHASTIC_TOL = 1e-9
 
+def build_transition(values: np.ndarray) -> np.ndarray:
+    """Column-stochastic ``(n, n)`` transition block of one region.
 
-@dataclass
-class TransitionMatrix:
-    """Block-diagonal column-stochastic transition probabilities."""
-
-    shape: tuple[int, int]
-    indices: list[np.ndarray]  # flat pixel indices per region
-    blocks: list[np.ndarray]   # (n_r, n_r) per region
-
-    def __post_init__(self):
-        for block in self.blocks:
-            if block.min() < -_STOCHASTIC_TOL or block.max() > 1.0 + _STOCHASTIC_TOL:
-                raise ConstructionError("transition entries must lie in [0, 1]")
-            col_sums = block.sum(axis=0)
-            if np.abs(col_sums - 1.0).max() > _STOCHASTIC_TOL:
-                raise ConstructionError("transition columns must sum to 1")
-
-
-def build_transition(img: Raster, rm: RegionMap) -> TransitionMatrix:
-    """Column-normalised Gaussian intensity affinities inside each region.
-
-    The affinity is W_ij = exp(-|v_i - v_j|^2 / (2 sigma^2)) with sigma the
+    ``values`` holds the region's ``(n, channels)`` pixel values.  The
+    affinity is W_ij = exp(-|v_i - v_j|^2 / (2 sigma^2)) with sigma the
     region's root-mean-square deviation of pixel values (the standard
-    deviation for single-channel input), and W_ii = 1; a region of
+    deviation for single-channel input), so W_ii = 1; a region of
     identical pixels gets the all-ones limit of the kernel.  Then
     T_ij = W_ij / sum_k W_kj.
     """
-    if (img.height, img.width) != (rm.height, rm.width):
-        raise ShapeError("image and region map dimensions disagree")
-    values = img.data.reshape(-1, img.channels)
-    indices = rm.pixel_indices()
-    blocks: list[np.ndarray] = []
-    for idx in indices:
-        v = values[idx]
-        centred = v - v.mean(axis=0)
-        sigma2 = float((centred ** 2).sum(axis=1).mean())
-        if sigma2 < 1e-24:
-            w = np.ones((idx.size, idx.size))
-        else:
-            d2 = ((v[:, np.newaxis, :] - v[np.newaxis, :, :]) ** 2).sum(axis=2)
-            w = np.exp(-d2 / (2.0 * sigma2))
-            np.fill_diagonal(w, 1.0)
-        blocks.append(w / w.sum(axis=0))
-    return TransitionMatrix(shape=(img.height, img.width), indices=indices, blocks=blocks)
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2:
+        raise ShapeError(f"region values must be (n, channels), got shape {v.shape}")
+    centred = v - v.mean(axis=0)
+    sigma2 = float((centred ** 2).sum(axis=1).mean())
+    if sigma2 < 1e-24:
+        w = np.ones((v.shape[0], v.shape[0]))
+    else:
+        d2 = ((v[:, np.newaxis, :] - v[np.newaxis, :, :]) ** 2).sum(axis=2)
+        w = np.exp(-d2 / (2.0 * sigma2))
+    return w / w.sum(axis=0)
 
 
-def propagate(t: TransitionMatrix, y0: np.ndarray, alpha: float) -> np.ndarray:
+def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.ndarray:
     """Exact fixpoint of anchored propagation, per region.
 
     ``y0`` is a ``(pixels, k)`` matrix of anchor scores over the flat
-    pixels of ``t``, one column per class channel; any number of columns
-    propagate independently in one solve.  Each region returns
-    ``(1 - alpha) (I - alpha T_r)^-1 y0[region]``, the limit of the
-    iteration in the module docstring.
+    pixels of ``img``, one column per class channel; any number of
+    columns propagate independently in one solve.  Each region r of
+    ``rm`` returns ``(1 - alpha) (I - alpha T_r)^-1 y0[r]``, the limit of
+    the iteration in the module docstring, with ``T_r`` from
+    :func:`build_transition`; each block is built just before its solve
+    and dropped after it.
     """
+    if (img.height, img.width) != (rm.height, rm.width):
+        raise ShapeError("image and region map dimensions disagree")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be strictly inside (0, 1), got {alpha}")
     y0 = np.asarray(y0, dtype=np.float64)
-    if y0.ndim != 2 or y0.shape[0] != t.shape[0] * t.shape[1]:
+    if y0.ndim != 2 or y0.shape[0] != img.height * img.width:
         raise ShapeError(
-            f"anchor scores must have shape ({t.shape[0] * t.shape[1]}, k), "
+            f"anchor scores must have shape ({img.height * img.width}, k), "
             f"got {y0.shape}"
         )
+    values = img.data.reshape(-1, img.channels)
     out = np.zeros_like(y0)
-    for idx, block in zip(t.indices, t.blocks):
-        system = np.eye(idx.size) - alpha * block
+    for idx in rm.pixel_indices():
+        system = np.eye(idx.size) - alpha * build_transition(values[idx])
         out[idx] = np.linalg.solve(system, (1.0 - alpha) * y0[idx])
     return out
 
@@ -150,7 +132,6 @@ def clean_labels(
     if n_regions is None:
         n_regions = max(1, (img.height * img.width) // 64)
     rm = segment_superpixels(img, n_regions, cfg.compactness)
-    tm = build_transition(img, rm)
 
     n_keep = max(1, int(np.floor(cfg.labeled_fraction * labeled_idx.size + 0.5)))
     # Column pair (2 * rnd, 2 * rnd + 1) holds round rnd's (unchanged,
@@ -164,7 +145,7 @@ def clean_labels(
             if (kept_labels == CHANGED).any() and (kept_labels == UNCHANGED).any():
                 break
         y0[labeled_idx[keep], rnd, kept_labels] = 1.0
-    y = propagate(tm, y0.reshape(flat_labels.size, -1), cfg.alpha)
+    y = propagate(img, rm, y0.reshape(flat_labels.size, -1), cfg.alpha)
     y = y.reshape(flat_labels.size, cfg.rounds, 2)[labeled_idx]
     changed_votes = np.count_nonzero(y[..., 1] > y[..., 0], axis=1)
 

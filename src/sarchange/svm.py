@@ -114,13 +114,6 @@ def build_samples(
     return x, y, scaler
 
 
-def hinge_objective(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, c: float
-) -> float:
-    margins = y * (x @ w + b)
-    return 0.5 * float(w @ w) + c * float(np.maximum(0.0, 1.0 - margins).sum())
-
-
 def _smoothed_objective(v: np.ndarray, t: np.ndarray, h: float, c: float) -> float:
     loss = np.where(t >= h, t, np.maximum(t + h, 0.0) ** 2 / (4.0 * h))
     return 0.5 * float(v @ v) + c * float(loss.sum())
@@ -140,10 +133,14 @@ def train_svm(
     dual point certifies its relative duality gap to be at most
     ``GAP_TOL``, so its objective exceeds the optimum by at most that
     fraction.  Raises :class:`ConvergenceError` when
-    ``MAX_NEWTON_STEPS`` Newton steps do not reach it.  ``scaler`` is
-    stored on the model so predictions can standardise raw feature
-    vectors the same way the training rows were; pass the scaler
-    returned by :func:`build_samples`, or leave None for identity.
+    ``MAX_NEWTON_STEPS`` Newton steps do not reach it.  The rows of
+    ``x`` are expected standardised as :func:`build_samples` returns
+    them (zero mean, unit spread per column, constant columns dropped);
+    on raw rows with features far apart in scale, a large ``c`` can run
+    out of steps.  ``scaler`` is stored on the model so predictions can
+    standardise raw feature vectors the same way the training rows were;
+    pass the scaler returned by :func:`build_samples`, or leave None for
+    identity.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

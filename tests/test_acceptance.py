@@ -30,12 +30,13 @@ from sarchange.propagation import (
 )
 from sarchange.raster import Raster
 from sarchange.superpixels import RegionMap
-from sarchange.svm import hinge_objective, train_svm
+from sarchange.svm import train_svm
 from scipy import ndimage
 
 from test_patch_features import naive_conv
+from test_propagation import one_hot
 from test_metrics import pairwise_auc
-from test_svm import hinge_subgradient
+from test_svm import hinge_objective, hinge_subgradient
 
 
 @contextmanager
@@ -98,8 +99,7 @@ def test_transition_stochasticity():
         for trial in range(100):
             n = 2 + trial % 29
             img, rm, _ = single_region_instance(n, seed=trial)
-            tm = build_transition(img, rm)
-            block = tm.blocks[0]
+            block = build_transition(img.data.reshape(n, 1))
             assert block.min() >= 0.0 and block.max() <= 1.0
             assert np.abs(block.sum(axis=0) - 1.0).max() <= 1e-9
         assert time.perf_counter() - start < 1.0
@@ -111,14 +111,13 @@ def test_propagation_matches_closed_form():
         for trial in range(50):
             n = 2 + trial % 9  # up to 10 pixels
             img, rm, rng = single_region_instance(n, seed=1000 + trial)
-            tm = build_transition(img, rm)
+            block = build_transition(img.data.reshape(n, 1))
             labels = rng.integers(-1, 2, size=(1, n)).astype(np.int8)
-            init = LabelField(labels=labels)
-            y0 = init.one_hot().reshape(n, 2)
+            y0 = one_hot(labels).reshape(n, 2)
             for alpha in (0.6, 0.7, 0.9):
-                out = propagate(tm, y0, alpha)
+                out = propagate(img, rm, y0, alpha)
                 expected = np.linalg.solve(
-                    np.eye(n) - alpha * tm.blocks[0], (1 - alpha) * y0
+                    np.eye(n) - alpha * block, (1 - alpha) * y0
                 )
                 assert np.abs(out - expected).max() <= 1e-10
         assert time.perf_counter() - start < 5.0

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -73,6 +73,41 @@ def reference_kmeans(
                 centroids[j] = pts[int(np.argmax(own))]
                 own[int(np.argmax(own))] = 0.0
     return ids
+
+
+def reference_sample_training(lf: LabelField, ratio: float, seed: int = 0) -> LabelField:
+    """The earlier stratified draw, with its size clamps and empty-class
+    backfill, kept verbatim as the reference."""
+    if not 0.0 < ratio <= 1.0:
+        raise ParameterError(f"sample ratio must be in (0, 1], got {ratio}")
+    flat = lf.labels.ravel()
+    changed_idx = np.flatnonzero(flat == CHANGED)
+    unchanged_idx = np.flatnonzero(flat == UNCHANGED)
+    n_labeled = changed_idx.size + unchanged_idx.size
+    n_total = preclassify._round_half_up(ratio * n_labeled)
+    n_ch = min(preclassify._round_half_up(ratio * changed_idx.size), changed_idx.size)
+    n_un = min(preclassify._round_half_up(ratio * unchanged_idx.size), unchanged_idx.size)
+    # Correct the rounding drift on the larger stratum, clamped to its size.
+    drift = n_total - (n_ch + n_un)
+    if changed_idx.size >= unchanged_idx.size:
+        n_ch = int(np.clip(n_ch + drift, 0, changed_idx.size))
+    else:
+        n_un = int(np.clip(n_un + drift, 0, unchanged_idx.size))
+    # Backfill whatever is still missing from the other stratum.
+    missing = n_total - (n_ch + n_un)
+    if missing > 0:
+        n_ch = int(np.clip(n_ch + missing, 0, changed_idx.size))
+        missing = n_total - (n_ch + n_un)
+        n_un = int(np.clip(n_un + missing, 0, unchanged_idx.size))
+
+    rng = np.random.default_rng(seed)
+    keep_ch = rng.choice(changed_idx, size=n_ch, replace=False) if n_ch else np.empty(0, int)
+    keep_un = rng.choice(unchanged_idx, size=n_un, replace=False) if n_un else np.empty(0, int)
+    keep = np.concatenate([keep_ch, keep_un])
+
+    out = np.full(flat.shape, UNLABELED, dtype=np.int8)
+    out[keep] = flat[keep]
+    return LabelField(labels=out.reshape(lf.labels.shape))
 
 
 def wcss(points, ids, k):
@@ -261,6 +296,33 @@ def test_sample_training_exact_count(n, ratio, seed):
     assert (out.labels != UNLABELED).sum() == expected
     kept = out.labels != UNLABELED
     np.testing.assert_array_equal(out.labels[kept], lf.labels[kept])
+
+
+@given(
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=20),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        # shares that land exactly on a half-integer
+        st.builds(lambda k, n: k / (2 * n), st.integers(1, 400), st.integers(1, 200)).filter(
+            lambda r: 0.0 < r <= 1.0
+        ),
+    ),
+    st.integers(min_value=0, max_value=2**31),
+)
+@example(1, 1, 0, 0.5, 0)  # equal classes: the tie picks which share is rounded
+@example(0, 25, 4, 0.2, 1)  # an empty class
+@example(7, 0, 0, 0.5, 2)
+def test_sample_training_matches_clamped_reference(n_changed, n_unchanged, n_unlabeled,
+                                                   ratio, seed):
+    flat = np.repeat(np.array([CHANGED, UNCHANGED, UNLABELED], dtype=np.int8),
+                     [n_changed, n_unchanged, n_unlabeled])
+    lf = LabelField(labels=np.random.default_rng(seed).permutation(flat)[np.newaxis])
+    np.testing.assert_array_equal(
+        sample_training(lf, ratio, seed=seed).labels,
+        reference_sample_training(lf, ratio, seed=seed).labels,
+    )
 
 
 def test_sample_training_rejects_bad_ratio():

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,12 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sarchange as sc
-from sarchange.errors import ConstructionError, ParameterError, ShapeError
+from sarchange import propagation
+from sarchange.errors import ParameterError, ShapeError
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from sarchange.preclassify import sample_training
 from sarchange.propagation import (
     CleanConfig,
-    TransitionMatrix,
     build_transition,
     clean_labels,
     majority_vote,
@@ -19,6 +22,69 @@ from sarchange.propagation import (
 )
 from sarchange.raster import Raster
 from sarchange.superpixels import RegionMap, segment_superpixels
+
+# The earlier two-pass design, kept verbatim as the reference: every
+# region's block is built and checked into one TransitionMatrix first, and
+# only then are the regions solved.
+
+_STOCHASTIC_TOL = 1e-9
+
+
+@dataclass
+class TransitionMatrix:
+    """Block-diagonal column-stochastic transition probabilities."""
+
+    shape: tuple[int, int]
+    indices: list[np.ndarray]  # flat pixel indices per region
+    blocks: list[np.ndarray]   # (n_r, n_r) per region
+
+    def __post_init__(self):
+        for block in self.blocks:
+            if block.min() < -_STOCHASTIC_TOL or block.max() > 1.0 + _STOCHASTIC_TOL:
+                raise ValueError("transition entries must lie in [0, 1]")
+            col_sums = block.sum(axis=0)
+            if np.abs(col_sums - 1.0).max() > _STOCHASTIC_TOL:
+                raise ValueError("transition columns must sum to 1")
+
+
+def reference_build_transition(img: Raster, rm: RegionMap) -> TransitionMatrix:
+    if (img.height, img.width) != (rm.height, rm.width):
+        raise ShapeError("image and region map dimensions disagree")
+    values = img.data.reshape(-1, img.channels)
+    indices = rm.pixel_indices()
+    blocks: list[np.ndarray] = []
+    for idx in indices:
+        v = values[idx]
+        centred = v - v.mean(axis=0)
+        sigma2 = float((centred ** 2).sum(axis=1).mean())
+        if sigma2 < 1e-24:
+            w = np.ones((idx.size, idx.size))
+        else:
+            d2 = ((v[:, np.newaxis, :] - v[np.newaxis, :, :]) ** 2).sum(axis=2)
+            w = np.exp(-d2 / (2.0 * sigma2))
+            np.fill_diagonal(w, 1.0)
+        blocks.append(w / w.sum(axis=0))
+    return TransitionMatrix(shape=(img.height, img.width), indices=indices, blocks=blocks)
+
+
+def reference_propagate_blocks(t: TransitionMatrix, y0: np.ndarray, alpha: float) -> np.ndarray:
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be strictly inside (0, 1), got {alpha}")
+    y0 = np.asarray(y0, dtype=np.float64)
+    if y0.ndim != 2 or y0.shape[0] != t.shape[0] * t.shape[1]:
+        raise ShapeError(
+            f"anchor scores must have shape ({t.shape[0] * t.shape[1]}, k), "
+            f"got {y0.shape}"
+        )
+    out = np.zeros_like(y0)
+    for idx, block in zip(t.indices, t.blocks):
+        system = np.eye(idx.size) - alpha * block
+        out[idx] = np.linalg.solve(system, (1.0 - alpha) * y0[idx])
+    return out
+
+
+def reference_propagate(img, rm, y0, alpha):
+    return reference_propagate_blocks(reference_build_transition(img, rm), y0, alpha)
 
 
 def single_region(values):
@@ -31,16 +97,29 @@ def single_region(values):
     return img, rm
 
 
+def column(values):
+    """``(n, 1)`` single-channel region values."""
+    return np.asarray(values, dtype=float)[:, np.newaxis]
+
+
+def one_hot(labels):
+    """Per-class scores (unchanged, changed): one-hot where labeled, zero where not."""
+    labels = np.asarray(labels)
+    out = np.zeros(labels.shape + (2,), dtype=np.float64)
+    out[..., 0] = labels == UNCHANGED
+    out[..., 1] = labels == CHANGED
+    return out
+
+
 def anchors(labels):
     """(pixels, 2) one-hot anchor scores of a hard label array."""
-    return LabelField(labels=np.asarray(labels, dtype=np.int8)).one_hot().reshape(-1, 2)
+    return one_hot(labels).reshape(-1, 2)
 
 
 def test_weights_identical_pixels_are_all_ones():
     # All-ones affinities normalise to a uniform transition block.
-    img, rm = single_region([0.4, 0.4, 0.4])
-    tm = build_transition(img, rm)
-    np.testing.assert_array_equal(tm.blocks[0], np.full((3, 3), 1 / 3))
+    t = build_transition(column([0.4, 0.4, 0.4]))
+    np.testing.assert_array_equal(t, np.full((3, 3), 1 / 3))
 
 
 def test_weights_analytic_kernel_value():
@@ -49,45 +128,48 @@ def test_weights_analytic_kernel_value():
     # Column normalisation cancels in a ratio within one column, and the
     # self-affinity is 1, so T[0, 1] / T[1, 1] is the weight itself.
     c = (1 + math.sqrt(6)) / 2
-    img, rm = single_region([0.0, 1.0, c])
-    t = build_transition(img, rm).blocks[0]
+    t = build_transition(column([0.0, 1.0, c]))
     assert t[0, 1] / t[1, 1] == pytest.approx(math.exp(-1.0), abs=1e-12)
     assert t[1, 0] / t[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
-def test_weights_never_cross_regions():
+def test_weights_never_cross_regions(monkeypatch):
     img = Raster.from_array(np.array([[0.1, 0.2, 0.8, 0.9]]))
     rm = RegionMap(
         region_id=np.array([[0, 0, 1, 1]], dtype=np.int32), region_count=2
     )
-    tm = build_transition(img, rm)
-    assert [b.shape for b in tm.blocks] == [(2, 2), (2, 2)]
+    shapes = []
+
+    def recording(values):
+        block = build_transition(values)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(propagation, "build_transition", recording)
     # anchors in one region never leak into the other
-    out = propagate(tm, anchors([[CHANGED, CHANGED, UNLABELED, UNLABELED]]), alpha=0.7)
+    out = propagate(img, rm, anchors([[CHANGED, CHANGED, UNLABELED, UNLABELED]]), alpha=0.7)
+    assert shapes == [(2, 2), (2, 2)]
     np.testing.assert_array_equal(out[2:, :], 0.0)
 
 
 def test_transition_uniform_for_identical_pair():
-    img, rm = single_region([0.5, 0.5])
-    tm = build_transition(img, rm)
-    np.testing.assert_allclose(tm.blocks[0], [[0.5, 0.5], [0.5, 0.5]])
+    t = build_transition(column([0.5, 0.5]))
+    np.testing.assert_allclose(t, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_transition_matches_hand_normalisation():
     values = np.array([0.1, 0.5, 0.6])
-    tm = build_transition(*single_region(values))
+    t = build_transition(column(values))
     sigma2 = values.var()
     w = np.exp(-((values[:, None] - values[None, :]) ** 2) / (2 * sigma2))
-    np.testing.assert_allclose(tm.blocks[0], w / w.sum(axis=0, keepdims=True),
+    np.testing.assert_allclose(t, w / w.sum(axis=0, keepdims=True),
                                atol=1e-15)
 
 
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
 def test_transition_columns_stochastic(n, seed):
     rng = np.random.default_rng(seed)
-    img, rm = single_region(rng.random(n))
-    tm = build_transition(img, rm)
-    block = tm.blocks[0]
+    block = build_transition(column(rng.random(n)))
     assert block.min() >= 0.0 and block.max() <= 1.0
     np.testing.assert_allclose(block.sum(axis=0), 1.0, atol=1e-9)
 
@@ -95,29 +177,27 @@ def test_transition_columns_stochastic(n, seed):
 def test_propagate_alpha_near_zero_returns_anchors():
     rng = np.random.default_rng(4)
     img, rm = single_region(rng.random(6))
-    tm = build_transition(img, rm)
     y0 = anchors([[1, 0, 1, -1, 0, -1]])
-    out = propagate(tm, y0, alpha=1e-12)
+    out = propagate(img, rm, y0, alpha=1e-12)
     np.testing.assert_allclose(out, y0, atol=1e-9)
 
 
 def test_propagate_singleton_regions_fixpoint_is_anchor():
     img = Raster.from_array(np.array([[0.3, 0.7]]))
     rm = RegionMap(region_id=np.array([[0, 1]], dtype=np.int32), region_count=2)
-    tm = build_transition(img, rm)
     y0 = anchors([[CHANGED, UNCHANGED]])
-    out = propagate(tm, y0, alpha=0.7)
+    out = propagate(img, rm, y0, alpha=0.7)
     np.testing.assert_allclose(out, y0, atol=1e-12)
 
 
 def test_propagate_matches_closed_form_on_chain():
     rng = np.random.default_rng(8)
-    img, rm = single_region(rng.random(3))
-    tm = build_transition(img, rm)
+    values = rng.random(3)
+    img, rm = single_region(values)
     y0 = anchors([[CHANGED, UNLABELED, UNCHANGED]])
     alpha = 0.7
-    out = propagate(tm, y0, alpha)
-    t = tm.blocks[0]
+    out = propagate(img, rm, y0, alpha)
+    t = build_transition(column(values))
     expected = np.linalg.solve(np.eye(3) - alpha * t, (1 - alpha) * y0)
     np.testing.assert_allclose(out, expected, atol=1e-12)
     # the fixpoint of the anchored iteration
@@ -127,19 +207,19 @@ def test_propagate_matches_closed_form_on_chain():
 def test_propagate_stacked_columns_equal_separate_calls():
     rng = np.random.default_rng(21)
     img = Raster.from_array(rng.random((6, 8)))
-    tm = build_transition(img, segment_superpixels(img, 5))
+    rm = segment_superpixels(img, 5)
     y0 = rng.random((48, 7))
-    stacked = propagate(tm, y0, alpha=0.7)
+    stacked = propagate(img, rm, y0, alpha=0.7)
     for j in range(y0.shape[1]):
-        single = propagate(tm, y0[:, j : j + 1], alpha=0.7)
+        single = propagate(img, rm, y0[:, j : j + 1], alpha=0.7)
         np.testing.assert_allclose(stacked[:, j : j + 1], single, rtol=0, atol=1e-14)
 
 
 def test_propagate_rejects_mismatched_anchor_shape():
-    tm = build_transition(*single_region([0.1, 0.9, 0.4]))
+    img, rm = single_region([0.1, 0.9, 0.4])
     for bad in (np.zeros((2, 2)), np.zeros(3), np.zeros((1, 3, 2))):
         with pytest.raises(ShapeError):
-            propagate(tm, bad, alpha=0.7)
+            propagate(img, rm, bad, alpha=0.7)
 
 
 @given(
@@ -150,9 +230,8 @@ def test_propagate_rejects_mismatched_anchor_shape():
 def test_propagate_nonnegative_and_mass_conserving(n, seed, alpha):
     rng = np.random.default_rng(seed)
     img, rm = single_region(rng.random(n))
-    tm = build_transition(img, rm)
     y0 = anchors(rng.integers(-1, 2, size=(1, n)))
-    out = propagate(tm, y0, alpha)
+    out = propagate(img, rm, y0, alpha)
     assert out.min() >= 0.0
     # column-stochastic propagation conserves per-channel total mass exactly
     np.testing.assert_allclose(out.sum(axis=0), y0.sum(axis=0), atol=1e-9)
@@ -160,10 +239,10 @@ def test_propagate_nonnegative_and_mass_conserving(n, seed, alpha):
 
 def test_propagate_residual_shrinks_after_transient():
     rng = np.random.default_rng(12)
-    img, rm = single_region(rng.random(8))
-    tm = build_transition(img, rm)
+    values = rng.random(8)
+    img, rm = single_region(values)
     y0 = anchors(rng.integers(-1, 2, size=(1, 8)))
-    t = tm.blocks[0]
+    t = build_transition(column(values))
     alpha = 0.7
     y = y0.copy()
     residuals = []
@@ -174,7 +253,7 @@ def test_propagate_residual_shrinks_after_transient():
     for a, b in zip(residuals[3:], residuals[4:]):
         assert b <= a + 1e-15
     # and the iteration approaches the exact solve
-    np.testing.assert_allclose(y, propagate(tm, y0, alpha), atol=1e-5)
+    np.testing.assert_allclose(y, propagate(img, rm, y0, alpha), atol=1e-5)
 
 
 def test_propagate_soft_in_unit_range_on_pipeline_instance():
@@ -183,20 +262,89 @@ def test_propagate_soft_in_unit_range_on_pipeline_instance():
     i1, i2, gt = sc.gen_pair(sc.default_scene(seed=2))
     di = sc.log_ratio_di(i1, i2)
     rm = segment_superpixels(di, 256)
-    tm = build_transition(di, rm)
     init = sample_training(sc.preclassify_di(di, 7, seed=0), 0.12, seed=1)
-    out = propagate(tm, init.one_hot().reshape(-1, 2), alpha=0.7)
+    out = propagate(di, rm, anchors(init.labels), alpha=0.7)
     assert out.min() >= 0.0
     assert out.max() <= 1.0 + 1e-9
 
 
 def test_propagate_rejects_alpha_outside_open_interval():
     img, rm = single_region([0.1, 0.9])
-    tm = build_transition(img, rm)
     y0 = anchors([[0, 1]])
     for alpha in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ParameterError):
-            propagate(tm, y0, alpha)
+            propagate(img, rm, y0, alpha)
+
+
+def test_build_transition_rejects_values_that_are_not_2d():
+    for bad in (np.zeros(3), np.zeros((1, 3, 1))):
+        with pytest.raises(ShapeError):
+            build_transition(bad)
+
+
+def test_propagate_rejects_mismatched_region_map():
+    img = Raster.from_array(np.random.default_rng(5).random((2, 3)))
+    rm = RegionMap(region_id=np.zeros((3, 2), dtype=np.int32), region_count=1)
+    with pytest.raises(ShapeError):
+        propagate(img, rm, np.zeros((6, 2)), alpha=0.7)
+
+
+def assert_matches_reference(img, rm, seed):
+    rng = np.random.default_rng(seed)
+    n = img.height * img.width
+    y0 = np.concatenate([anchors(rng.integers(-1, 2, size=n)), rng.random((n, 3))], axis=1)
+    for alpha in (0.3, 0.7, 0.9):
+        np.testing.assert_array_equal(
+            propagate(img, rm, y0, alpha), reference_propagate(img, rm, y0, alpha)
+        )
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_propagate_matches_reference_on_superpixels(channels, seed):
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(4, 24, size=2)
+    img = Raster(rng.random((h, w, channels)))
+    rm = segment_superpixels(img, max(1, (h * w) // int(rng.integers(4, 40))))
+    assert_matches_reference(img, rm, seed)
+
+
+@pytest.mark.parametrize("shape", [(1, 37), (37, 1), (1, 2), (2, 1)])
+def test_propagate_matches_reference_on_strips(shape):
+    img = Raster.from_array(np.random.default_rng(7).random(shape))
+    assert_matches_reference(img, segment_superpixels(img, 5), seed=11)
+
+
+def test_propagate_matches_reference_with_identical_and_singleton_regions():
+    values = np.random.default_rng(3).random((4, 6, 2))
+    values[:2, :3] = (0.25, 0.5)  # region 0: identical pixels
+    region_id = np.zeros((4, 6), dtype=np.int32)
+    region_id[2:, :3] = 1
+    region_id[:, 3:] = 2
+    region_id[0, 5], region_id[3, 5] = 3, 4  # singletons
+    img = Raster(values)
+    assert_matches_reference(img, RegionMap(region_id=region_id, region_count=5), seed=4)
+    # the identity segmentation: every region a singleton
+    assert_matches_reference(img, segment_superpixels(img, 24), seed=5)
+
+
+def test_propagate_drops_each_block_before_building_the_next(monkeypatch):
+    img = Raster.from_array(np.random.default_rng(9).random((12, 12)))
+    rm = segment_superpixels(img, 9)
+    built = []
+    alive_at_build = []
+
+    def tracking(values):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        block = build_transition(values)
+        built.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(propagation, "build_transition", tracking)
+    propagate(img, rm, np.zeros((144, 2)), alpha=0.7)
+    assert len(alive_at_build) == rm.region_count > 1
+    assert alive_at_build == [0] * rm.region_count
 
 
 def test_majority_vote_tie_goes_to_unchanged():
@@ -270,8 +418,3 @@ def test_clean_labels_requires_two_labeled_pixels_per_class():
             seed=0,
         )
 
-
-def test_transition_matrix_validates_on_construction():
-    bad = np.array([[0.6, 0.3], [0.6, 0.7]])  # first column sums to 1.2
-    with pytest.raises(ConstructionError):
-        TransitionMatrix(shape=(1, 2), indices=[np.array([0, 1])], blocks=[bad])

@@ -17,10 +17,15 @@ from sarchange.svm import (
     FeatureScaler,
     SvmModel,
     build_samples,
-    hinge_objective,
     predict_map,
     train_svm,
 )
+
+
+def hinge_objective(w, b, x, y, c):
+    """The classic primal: 0.5 ||w||^2 plus C times the summed hinge losses."""
+    margins = y * (x @ w + b)
+    return 0.5 * float(w @ w) + c * float(np.maximum(0.0, 1.0 - margins).sum())
 
 
 def hinge_subgradient(w, b, x, y, c):
@@ -237,6 +242,22 @@ def test_step_cap_raises_convergence_error(monkeypatch):
     x, y = blobs(seed=16)
     with pytest.raises(ConvergenceError, match="1 Newton steps"):
         train_svm(x, y)
+
+
+# Raw, these rows are outside train_svm's domain: one feature is constant,
+# the other spans three orders of magnitude, and at C = 1000 training runs
+# out of Newton steps.
+UNSCALED_ROWS = np.array([[2.0, 1000.0], [2.0, -1.0], [2.0, 0.5], [2.0, 2.0], [2.0, 0.5]])
+UNSCALED_Y = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_rows_standardised_by_build_samples_certify(c):
+    labels = np.where(UNSCALED_Y > 0, CHANGED, UNCHANGED)[np.newaxis]
+    x, y, scaler = build_samples(Raster(UNSCALED_ROWS[np.newaxis]), LabelField(labels=labels))
+    assert scaler.kept.tolist() == [1]  # the constant column is dropped
+    model = train_svm(x, y, c=c, scaler=scaler)
+    assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
 
 
 @st.composite
