@@ -97,8 +97,10 @@ def roc_auc(scores: Raster, gt: LabelField) -> tuple[list[tuple[float, float]], 
 
     The threshold sweeps the unique score values in descending order, so
     tied scores collapse into a single curve step; the area is computed
-    by the trapezoidal rule, which makes it equal to the rank-based
-    (Mann-Whitney) estimate with half credit for ties.
+    by the trapezoidal rule over every step, which makes it equal to the
+    rank-based (Mann-Whitney) estimate with half credit for ties.  The
+    returned curve holds the vertices of that polyline only: both ends,
+    and each point where the (false, true) positive count steps turn.
     """
     if scores.channels != 1:
         raise ShapeError("scores raster must be single channel")
@@ -124,7 +126,11 @@ def roc_auc(scores: Raster, gt: LabelField) -> tuple[list[tuple[float, float]], 
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
     auc = float(_trapezoid(tpr, fpr))
-    curve = list(zip(fpr.tolist(), tpr.tolist()))
+    d_tp = np.diff(cum_tp, prepend=0)
+    d_fp = np.diff(cum_fp, prepend=0)
+    turns = d_fp[:-1] * d_tp[1:] != d_tp[:-1] * d_fp[1:]
+    vertex = np.concatenate([[True], turns, [True]])
+    curve = list(zip(fpr[vertex].tolist(), tpr[vertex].tolist()))
     return curve, auc
 
 

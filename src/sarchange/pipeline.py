@@ -15,6 +15,7 @@ stages' randomness untouched and paired comparisons stay paired.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
@@ -88,7 +89,7 @@ _FIELD_RULES = {
     "rounds": (Integral, "an integer >= 1", lambda v: v >= 1),
     "labeled_fraction": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
     "n_regions": ((Integral, type(None)), "None or an integer >= 1", lambda v: v is None or v >= 1),
-    "compactness": (Real, "a number", lambda v: True),
+    "compactness": (Real, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
     "svm_c": (Real, "a number > 0", lambda v: v > 0),
     "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
 }

@@ -17,20 +17,36 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def _distinct_rows(pts: np.ndarray) -> np.ndarray:
+    """The distinct rows of finite ``(n, 2)`` points in lexicographic order,
+    as ``np.unique(pts, axis=0)`` gives them (up to the sign of a zero).
+
+    Each row is viewed as one complex number, which numpy orders by real
+    part, then imaginary part; a flat sort of those is far cheaper than a
+    sort of rows.
+    """
+    keys = np.sort(np.ascontiguousarray(pts).view(np.complex128).ravel())
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    return keys.view(np.float64).reshape(-1, 2)
+
+
 def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
     """Two-cluster Lloyd's algorithm on ``(n, 2)`` points, run to its fixpoint.
 
     The initial centroids are two distinct points drawn with ``seed``;
     distance ties go to cluster 0.  Returns per-point ids in ``{0, 1}``,
     all 0 (one cluster) when the points have fewer than 2 distinct rows.
-    Raises :class:`ConvergenceError` if ``MAX_LLOYD_STEPS`` assignment
-    steps do not repeat an assignment, or if the within-cluster sum of
-    squares rises.
+    Raises :class:`ParameterError` unless the points are a finite
+    ``(n, 2)`` array with n >= 1, and :class:`ConvergenceError` if
+    ``MAX_LLOYD_STEPS`` assignment steps do not repeat an assignment, or
+    if the within-cluster sum of squares rises.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ParameterError("points must be a non-empty (n, 2) array")
-    distinct = np.unique(pts, axis=0)
+    if not np.isfinite(pts).all():
+        raise ParameterError("points must be finite")
+    distinct = _distinct_rows(pts)
     if distinct.shape[0] < 2:
         return np.zeros(pts.shape[0], dtype=np.int64)
     chosen = np.random.default_rng(seed).choice(distinct.shape[0], size=2, replace=False)

@@ -155,6 +155,47 @@ def test_roc_invariant_under_monotone_transform(seed):
     assert auc1 == pytest.approx(auc2, abs=1e-12)
 
 
+def reference_roc_points(s, positive):
+    """Every threshold step of the ROC curve, as the earlier ``roc_auc``
+    returned it: (fpr, tpr) after each group of tied scores."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    pos_sorted = positive[order]
+    boundary = np.nonzero(np.diff(s_sorted))[0]
+    ends = np.concatenate([boundary, [s_sorted.size - 1]])
+    cum_tp = np.cumsum(pos_sorted)[ends]
+    cum_fp = (ends + 1) - cum_tp
+    tpr = np.concatenate([[0.0], cum_tp / positive.sum()])
+    fpr = np.concatenate([[0.0], cum_fp / (~positive).sum()])
+    return list(zip(fpr.tolist(), tpr.tolist()))
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+@given(st.integers(0, 10**6), st.integers(2, 120), st.sampled_from([2, 5, 1000]))
+def test_roc_curve_is_the_vertices_of_every_step(seed, n, n_levels):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, n_levels, size=n) / n_levels  # few levels: many ties
+    positive = rng.random(n) < rng.random()
+    positive[0], positive[1] = True, False
+    curve, auc = roc_auc(Raster.from_array(scores.reshape(1, n)),
+                         field(positive.reshape(1, n).astype(np.int8)))
+    full = reference_roc_points(scores, positive)
+    assert auc == pytest.approx(pairwise_auc(scores, positive), abs=1e-12)
+    # the vertices are points of the full curve, in order, with both ends
+    at = [full.index(v) for v in curve]
+    assert at == sorted(at) and at[0] == 0 and at[-1] == len(full) - 1
+    for a, b in zip(at[:-1], at[1:]):
+        # every dropped point lies on the segment between its two vertices
+        for k in range(a + 1, b):
+            assert _cross(full[a], full[b], full[k]) == pytest.approx(0.0, abs=1e-12)
+            assert full[a] <= full[k] <= full[b]
+    for o, a, b in zip(curve[:-2], curve[1:-1], curve[2:]):
+        assert abs(_cross(o, a, b)) > 1e-12  # no vertex could be dropped
+
+
 def test_roc_rejects_single_class():
     scores = Raster.from_array(np.zeros((2, 2)))
     with pytest.raises(ParameterError):

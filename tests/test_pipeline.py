@@ -162,7 +162,8 @@ def test_cli_bench_sweep_rows_and_unknown_field(tmp_path, capsys):
     bad_values = [
         "depth=0", "depth=x", "kernel_size=4", "kernels_per_layer=0", "rounds=0",
         "svm_c=-1", "svm_epochs=0", "patch_size=4", "labeled_fraction=0",
-        "n_regions=0", "alpha=x",
+        "n_regions=0", "alpha=x", "compactness=NaN", "compactness=Infinity",
+        "compactness=-1",
     ]
     for sweep in bad_values:
         out = tmp_path / "bad_value"

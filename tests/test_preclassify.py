@@ -154,6 +154,30 @@ def test_kmeans_rejects_points_that_are_not_n_by_2():
             kmeans_cluster(bad, seed=0)
 
 
+def test_kmeans_rejects_non_finite_points():
+    for value in (np.nan, np.inf, -np.inf):
+        pts = np.ones((5, 2))
+        pts[3, 1] = value
+        with pytest.raises(ParameterError, match="finite"):
+            kmeans_cluster(pts, seed=0)
+
+
+# Few values, so rows repeat and share first columns; both signs of zero.
+_coordinate = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5e-300, -7.0, 1e150])
+
+
+@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40),
+       st.integers(0, 3))
+@example([(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (1.0, -0.0), (0.0, 1.0)], 0)
+def test_distinct_rows_match_unique_rows(rows, n_repeats):
+    pts = np.array(rows * (n_repeats + 1), dtype=np.float64)
+    np.random.default_rng(len(rows)).shuffle(pts)
+    expected = np.unique(pts, axis=0)
+    got = preclassify._distinct_rows(pts)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got, expected)  # == equates 0.0 and -0.0
+
+
 def test_kmeans_with_restarts_finds_enumerated_optimum():
     rng = np.random.default_rng(11)
     pts = rng.random((6, 2))

@@ -58,6 +58,131 @@ def reference_absorb_orphans(ids):
     return ids
 
 
+def reference_grid_centres(h, w, n_regions):
+    """The earlier grid helper, kept verbatim: raveled centre coordinates."""
+    n_rows = max(1, min(h, round(np.sqrt(n_regions * h / w))))
+    n_cols = max(1, min(w, round(n_regions / n_rows)))
+    rows = (np.arange(n_rows) + 0.5) * h / n_rows - 0.5
+    cols = (np.arange(n_cols) + 0.5) * w / n_cols - 0.5
+    rr, cc = np.meshgrid(rows, cols, indexing="ij")
+    return rr.ravel(), cc.ravel()
+
+
+def reference_segment_superpixels(img, n_regions, compactness=10.0):
+    """The earlier segmenter, kept verbatim as the reference: a Python loop
+    over every centre's window per sweep, then absorption and a
+    ``np.unique`` relabel."""
+    if n_regions < 1:
+        raise ParameterError(f"n_regions must be >= 1, got {n_regions}")
+    h, w = img.height, img.width
+    n_pixels = h * w
+    if n_regions >= n_pixels:
+        return RegionMap(
+            region_id=np.arange(n_pixels, dtype=np.int32).reshape(h, w),
+            region_count=n_pixels,
+        )
+
+    colour = img.data * INTENSITY_SCALE  # (h, w, c)
+    c = colour.shape[2]
+    step = np.sqrt(n_pixels / n_regions)
+    cen_r, cen_c = reference_grid_centres(h, w, n_regions)
+    n_cen = cen_r.size
+    cen_colour = colour[
+        np.clip(np.round(cen_r).astype(int), 0, h - 1),
+        np.clip(np.round(cen_c).astype(int), 0, w - 1),
+    ]
+    spatial_w = (compactness / step) ** 2
+
+    rows = np.arange(h)
+    cols = np.arange(w)
+    ids = np.zeros((h, w), dtype=np.int32)
+    for _ in range(superpixels.N_SWEEPS):
+        best = np.full((h, w), np.inf)
+        ids.fill(-1)
+        for j in range(n_cen):
+            r0 = max(0, int(np.floor(cen_r[j] - step)))
+            r1 = min(h, int(np.ceil(cen_r[j] + step)) + 1)
+            c0 = max(0, int(np.floor(cen_c[j] - step)))
+            c1 = min(w, int(np.ceil(cen_c[j] + step)) + 1)
+            window = colour[r0:r1, c0:c1]
+            d_col = ((window - cen_colour[j]) ** 2).sum(axis=2)
+            d_sp = ((rows[r0:r1, None] - cen_r[j]) ** 2
+                    + (cols[None, c0:c1] - cen_c[j]) ** 2)
+            d = d_col + spatial_w * d_sp
+            view = best[r0:r1, c0:c1]
+            better = d < view
+            view[better] = d[better]
+            ids[r0:r1, c0:c1][better] = j
+        # Pixels outside every window (possible on extreme aspect ratios)
+        # fall back to the nearest centre spatially.
+        missing = ids < 0
+        if missing.any():
+            mr, mc = np.nonzero(missing)
+            d = (mr[:, None] - cen_r[None, :]) ** 2 + (mc[:, None] - cen_c[None, :]) ** 2
+            ids[mr, mc] = np.argmin(d, axis=1)
+        flat = ids.ravel()
+        counts = np.bincount(flat, minlength=n_cen).astype(np.float64)
+        occupied = counts > 0
+        sum_r = np.bincount(flat, weights=np.repeat(rows, w), minlength=n_cen)
+        sum_c = np.bincount(flat, weights=np.tile(cols, h), minlength=n_cen)
+        cen_r[occupied] = sum_r[occupied] / counts[occupied]
+        cen_c[occupied] = sum_c[occupied] / counts[occupied]
+        for ch in range(c):
+            sum_col = np.bincount(flat, weights=colour[:, :, ch].ravel(), minlength=n_cen)
+            cen_colour[occupied, ch] = sum_col[occupied] / counts[occupied]
+
+    present, rank = np.unique(reference_absorb_orphans(ids), return_inverse=True)
+    return RegionMap(region_id=rank.reshape(ids.shape), region_count=int(present.size))
+
+
+def random_segment_case(rng):
+    """An image, region count and compactness: 1-3 channels; strips, thin
+    bands with few regions (pixels outside every window) and small
+    rectangles; quantised values (exact distance ties) or uniform ones."""
+    shape = rng.integers(0, 4)
+    if shape == 0:
+        h, w = 1, int(rng.integers(2, 60))
+    elif shape == 1:
+        h, w = int(rng.integers(2, 60)), 1
+    elif shape == 2:
+        h, w = int(rng.integers(2, 5)), int(rng.integers(20, 80))
+        if rng.random() < 0.5:
+            h, w = w, h
+    else:
+        h, w = (int(v) for v in rng.integers(2, 24, size=2))
+    c = int(rng.integers(1, 4))
+    if rng.random() < 0.4:
+        values = rng.integers(0, 3, size=(h, w, c)) / 2.0
+    else:
+        values = rng.random((h, w, c))
+    n_regions = int(rng.integers(1, max(2, h * w // 3)))
+    compactness = float(rng.choice([0.0, 0.5, 10.0, 40.0]))
+    return Raster(values), n_regions, compactness
+
+
+def test_segment_matches_per_centre_loop_reference(monkeypatch):
+    real_assign = superpixels._assign
+    fallback_sweeps = []
+
+    def counting_assign(*args):
+        ids = real_assign(*args)
+        fallback_sweeps.append(bool((ids < 0).any()))
+        return ids
+
+    monkeypatch.setattr(superpixels, "_assign", counting_assign)
+    rng = np.random.default_rng(808)
+    n_fallback_cases = 0
+    for _ in range(300):
+        img, n_regions, compactness = random_segment_case(rng)
+        fallback_sweeps.clear()
+        expected = reference_segment_superpixels(img, n_regions, compactness)
+        got = segment_superpixels(img, n_regions, compactness)
+        np.testing.assert_array_equal(got.region_id, expected.region_id)
+        assert got.region_count == expected.region_count
+        n_fallback_cases += any(fallback_sweeps)
+    assert n_fallback_cases > 20  # the nearest-centre fallback is exercised
+
+
 def random_label_map(rng):
     """1-13 px a side, 1-7 ids; about 30% are 2x2-blocky with 20% salt."""
     h, w = rng.integers(1, 14, size=2)
@@ -177,5 +302,27 @@ def test_invalid_region_count_rejected():
 
 
 def test_region_map_validates_ids():
-    with pytest.raises(ParameterError):
-        RegionMap(region_id=np.array([[0, 2]]), region_count=2)  # id 1 missing
+    with pytest.raises(ParameterError, match="not contiguous"):
+        RegionMap(region_id=np.array([[0, 2]]), region_count=3)  # id 1 missing
+    with pytest.raises(ParameterError, match="out of range"):
+        RegionMap(region_id=np.array([[0, -1]]), region_count=2)
+    with pytest.raises(ParameterError, match="out of range"):
+        RegionMap(region_id=np.array([[0, 2]]), region_count=2)
+    with pytest.raises(ParameterError, match="out of range"):
+        RegionMap(region_id=np.zeros((0, 3), dtype=np.int32), region_count=0)
+    assert RegionMap(region_id=np.array([[1, 0], [1, 2]]), region_count=3).region_count == 3
+
+
+@pytest.mark.parametrize("compactness", [np.nan, np.inf, -np.inf, -1.0, -1e-9])
+def test_non_finite_or_negative_compactness_rejected(compactness):
+    img = Raster.from_array(np.random.default_rng(1).random((8, 8)))
+    with pytest.raises(ParameterError, match="compactness"):
+        segment_superpixels(img, 4, compactness)
+
+
+def test_zero_compactness_is_a_pure_intensity_split():
+    values = np.full((6, 6), 0.2)
+    values[:, 3:] = 0.8
+    rm = segment_superpixels(Raster.from_array(values), 2, compactness=0.0)
+    assert rm.region_count == 2
+    assert len(np.unique(rm.region_id[:, :3])) == len(np.unique(rm.region_id[:, 3:])) == 1
