@@ -29,7 +29,6 @@ from .metrics import (
 )
 from .patch_features import (
     KernelSet,
-    StackConfig,
     conv_layer,
     extract_patch,
     normalize_activation,
@@ -45,12 +44,7 @@ from .pipeline import (
     run_synth_bench,
 )
 from .preclassify import kmeans_cluster, preclassify_di, sample_training
-from .propagation import (
-    CleanConfig,
-    build_transition,
-    clean_labels,
-    propagate,
-)
+from .propagation import build_transition, clean_labels, propagate
 from .raster import Raster, load_raster, save_raster
 from .seeds import derive_seed
 from .superpixels import RegionMap, segment_superpixels

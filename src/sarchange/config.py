@@ -1,0 +1,69 @@
+"""The pipeline's settings, checked when they are built.
+
+One frozen :class:`PipelineConfig` holds every value the stages read.
+The two denoising paths, ``clean_labels`` and ``stack_features``, take
+it whole and read their own fields; functions that take raw values
+default to its defaults, so each default is written here once.
+Construction, each ``dataclasses.replace`` included, applies the rules
+of ``_FIELD_RULES``, so every instance is valid; the checks that need
+the loaded image's shape run in ``run_pipeline`` right after ``load``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from numbers import Integral, Real
+from pathlib import Path
+
+from .errors import ParameterError
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    t1: str | Path = ""
+    t2: str | Path = ""
+    gt: str | Path | None = None
+    out_dir: str | Path = "out"
+
+    alpha: float = 0.7            # anchor weight in label propagation
+    patch_size: int = 7           # neighbourhood for preclassification features
+    sample_ratio: float = 0.12    # fraction of pixels kept as training labels
+    depth: int = 4                # convolution layers in the feature stack
+    kernels_per_layer: int = 30
+    kernel_size: int = 5
+    threshold: float = 0.7        # distinctive-region activation threshold
+    kernel_mode: str = "distinctive"
+    clean: bool = True            # run label-noise cleaning
+    conv: bool = True             # run the convolution stack (else pointwise)
+    rounds: int = 10              # cleaning rounds for the majority vote
+    labeled_fraction: float = 0.5
+    n_regions: int | None = None  # None: about one region per 64 pixels
+    compactness: float = 10.0
+    svm_c: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, (kind, rule, ok) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ParameterError(f"{name} must be {rule}, got {value!r}")
+
+
+# (accepted types, rule, check) of every PipelineConfig field a stage reads.
+_FIELD_RULES = {
+    "alpha": (Real, "a number in (0, 1)", lambda v: 0 < v < 1),
+    "patch_size": (Integral, "an odd integer >= 3", lambda v: v >= 3 and v % 2 == 1),
+    "sample_ratio": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
+    "depth": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "kernels_per_layer": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "kernel_size": (Integral, "an odd integer >= 1", lambda v: v >= 1 and v % 2 == 1),
+    "threshold": (Real, "a finite number", math.isfinite),
+    "kernel_mode": (str, "'distinctive' or 'random'", lambda v: v in ("distinctive", "random")),
+    "rounds": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "labeled_fraction": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
+    "n_regions": ((Integral, type(None)), "None or an integer >= 1", lambda v: v is None or v >= 1),
+    "compactness": (Real, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "svm_c": (Real, "a finite number > 0", lambda v: math.isfinite(v) and v > 0),
+    "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
+}

@@ -22,7 +22,7 @@ class ParameterError(ChangeDetectionError):
 
 
 class DegenerateTrainingError(ChangeDetectionError):
-    """Training labels collapsed to a single class."""
+    """Training data holds no labeled pixel or no varying feature."""
 
 
 class ConvergenceError(ChangeDetectionError):

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import PipelineConfig
 from .errors import ParameterError, ShapeError
 from .raster import Raster
 from .seeds import derive_seed
-
-DISTINCTIVE_THRESHOLD = 0.7
 
 
 @dataclass
@@ -28,15 +27,6 @@ class KernelSet:
     centers: np.ndarray   # (m, 2) row/col source coordinates
     mode: str             # "distinctive" | "random"
     fallback: bool = False  # distinctive pool was smaller than m; used top-m
-
-
-@dataclass(frozen=True)
-class StackConfig:
-    depth: int = 4              # number of convolution layers
-    kernels_per_layer: int = 30
-    kernel_size: int = 5
-    threshold: float = DISTINCTIVE_THRESHOLD
-    mode: str = "distinctive"
 
 
 def normalize_activation(f: Raster) -> Raster:
@@ -81,7 +71,7 @@ def select_kernels(
     mode: str,
     m: int,
     k: int,
-    threshold: float = DISTINCTIVE_THRESHOLD,
+    threshold: float = PipelineConfig.threshold,
     seed: int = 0,
 ) -> KernelSet:
     """Sample ``m`` patch kernels from ``f``.
@@ -108,6 +98,8 @@ def select_kernels(
         raise ParameterError(
             f"kernel size {k} exceeds image extent {f.height}x{f.width}"
         )
+    if not np.isfinite(threshold):
+        raise ParameterError(f"threshold must be a finite number, got {threshold!r}")
 
     rng = np.random.default_rng(seed)
     fallback = False
@@ -203,23 +195,23 @@ def zscore_channels(data: np.ndarray) -> np.ndarray:
     return out.reshape(data.shape)
 
 
-def stack_features(input: Raster, cfg: StackConfig, seed: int = 0) -> Raster:
+def stack_features(input: Raster, cfg: PipelineConfig, seed: int = 0) -> Raster:
     """Run ``cfg.depth`` patch-convolution layers and stack their features.
 
     Layer 1 convolves the input directly; every later layer first reduces
     its input to 3 principal channels.  Each layer's output is likewise
     reduced to 3 channels, z-scored, and concatenated in layer order.
-    Kernel selection at layer d uses the child seed ``(seed, d)``.
+    Kernel selection at layer d uses the child seed ``(seed, d)`` and
+    reads ``kernel_mode``, ``kernels_per_layer``, ``kernel_size`` and
+    ``threshold`` from ``cfg``.
     """
-    if cfg.depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {cfg.depth}")
     reduced: list[Raster] = []
     current = input
     for d in range(1, cfg.depth + 1):
         if d > 1:
             current = reduced[-1]
         kernels = select_kernels(
-            current, cfg.mode, cfg.kernels_per_layer, cfg.kernel_size,
+            current, cfg.kernel_mode, cfg.kernels_per_layer, cfg.kernel_size,
             cfg.threshold, derive_seed(seed, d),
         )
         layer_out = conv_layer(current, kernels)

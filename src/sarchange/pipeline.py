@@ -15,22 +15,21 @@ stages' randomness untouched and paired comparisons stay paired.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from . import metrics as metrics_mod
+from .config import PipelineConfig
 from .difference import log_ratio_di
 from .errors import ParameterError, PipelineStageError
 from .labels import CHANGED, UNCHANGED, LabelField
-from .patch_features import StackConfig, stack_features, zscore_channels
+from .patch_features import stack_features, zscore_channels
 from .preclassify import preclassify_di, sample_training
-from .propagation import CleanConfig, clean_labels
+from .propagation import clean_labels
 from .raster import Raster, detect_format, load_raster, save_raster
 from .seeds import derive_seed
 from .svm import build_samples, predict_map, train_svm
@@ -41,58 +40,6 @@ STAGE_PRECLASSIFY = 1
 STAGE_SAMPLE = 2
 STAGE_CLEAN = 3
 STAGE_FEATURES = 4
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    t1: str | Path = ""
-    t2: str | Path = ""
-    gt: str | Path | None = None
-    out_dir: str | Path = "out"
-
-    alpha: float = 0.7            # anchor weight in label propagation
-    patch_size: int = 7           # neighbourhood for preclassification features
-    sample_ratio: float = 0.12    # fraction of pixels kept as training labels
-    depth: int = 4                # convolution layers in the feature stack
-    kernels_per_layer: int = 30
-    kernel_size: int = 5
-    threshold: float = 0.7        # distinctive-region activation threshold
-    kernel_mode: str = "distinctive"
-    clean: bool = True            # run label-noise cleaning
-    conv: bool = True             # run the convolution stack (else pointwise)
-    rounds: int = 10              # cleaning rounds for the majority vote
-    labeled_fraction: float = 0.5
-    n_regions: int | None = None  # None: about one region per 64 pixels
-    compactness: float = 10.0
-    svm_c: float = 1.0
-    seed: int = 0
-
-    def validate(self) -> None:
-        """Reject, before any stage runs, every value a stage would reject;
-        the checks against the image shape run right after ``load``."""
-        for name, (kind, rule, ok) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-                raise ParameterError(f"{name} must be {rule}, got {value!r}")
-
-
-# (accepted types, rule, check) of every PipelineConfig field a stage reads.
-_FIELD_RULES = {
-    "alpha": (Real, "a number in (0, 1)", lambda v: 0 < v < 1),
-    "patch_size": (Integral, "an odd integer >= 3", lambda v: v >= 3 and v % 2 == 1),
-    "sample_ratio": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
-    "depth": (Integral, "an integer >= 1", lambda v: v >= 1),
-    "kernels_per_layer": (Integral, "an integer >= 1", lambda v: v >= 1),
-    "kernel_size": (Integral, "an odd integer >= 1", lambda v: v >= 1 and v % 2 == 1),
-    "threshold": (Real, "a number", lambda v: True),
-    "kernel_mode": (str, "'distinctive' or 'random'", lambda v: v in ("distinctive", "random")),
-    "rounds": (Integral, "an integer >= 1", lambda v: v >= 1),
-    "labeled_fraction": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
-    "n_regions": ((Integral, type(None)), "None or an integer >= 1", lambda v: v is None or v >= 1),
-    "compactness": (Real, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
-    "svm_c": (Real, "a number > 0", lambda v: v > 0),
-    "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
-}
 
 
 @dataclass
@@ -151,14 +98,7 @@ def _build_features(
         return Raster(zscore_channels(channels.data))
     k = cfg.kernel_size
     averaged = ndimage.uniform_filter(channels.data, size=(k, k, 1), mode="reflect")
-    stack_cfg = StackConfig(
-        depth=cfg.depth,
-        kernels_per_layer=cfg.kernels_per_layer,
-        kernel_size=k,
-        threshold=cfg.threshold,
-        mode=cfg.kernel_mode,
-    )
-    layers = stack_features(Raster(zscore_channels(averaged)), stack_cfg, seed)
+    layers = stack_features(Raster(zscore_channels(averaged)), cfg, seed)
     return Raster(np.concatenate([layers.data, zscore_channels(channels.data)], axis=2))
 
 
@@ -170,7 +110,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ground-truth path is configured.  Deterministic: identical
     configurations produce byte-identical change map, scores and metrics.
     """
-    cfg.validate()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timer = _StageTimer()
@@ -195,20 +134,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         derive_seed(cfg.seed, STAGE_SAMPLE),
     )
     if cfg.clean:
-        clean_cfg = CleanConfig(
-            alpha=cfg.alpha,
-            n_regions=cfg.n_regions,
-            rounds=cfg.rounds,
-            labeled_fraction=cfg.labeled_fraction,
-            compactness=cfg.compactness,
-        )
         # Segment the contextually smoothed difference image: regions that
         # follow raw speckle texture scramble the propagation domains.
         smoothed_di = Raster.from_array(
             ndimage.uniform_filter(di.band(0), size=cfg.patch_size, mode="reflect")
         )
         training = timer.run(
-            "clean", clean_labels, smoothed_di, training, clean_cfg,
+            "clean", clean_labels, smoothed_di, training, cfg,
             derive_seed(cfg.seed, STAGE_CLEAN),
         )
     features = timer.run(
@@ -302,8 +234,6 @@ def run_synth_bench(
         raise ParameterError(f"n_seeds must be >= 1, got {n_seeds}")
     base = config_overrides(PipelineConfig(), overrides or {})
     row_cfgs = {row: config_overrides(base, flags) for row, flags in rows.items()}
-    for cfg in row_cfgs.values():
-        cfg.validate()
     out_dir = Path(out_dir)
 
     per_row: dict[str, dict[str, list[float]]] = {

@@ -215,7 +215,7 @@ def detect_format(path: str | Path) -> str:
     if suffix in (".f32", ".raw", ".f32raw"):
         return "f32raw"
     if suffix in (".pgm", ".pnm"):
-        _, _, maxval, _ = _parse_pgm_header(path.read_bytes()[:512])
+        _, _, maxval, _ = _parse_pgm_header(path.read_bytes())
         return "pgm16" if maxval > 255 else "pgm8"
     if _sidecar_path(path).exists():
         return "f32raw"

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .config import PipelineConfig
 from .errors import ParameterError
 from .raster import Raster
 
@@ -173,7 +174,7 @@ def _assign(
 
 
 def segment_superpixels(
-    img: Raster, n_regions: int, compactness: float = 10.0
+    img: Raster, n_regions: int, compactness: float = PipelineConfig.compactness
 ) -> RegionMap:
     """Partition ``img`` into roughly ``n_regions`` compact homogeneous regions.
 

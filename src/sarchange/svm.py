@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import ConvergenceError, DegenerateTrainingError, ParameterError, ShapeError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
@@ -99,8 +100,8 @@ def build_samples(
         raise ShapeError("feature raster and label field dimensions disagree")
     flat_labels = labels.labels.ravel()
     mask = flat_labels != UNLABELED
-    if not (flat_labels == CHANGED).any() or not (flat_labels == UNCHANGED).any():
-        raise DegenerateTrainingError("training labels contain a single class")
+    if not mask.any():
+        raise DegenerateTrainingError("no labeled pixels to train on")
     x_full = fs.data.reshape(-1, fs.channels)[mask]
     y = np.where(flat_labels[mask] == CHANGED, 1.0, -1.0)
     mean = x_full.mean(axis=0)
@@ -122,7 +123,7 @@ def _smoothed_objective(v: np.ndarray, t: np.ndarray, h: float, c: float) -> flo
 def train_svm(
     x: np.ndarray,
     y: np.ndarray,
-    c: float = 1.0,
+    c: float = PipelineConfig.svm_c,
     scaler: FeatureScaler | None = None,
 ) -> SvmModel:
     """Fit the linear classifier to a certified optimum; deterministic.
@@ -140,7 +141,8 @@ def train_svm(
     out of steps.  ``scaler`` is stored on the model so predictions can
     standardise raw feature vectors the same way the training rows were;
     pass the scaler returned by :func:`build_samples`, or leave None for
-    identity.
+    identity.  A single class needs no special case: on standardised rows
+    its optimum is w = 0 and b = +/-min(1, C n), that class everywhere.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -148,10 +150,10 @@ def train_svm(
         raise ShapeError("x must be (n, d) and y (n,)")
     if not np.isfinite(x).all() or not np.isfinite(y).all():
         raise ParameterError("training data contains non-finite values")
-    if c <= 0:
-        raise ParameterError(f"C must be positive, got {c}")
-    if not ((y == 1.0).any() and (y == -1.0).any()):
-        raise DegenerateTrainingError("both classes are required for training")
+    if not np.isfinite(c) or c <= 0:
+        raise ParameterError(f"C must be a finite number > 0, got {c!r}")
+    if y.size == 0:
+        raise DegenerateTrainingError("no training rows")
     n, d = x.shape
     z = y[:, np.newaxis] * np.hstack([x, np.ones((n, 1))])  # y_i v . a_i = z_i . v
     eye = np.eye(d + 1)

@@ -22,12 +22,7 @@ from sarchange.metrics import ConfusionCounts, f1, kappa, pcc, roc_auc
 from sarchange.patch_features import KernelSet, conv_layer, pca_reduce
 from sarchange.pipeline import ABLATION_ROWS, PipelineConfig, config_overrides, run_pipeline
 from sarchange.preclassify import sample_training
-from sarchange.propagation import (
-    CleanConfig,
-    build_transition,
-    clean_labels,
-    propagate,
-)
+from sarchange.propagation import build_transition, clean_labels, propagate
 from sarchange.raster import Raster
 from sarchange.superpixels import RegionMap
 from sarchange.svm import train_svm
@@ -140,7 +135,7 @@ def test_label_noise_reduction():
             noisy = sc.inject_label_noise(training, 0.10, seed=3000 + s)
             mask = noisy.labels != UNLABELED
             before = (noisy.labels[mask] != gt.labels[mask]).mean()
-            cleaned = clean_labels(smoothed, noisy, CleanConfig(), seed=4000 + s)
+            cleaned = clean_labels(smoothed, noisy, PipelineConfig(), seed=4000 + s)
             after = (cleaned.labels[mask] != gt.labels[mask]).mean()
             improved += after < before
             reductions.append((before - after) / before)

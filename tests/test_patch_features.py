@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sarchange.config import PipelineConfig
 from sarchange.errors import ParameterError, ShapeError
 from sarchange.patch_features import (
     KernelSet,
-    StackConfig,
     conv_layer,
     extract_patch,
     normalize_activation,
@@ -127,6 +127,14 @@ def test_select_kernels_rejects_more_centres_than_pixels():
         select_kernels(img, "random", 10, 3, seed=0)
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["distinctive", "random"])
+def test_select_kernels_rejects_a_non_finite_threshold(mode, threshold):
+    img = Raster.from_array(np.random.default_rng(0).random((8, 8)))
+    with pytest.raises(ParameterError, match="threshold"):
+        select_kernels(img, mode, 3, 3, threshold=threshold, seed=0)
+
+
 def test_conv_layer_delta_kernel_is_identity():
     rng = np.random.default_rng(2)
     values = rng.random((6, 6))
@@ -240,7 +248,7 @@ def test_pca_reduce_sign_fix_is_deterministic():
 def test_stack_features_single_layer_vector_len():
     rng = np.random.default_rng(7)
     img = Raster.from_array(rng.random((12, 12)))
-    cfg = StackConfig(depth=1, kernels_per_layer=8, kernel_size=3)
+    cfg = PipelineConfig(depth=1, kernels_per_layer=8, kernel_size=3)
     fs = stack_features(img, cfg, seed=11)
     assert fs.channels == 3
 
@@ -248,7 +256,7 @@ def test_stack_features_single_layer_vector_len():
 def test_stack_features_vector_len_arithmetic():
     rng = np.random.default_rng(8)
     img = Raster(rng.random((12, 12, 2)))
-    cfg = StackConfig(depth=3, kernels_per_layer=8, kernel_size=3)
+    cfg = PipelineConfig(depth=3, kernels_per_layer=8, kernel_size=3)
     fs = stack_features(img, cfg, seed=11)
     assert fs.channels == 3 * 3  # three per layer; the input channels are not appended
     assert (fs.height, fs.width) == (12, 12)
@@ -257,7 +265,7 @@ def test_stack_features_vector_len_arithmetic():
 def test_stack_features_channels_are_zscored():
     rng = np.random.default_rng(9)
     img = Raster.from_array(rng.random((16, 16)))
-    cfg = StackConfig(depth=2, kernels_per_layer=6, kernel_size=3)
+    cfg = PipelineConfig(depth=2, kernels_per_layer=6, kernel_size=3)
     fs = stack_features(img, cfg, seed=2)
     assert fs.channels == 3 * 2
     flat = fs.data.reshape(-1, fs.channels)
@@ -268,16 +276,16 @@ def test_stack_features_channels_are_zscored():
 def test_stack_features_matches_stepwise_composition():
     rng = np.random.default_rng(10)
     img = Raster.from_array(rng.random((8, 8)))
-    cfg = StackConfig(depth=2, kernels_per_layer=5, kernel_size=3,
-                      mode="distinctive")
+    cfg = PipelineConfig(depth=2, kernels_per_layer=5, kernel_size=3,
+                         kernel_mode="distinctive")
     seed = 21
     fs = stack_features(img, cfg, seed=seed)
 
     # manual composition out of the module's own primitives
-    k1 = select_kernels(img, cfg.mode, 5, 3, cfg.threshold, derive_seed(seed, 1))
+    k1 = select_kernels(img, cfg.kernel_mode, 5, 3, cfg.threshold, derive_seed(seed, 1))
     f1 = conv_layer(img, k1)
     r1 = pca_reduce(f1, 3)
-    k2 = select_kernels(r1, cfg.mode, 5, 3, cfg.threshold, derive_seed(seed, 2))
+    k2 = select_kernels(r1, cfg.kernel_mode, 5, 3, cfg.threshold, derive_seed(seed, 2))
     f2 = conv_layer(r1, k2)
     r2 = pca_reduce(f2, 3)
     expected = np.concatenate(
@@ -289,7 +297,7 @@ def test_stack_features_matches_stepwise_composition():
 def test_stack_features_deterministic_per_seed():
     rng = np.random.default_rng(11)
     img = Raster.from_array(rng.random((10, 10)))
-    cfg = StackConfig(depth=2, kernels_per_layer=4, kernel_size=3)
+    cfg = PipelineConfig(depth=2, kernels_per_layer=4, kernel_size=3)
     a = stack_features(img, cfg, seed=5)
     b = stack_features(img, cfg, seed=5)
     np.testing.assert_array_equal(a.data, b.data)

@@ -7,6 +7,7 @@ import pytest
 from sarchange import pipeline
 from sarchange.cli import main
 from sarchange.errors import ParameterError, PipelineStageError
+from sarchange.labels import UNCHANGED
 from sarchange.pipeline import (
     ABLATION_ROWS,
     PipelineConfig,
@@ -116,6 +117,33 @@ def test_conv_shape_errors_come_before_preclassify(tmp_path, monkeypatch, shape,
     assert reached.value.stage == "preclassify"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", 1.0), ("patch_size", 4), ("sample_ratio", 0), ("depth", 0), ("depth", True),
+    ("kernels_per_layer", 0), ("kernel_size", 4), ("threshold", float("nan")),
+    ("threshold", float("-inf")), ("kernel_mode", "learned"), ("rounds", 2.0),
+    ("labeled_fraction", 1.5), ("n_regions", 0), ("compactness", -1.0),
+    ("svm_c", float("inf")), ("svm_c", 0.0), ("seed", -1),
+])
+def test_config_is_checked_when_built_or_replaced(field, value):
+    with pytest.raises(ParameterError, match=field):
+        PipelineConfig(**{field: value})
+    with pytest.raises(ParameterError, match=field):
+        replace(PipelineConfig(), **{field: value})
+
+
+@pytest.mark.parametrize("row", sorted(ABLATION_ROWS))
+def test_identical_pair_gives_an_all_unchanged_map(tmp_path, row):
+    image = Raster.from_array(np.random.default_rng(0).gamma(4.0, 0.25, size=(64, 64)))
+    paths = [tmp_path / "t1.f32", tmp_path / "t2.f32"]
+    for path in paths:
+        save_raster(image, path, "f32raw")
+    cfg = PipelineConfig(t1=paths[0], t2=paths[1], out_dir=tmp_path / "o", seed=1,
+                         **ABLATION_ROWS[row])
+    result = run_pipeline(cfg)
+    assert (result.change.labels == UNCHANGED).all()
+    assert (load_raster(result.change_map_path, "pgm8").band(0) == 0.0).all()
+
+
 def test_config_overrides_rejects_unknown_fields():
     with pytest.raises(ParameterError):
         config_overrides(PipelineConfig(), {"not_a_field": 1})
@@ -163,7 +191,7 @@ def test_cli_bench_sweep_rows_and_unknown_field(tmp_path, capsys):
         "depth=0", "depth=x", "kernel_size=4", "kernels_per_layer=0", "rounds=0",
         "svm_c=-1", "svm_epochs=0", "patch_size=4", "labeled_fraction=0",
         "n_regions=0", "alpha=x", "compactness=NaN", "compactness=Infinity",
-        "compactness=-1",
+        "compactness=-1", "svm_c=Infinity", "threshold=NaN", "threshold=Infinity",
     ]
     for sweep in bad_values:
         out = tmp_path / "bad_value"

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import sarchange as sc
 from sarchange import propagation
+from sarchange.config import PipelineConfig
 from sarchange.errors import ParameterError, ShapeError
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from sarchange.preclassify import sample_training
 from sarchange.propagation import (
-    CleanConfig,
     build_transition,
     clean_labels,
     majority_vote,
@@ -360,7 +360,7 @@ def test_clean_labels_identity_when_nothing_demoted():
     values[:, 8:] = 0.8
     labels = np.zeros((16, 16), dtype=np.int8)
     labels[:, 8:] = CHANGED
-    cfg = CleanConfig(rounds=1, labeled_fraction=1.0, n_regions=4)
+    cfg = PipelineConfig(rounds=1, labeled_fraction=1.0, n_regions=4)
     cleaned = clean_labels(Raster.from_array(values), LabelField(labels=labels), cfg, seed=3)
     np.testing.assert_array_equal(cleaned.labels, labels)
 
@@ -375,7 +375,7 @@ def test_clean_labels_reduces_injected_noise():
         noisy = sc.inject_label_noise(training, 0.10, seed=50 + s)
         mask = noisy.labels != UNLABELED
         before = (noisy.labels[mask] != gt.labels[mask]).mean()
-        cleaned = clean_labels(di, noisy, CleanConfig(), seed=60 + s)
+        cleaned = clean_labels(di, noisy, PipelineConfig(), seed=60 + s)
         after = (cleaned.labels[mask] != gt.labels[mask]).mean()
         improved += after < before
     assert improved >= 4
@@ -385,8 +385,8 @@ def test_clean_labels_never_touches_unlabeled_and_is_deterministic():
     i1, i2, gt = sc.gen_pair(sc.default_scene(seed=1))
     di = sc.log_ratio_di(i1, i2)
     training = sample_training(gt, 0.1, seed=3)
-    a = clean_labels(di, training, CleanConfig(rounds=4), seed=9)
-    b = clean_labels(di, training, CleanConfig(rounds=4), seed=9)
+    a = clean_labels(di, training, PipelineConfig(rounds=4), seed=9)
+    b = clean_labels(di, training, PipelineConfig(rounds=4), seed=9)
     np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(
         a.labels == UNLABELED, training.labels == UNLABELED
@@ -400,21 +400,29 @@ def test_clean_labels_no_harm_with_aligned_regions():
         gt = sc.change_truth(sc.default_scene(seed=s))
         img = Raster.from_array(np.where(gt.labels == CHANGED, 0.8, 0.2))
         training = sample_training(gt, 0.12, seed=100 + s)
-        cleaned = clean_labels(img, training, CleanConfig(), seed=200 + s)
+        cleaned = clean_labels(img, training, PipelineConfig(), seed=200 + s)
         mask = training.labels != UNLABELED
         assert (cleaned.labels[mask] == training.labels[mask]).all()
 
 
-def test_clean_labels_requires_two_labeled_pixels_per_class():
+@pytest.mark.parametrize("label", [CHANGED, UNCHANGED])
+def test_clean_labels_keeps_a_single_class(label):
+    # Every anchor holds the one class present, so every labeled pixel
+    # whose region holds an anchor votes for it.
+    img = Raster.from_array(np.random.default_rng(0).random((16, 16)))
+    labels = np.full((16, 16), label, dtype=np.int8)
+    labels[::5, ::3] = UNLABELED
+    cleaned = clean_labels(img, LabelField(labels=labels), PipelineConfig(n_regions=4), seed=0)
+    np.testing.assert_array_equal(cleaned.labels, labels)
+
+
+def test_clean_labels_requires_a_labeled_pixel():
     labels = np.full((4, 4), UNLABELED, dtype=np.int8)
-    labels[0, 0] = CHANGED
-    labels[1, 1] = UNCHANGED
-    labels[2, 2] = UNCHANGED
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="labeled pixel"):
         clean_labels(
             Raster.from_array(np.random.default_rng(0).random((4, 4))),
             LabelField(labels=labels),
-            CleanConfig(),
+            PipelineConfig(),
             seed=0,
         )
 

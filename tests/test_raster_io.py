@@ -148,3 +148,8 @@ def test_detect_format(tmp_path):
     f = tmp_path / "g.f32"
     save_raster(Raster.from_array(np.array([[0.5]])), f, "f32raw")
     assert detect_format(f) == "f32raw"
+    # The header is read in full, however long its comments run.
+    long = tmp_path / "long.pgm"
+    long.write_bytes(b"P5\n# " + b"x" * 600 + b"\n2 1\n65535\n" + bytes([0, 1, 255, 255]))
+    assert detect_format(long) == "pgm16"
+    np.testing.assert_array_equal(load_raster(long, "pgm16").band(0), [[1 / 65535, 1.0]])

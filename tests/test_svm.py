@@ -130,11 +130,36 @@ def test_build_samples_drops_constant_dimensions():
     np.testing.assert_array_equal(scaler.kept, [0, 1, 3])
 
 
-def test_build_samples_single_class_raises():
+@pytest.mark.parametrize("n, c", [(7864, 1.0), (50, 0.01), (3, 1.0), (1000, 1000.0), (2, 1e-3)])
+@pytest.mark.parametrize("label", [CHANGED, UNCHANGED])
+def test_single_class_trains_to_the_constant_optimum(n, c, label):
+    # With one class on standardised rows the optimum is w = 0 and
+    # b = +/-min(1, C n): every pixel gets the class present.
+    features = np.random.default_rng(n).random((1, n, 3))
+    labels = np.full((1, n), label, dtype=np.int8)
+    x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
+    assert (y == (1.0 if label == CHANGED else -1.0)).all()
+    model = train_svm(x, y, c=c, scaler=scaler)
+    assert np.abs(model.weights).max() <= 1e-12
+    assert model.bias == pytest.approx(y[0] * min(1.0, c * n), rel=1e-9)
+    predicted, _ = predict_map(model, stack_from(features))
+    assert (predicted.labels == label).all()
+
+
+def test_build_samples_without_labeled_pixels_raises():
     features = np.random.default_rng(3).random((2, 2, 3))
-    labels = np.full((2, 2), CHANGED, dtype=np.int8)
+    labels = np.full((2, 2), UNLABELED, dtype=np.int8)
     with pytest.raises(DegenerateTrainingError):
         build_samples(stack_from(features), LabelField(labels=labels))
+    with pytest.raises(DegenerateTrainingError):
+        train_svm(np.empty((0, 3)), np.empty(0))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_train_svm_rejects_c_that_is_not_finite_and_positive(c):
+    x, y = blobs()
+    with pytest.raises(ParameterError, match="C must be"):
+        train_svm(x, y, c=c)
 
 
 def test_separable_toy_reaches_full_training_accuracy():
