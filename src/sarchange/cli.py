@@ -8,7 +8,9 @@ Subcommands:
 * ``synth``: generate a speckled scene pair with ground truth.
 
 Option precedence for ``run`` and ``bench``: built-in defaults, then the
-``--config`` JSON file, then explicit command-line flags.
+``--config`` JSON file, then explicit command-line flags, one per
+``PipelineConfig`` field.  A value that starts with ``-`` but is not a
+plain negative number, such as ``-inf``, is passed as ``--flag=VALUE``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ChangeDetectionError, ParameterError
@@ -27,33 +30,28 @@ from .pipeline import (
     run_synth_bench,
 )
 from .raster import load_json_object
-from .synth import default_scene, load_scene, with_seed, write_scene
+from .synth import default_scene, load_scene, write_scene
 
-# (flag, config field, type); flags follow the config one-to-one.
-_RUN_OPTIONS = [
-    ("--alpha", "alpha", float),
-    ("--patch-size", "patch_size", int),
-    ("--sample-ratio", "sample_ratio", float),
-    ("--depth", "depth", int),
-    ("--kernels", "kernels_per_layer", int),
-    ("--kernel-size", "kernel_size", int),
-    ("--threshold", "threshold", float),
-    ("--rounds", "rounds", int),
-    ("--regions", "n_regions", int),
-    ("--svm-c", "svm_c", float),
-    ("--seed", "seed", int),
-]
+# Fields set by the subcommands' own arguments; every other field is a flag.
+_PATH_FIELDS = ("t1", "t2", "gt", "out_dir")
+_FLAG_FIELDS = [f for f in fields(PipelineConfig) if f.name not in _PATH_FIELDS]
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, dest, typ in _RUN_OPTIONS:
-        parser.add_argument(flag, dest=dest, type=typ, default=None)
-    parser.add_argument(
-        "--kernel-mode", dest="kernel_mode", choices=("distinctive", "random"),
-        default=None,
-    )
-    parser.add_argument("--no-clean", dest="clean", action="store_false", default=None)
-    parser.add_argument("--no-conv", dest="conv", action="store_false", default=None)
+    """One flag per config field: ``--no-<field>`` for a bool, else
+    ``--<field>`` read as JSON or text; ``PipelineConfig`` checks values.
+    Unset flags stay out of the namespace, so they override nothing."""
+    for field in _FLAG_FIELDS:
+        if isinstance(field.default, bool):
+            parser.add_argument(
+                f"--no-{field.name}", dest=field.name, action="store_false",
+                default=argparse.SUPPRESS,
+            )
+        else:
+            parser.add_argument(
+                f"--{field.name.replace('_', '-')}", dest=field.name, type=_json_or_text,
+                default=argparse.SUPPRESS,
+            )
     parser.add_argument(
         "--config", dest="config", default=None,
         help="JSON file whose keys override the built-in defaults",
@@ -62,9 +60,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
     overrides = load_json_object(args.config) if args.config else {}
-    for dest in [dest for _, dest, _ in _RUN_OPTIONS] + ["kernel_mode", "clean", "conv"]:
-        if getattr(args, dest) is not None:
-            overrides[dest] = getattr(args, dest)
+    overrides.update({f.name: getattr(args, f.name) for f in _FLAG_FIELDS if f.name in args})
     return overrides
 
 
@@ -115,7 +111,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_scene(args.scene) if args.scene else default_scene()
     if args.seed is not None:
-        spec = with_seed(spec, args.seed)
+        spec = replace(spec, seed=args.seed)
     write_scene(spec, args.out_dir)
     print(f"scene written to {args.out_dir} (t1.f32, t2.f32, gt.pgm, scene.json)")
     return 0

@@ -22,12 +22,17 @@ class LabelField:
     labels: np.ndarray  # (height, width), int8 in {-1, 0, 1}
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int8)
-        if self.labels.ndim != 2:
-            raise ShapeError(f"labels must be 2-D, got ndim={self.labels.ndim}")
-        valid = np.isin(self.labels, (UNCHANGED, CHANGED, UNLABELED))
-        if not valid.all():
-            bad = np.unique(self.labels[~valid])
+        raw = np.asarray(self.labels)
+        if raw.ndim != 2:
+            raise ShapeError(f"labels must be 2-D, got ndim={raw.ndim}")
+        # Range first: the int8 cast would wrap 257 to 1, and NaN fails it.
+        valid = raw.size == 0 or (raw.min() >= UNLABELED and raw.max() <= CHANGED)
+        if valid:
+            self.labels = raw.astype(np.int8)
+            valid = (self.labels == raw).all()
+        if not valid:
+            known = (raw == UNLABELED) | (raw == UNCHANGED) | (raw == CHANGED)
+            bad = np.unique(raw[~known])
             raise ParameterError(f"labels contain unknown values {bad.tolist()}")
 
     @property

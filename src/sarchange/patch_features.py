@@ -46,24 +46,14 @@ def normalize_activation(f: Raster) -> Raster:
     return Raster.from_array((a - lo) / (hi - lo))
 
 
-def _reflect_indices(idx: np.ndarray, size: int) -> np.ndarray:
-    # Edge-inclusive symmetric reflection: -1 -> 0, size -> size - 1.
-    period = 2 * size
-    idx = np.mod(idx, period)
-    return np.where(idx < size, idx, period - 1 - idx)
+def _windows(data: np.ndarray, k: int) -> np.ndarray:
+    """The k-by-k window around every pixel, symmetric-reflected at borders.
 
-
-def extract_patch(f: Raster, center: tuple[int, int], k: int) -> np.ndarray:
-    """k-by-k window around ``center`` with symmetric reflection at borders.
-
-    Returns an array of shape (k, k, channels).
+    A view of shape (height, width, channels, k, k) over the padded input.
     """
-    if k < 1 or k % 2 == 0:
-        raise ParameterError(f"patch size must be odd and positive, got {k}")
     half = k // 2
-    rows = _reflect_indices(center[0] + np.arange(-half, half + 1), f.height)
-    cols = _reflect_indices(center[1] + np.arange(-half, half + 1), f.width)
-    return f.data[np.ix_(rows, cols)]
+    padded = np.pad(data, ((half, half), (half, half), (0, 0)), mode="symmetric")
+    return sliding_window_view(padded, (k, k), axis=(0, 1))
 
 
 def select_kernels(
@@ -75,6 +65,9 @@ def select_kernels(
     seed: int = 0,
 ) -> KernelSet:
     """Sample ``m`` patch kernels from ``f``.
+
+    A kernel is the window :func:`conv_layer` slides over ``f``, taken at
+    a centre pixel, so kernels and convolution share one border rule.
 
     distinctive: centres drawn without replacement from pixels whose
     normalised activation exceeds ``threshold``; if fewer than ``m``
@@ -117,11 +110,12 @@ def select_kernels(
             flat = order[:m]
     centers = np.stack([flat // f.width, flat % f.width], axis=1)
 
-    kernels = np.empty((m, k, k, f.channels))
-    for i, (r, c) in enumerate(centers):
-        patch = extract_patch(f, (int(r), int(c)), k)
-        norm = np.sqrt((patch ** 2).sum())
-        kernels[i] = patch / norm if norm > 1e-12 else 0.0
+    patches = np.ascontiguousarray(
+        _windows(f.data, k)[centers[:, 0], centers[:, 1]].transpose(0, 2, 3, 1)
+    )
+    norm = np.sqrt((patches ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
+    kernels = np.zeros_like(patches)
+    np.divide(patches, norm, out=kernels, where=norm > 1e-12)
     return KernelSet(kernels=kernels, centers=centers, mode=mode, fallback=fallback)
 
 
@@ -139,10 +133,7 @@ def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
         raise ShapeError(
             f"kernel channels ({kc}) disagree with image channels ({f.channels})"
         )
-    half = k // 2
-    padded = np.pad(f.data, ((half, half), (half, half), (0, 0)), mode="symmetric")
-    windows = sliding_window_view(padded, (k, k), axis=(0, 1))  # (h, w, c, k, k)
-    cols = windows.reshape(f.height * f.width, f.channels * k * k)
+    cols = _windows(f.data, k).reshape(f.height * f.width, f.channels * k * k)
     kmat = kernels.kernels.transpose(0, 3, 1, 2).reshape(m, kc * k * k)
     out = cols @ kmat.T
     np.maximum(out, 0.0, out=out)

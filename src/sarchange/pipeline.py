@@ -30,10 +30,10 @@ from .labels import CHANGED, UNCHANGED, LabelField
 from .patch_features import stack_features, zscore_channels
 from .preclassify import preclassify_di, sample_training
 from .propagation import clean_labels
-from .raster import Raster, detect_format, load_raster, save_raster
+from .raster import Raster, load_raster, save_raster
 from .seeds import derive_seed
 from .svm import build_samples, predict_map, train_svm
-from .synth import SceneSpec, with_seed, write_scene
+from .synth import SceneSpec, write_scene
 
 # Per-stage seed derivation indices (frozen; new stages append).
 STAGE_PRECLASSIFY = 1
@@ -70,10 +70,6 @@ class _StageTimer:
 
     def total(self) -> float:
         return time.perf_counter() - self._t0
-
-
-def _load_input(path: str | Path) -> Raster:
-    return load_raster(path, detect_format(path))
 
 
 def _input_channels(i1: Raster, i2: Raster, di: Raster) -> Raster:
@@ -114,7 +110,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     timer = _StageTimer()
 
-    i1, i2 = timer.run("load", lambda: (_load_input(cfg.t1), _load_input(cfg.t2)))
+    i1, i2 = timer.run("load", lambda: (load_raster(cfg.t1), load_raster(cfg.t2)))
     # The convolution stack's own shape checks would fail only after clean.
     h, w = i1.height, i1.width
     if cfg.conv and cfg.kernel_size > min(h, w):
@@ -158,7 +154,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     report = None
     curve = None
     if cfg.gt is not None:
-        gt = timer.run("load_gt", _load_input, cfg.gt)
+        gt = timer.run("load_gt", load_raster, cfg.gt)
         gt_labels = LabelField(
             labels=np.where(gt.band(0) > 0.5, CHANGED, UNCHANGED).astype(np.int8)
         )
@@ -242,7 +238,7 @@ def run_synth_bench(
     stage_seconds: dict[str, dict[str, list[float]]] = {row: {} for row in rows}
     for s in range(n_seeds):
         scene_dir = out_dir / f"scene_{s}"
-        t1, t2, gt = write_scene(with_seed(spec, derive_seed(spec.seed, s)), scene_dir)
+        t1, t2, gt = write_scene(replace(spec, seed=derive_seed(spec.seed, s)), scene_dir)
         for row, row_cfg in row_cfgs.items():
             cfg = replace(
                 row_cfg, t1=t1, t2=t2, gt=gt, out_dir=scene_dir / f"row_{row}",

@@ -10,8 +10,9 @@ Two interchange formats are supported:
   interleaved, with a JSON sidecar at ``<path>.json`` holding
   ``{"width", "height", "channels"}``.  Values are taken as-is.
 
-Loads never produce non-finite values; files containing NaN or Inf are
-rejected.
+``load_raster`` reads the format from the path and the PGM header;
+``save_raster`` writes the format it is given.  Loads never produce
+non-finite values; files containing NaN or Inf are rejected.
 """
 
 from __future__ import annotations
@@ -111,13 +112,9 @@ def _parse_pgm_header(blob: bytes) -> tuple[int, int, int, int]:
     return width, height, maxval, pos
 
 
-def _load_pgm(path: Path, fmt: str) -> Raster:
+def _load_pgm(path: Path) -> Raster:
     blob = path.read_bytes()
     width, height, maxval, offset = _parse_pgm_header(blob)
-    if fmt == "pgm8" and maxval > 255:
-        raise FormatError(f"declared pgm8 but maxval={maxval} needs two bytes")
-    if fmt == "pgm16" and maxval <= 255:
-        raise FormatError(f"declared pgm16 but maxval={maxval} fits one byte")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     expected = width * height * dtype.itemsize
     payload = blob[offset:]
@@ -167,18 +164,21 @@ def load_json_object(path: str | Path) -> dict:
     return data
 
 
-def load_raster(path: str | Path, fmt: str) -> Raster:
-    """Load a raster from ``path`` in the declared format.
+def load_raster(path: str | Path) -> Raster:
+    """Load a raster from ``path``, reading its format from the file.
 
-    PGM values are scaled to [0, 1] by the file's maxval; f32raw values
-    are taken verbatim.
+    ``.pgm``/``.pnm`` files are PGM, one or two bytes a sample as the
+    header's maxval says, and scaled to [0, 1] by that maxval.
+    ``.f32``/``.raw``/``.f32raw`` files, and any other path with a
+    ``<path>.json`` sidecar, are f32raw, taken verbatim.
     """
     path = Path(path)
-    if fmt not in FORMATS:
-        raise FormatError(f"unknown raster format {fmt!r}, expected one of {FORMATS}")
-    if fmt == "f32raw":
+    suffix = path.suffix.lower()
+    if suffix in (".pgm", ".pnm"):
+        return _load_pgm(path)
+    if suffix in (".f32", ".raw", ".f32raw") or _sidecar_path(path).exists():
         return _load_f32raw(path)
-    return _load_pgm(path, fmt)
+    raise FormatError(f"cannot infer raster format for {path}")
 
 
 def save_raster(raster: Raster, path: str | Path, fmt: str) -> None:
@@ -206,17 +206,3 @@ def save_raster(raster: Raster, path: str | Path, fmt: str) -> None:
     dtype = np.dtype("u1") if fmt == "pgm8" else np.dtype(">u2")
     header = f"P5\n{raster.width} {raster.height}\n{maxval}\n".encode("ascii")
     path.write_bytes(header + quantised.astype(dtype).tobytes())
-
-
-def detect_format(path: str | Path) -> str:
-    """Guess the on-disk format of ``path`` from its extension and content."""
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix in (".f32", ".raw", ".f32raw"):
-        return "f32raw"
-    if suffix in (".pgm", ".pnm"):
-        _, _, maxval, _ = _parse_pgm_header(path.read_bytes())
-        return "pgm16" if maxval > 255 else "pgm8"
-    if _sidecar_path(path).exists():
-        return "f32raw"
-    raise FormatError(f"cannot infer raster format for {path}")

@@ -11,7 +11,7 @@ geometry alone, so it is independent of the speckle level and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +262,3 @@ def default_scene(seed: int = 0) -> SceneSpec:
         looks=4.0,
         seed=seed,
     )
-
-
-def with_seed(spec: SceneSpec, seed: int) -> SceneSpec:
-    return replace(spec, seed=seed)

@@ -8,7 +8,6 @@ from sarchange.errors import ParameterError, ShapeError
 from sarchange.patch_features import (
     KernelSet,
     conv_layer,
-    extract_patch,
     normalize_activation,
     pca_reduce,
     select_kernels,
@@ -41,41 +40,71 @@ def test_normalize_activation_multichannel_uses_magnitude():
     assert act[0, 0] == 1.0 and act[1, 1] == 0.0
 
 
-def test_extract_patch_interior():
-    rng = np.random.default_rng(1)
-    values = rng.random((6, 6))
-    patch = extract_patch(Raster.from_array(values), (3, 3), 3)
-    np.testing.assert_array_equal(patch[:, :, 0], values[2:5, 2:5])
+def reference_extract_patch(f, center, k):
+    """The k-by-k window around ``center``, indices reflected edge-inclusively."""
 
+    def reflect(idx, size):
+        period = 2 * size
+        idx = np.mod(idx, period)
+        return np.where(idx < size, idx, period - 1 - idx)
 
-def test_extract_patch_corner_reflection():
-    a, b, c, d = 1.0, 2.0, 3.0, 4.0
-    img = Raster.from_array(np.array([[a, b], [c, d]]))
-    patch = extract_patch(img, (0, 0), 3)[:, :, 0]
-    np.testing.assert_array_equal(patch, [[a, a, b], [a, a, b], [c, c, d]])
-
-
-def test_extract_patch_constant_midpoint():
-    img = Raster.from_array(np.full((5, 5), 0.6))
-    np.testing.assert_array_equal(extract_patch(img, (2, 2), 5), 0.6)
-
-
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=6),
-    st.sampled_from([1, 3, 5]),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_extract_patch_matches_symmetric_padding(h, w, k, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.random((h, w))
-    img = Raster.from_array(values)
     half = k // 2
-    padded = np.pad(values, half, mode="symmetric")
-    r = int(rng.integers(0, h))
-    c = int(rng.integers(0, w))
-    patch = extract_patch(img, (r, c), k)[:, :, 0]
-    np.testing.assert_array_equal(patch, padded[r : r + k, c : c + k])
+    rows = reflect(center[0] + np.arange(-half, half + 1), f.height)
+    cols = reflect(center[1] + np.arange(-half, half + 1), f.width)
+    return f.data[np.ix_(rows, cols)]
+
+
+def edge_and_corner_centres(h, w):
+    """Every pixel on the image's border, corners included."""
+    return [(r, c) for r in range(h) for c in range(w) if r in (0, h - 1) or c in (0, w - 1)]
+
+
+@pytest.mark.parametrize("mode", ["distinctive", "random"])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_select_kernels_are_reference_patches_over_their_norm(mode, channels, k):
+    for seed in range(4):
+        rng = np.random.default_rng([seed, channels, k])
+        h, w = int(rng.integers(k, 12)), int(rng.integers(k, 12))
+        img = Raster(rng.random((h, w, channels)))
+        m = int(rng.integers(1, h * w + 1)) if mode == "random" else min(h * w, 10)
+        ks = select_kernels(img, mode, m, k, threshold=0.5, seed=seed)
+        for kernel, (r, c) in zip(ks.kernels, ks.centers):
+            patch = reference_extract_patch(img, (int(r), int(c)), k)
+            np.testing.assert_array_equal(kernel, patch / np.sqrt((patch ** 2).sum()))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_select_kernels_cut_border_centres_like_the_reference(k):
+    rng = np.random.default_rng(k)
+    h, w = k + 2, k + 3
+    img = Raster(rng.random((h, w, 2)))
+    border = edge_and_corner_centres(h, w)
+    # The top-m fallback takes the centres with the highest activation:
+    # plant the border pixels as the maxima so each one becomes a kernel.
+    data = img.data.copy()
+    for r, c in border:
+        data[r, c] += 10.0
+    img = Raster(data)
+    ks = select_kernels(img, "distinctive", len(border), k, threshold=1.0, seed=0)
+    assert ks.fallback
+    assert sorted(map(tuple, ks.centers.tolist())) == border
+    for kernel, (r, c) in zip(ks.kernels, ks.centers):
+        patch = reference_extract_patch(img, (int(r), int(c)), k)
+        np.testing.assert_array_equal(kernel, patch / np.sqrt((patch ** 2).sum()))
+
+
+def test_select_kernels_all_zero_patch_stays_zero():
+    values = np.zeros((7, 7))
+    values[0, 0] = 1.0
+    ks = select_kernels(Raster.from_array(values), "random", 40, 3, seed=0)
+    for kernel, (r, c) in zip(ks.kernels, ks.centers):
+        patch = reference_extract_patch(Raster.from_array(values), (int(r), int(c)), 3)
+        if not patch.any():
+            np.testing.assert_array_equal(kernel, 0.0)
+        else:
+            np.testing.assert_array_equal(kernel, patch / np.sqrt((patch ** 2).sum()))
+    assert any(not kernel.any() for kernel in ks.kernels)
 
 
 def test_select_kernels_forced_set_when_pool_equals_m():

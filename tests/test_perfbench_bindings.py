@@ -24,7 +24,7 @@ def test_memory_and_traced_passes_find_every_binding(tmp_path, monkeypatch):
     import layers
 
     t1, t2, gt = write_scene(default_scene(seed=1), tmp_path / "scene")
-    truth = load_raster(gt, "pgm8").band(0) > 0.5
+    truth = load_raster(gt).band(0) > 0.5
 
     def cfg(name):
         return pipeline.PipelineConfig(t1=t1, t2=t2, gt=gt, out_dir=tmp_path / name, seed=1)

@@ -1,10 +1,11 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sarchange import pipeline
+from sarchange import cli, pipeline
 from sarchange.cli import main
 from sarchange.errors import ParameterError, PipelineStageError
 from sarchange.labels import UNCHANGED
@@ -48,7 +49,7 @@ def test_run_pipeline_writes_all_artifacts(scene_files, tmp_path):
     assert result.metrics_path.exists()
     assert result.timing_path.exists()
     assert (out / "roc.csv").exists()
-    change = load_raster(result.change_map_path, "pgm8")
+    change = load_raster(result.change_map_path)
     assert set(np.unique(change.band(0))) <= {0.0, 1.0}
     metrics = json.loads(result.metrics_path.read_text())
     assert set(metrics) == {"pcc", "kc", "f1", "auc", "tp", "fp", "fn", "tn"}
@@ -141,7 +142,7 @@ def test_identical_pair_gives_an_all_unchanged_map(tmp_path, row):
                          **ABLATION_ROWS[row])
     result = run_pipeline(cfg)
     assert (result.change.labels == UNCHANGED).all()
-    assert (load_raster(result.change_map_path, "pgm8").band(0) == 0.0).all()
+    assert (load_raster(result.change_map_path).band(0) == 0.0).all()
 
 
 def test_config_overrides_rejects_unknown_fields():
@@ -271,5 +272,84 @@ def test_cli_no_clean_no_conv_flags(tmp_path):
         "--no-clean", "--no-conv",
     ])
     assert code == 0
-    scores = load_raster(out / "scores.f32", "f32raw")
+    scores = load_raster(out / "scores.f32")
     assert scores.channels == 1
+
+
+# One command-line value for every settable field: (tokens, value in the config).
+FLAG_VALUES = {
+    "alpha": (["--alpha", "0.6"], 0.6),
+    "patch_size": (["--patch-size", "9"], 9),
+    "sample_ratio": (["--sample-ratio", "0.2"], 0.2),
+    "depth": (["--depth", "2"], 2),
+    "kernels_per_layer": (["--kernels-per-layer", "12"], 12),
+    "kernel_size": (["--kernel-size", "3"], 3),
+    "threshold": (["--threshold", "-0.5"], -0.5),
+    "kernel_mode": (["--kernel-mode", "random"], "random"),
+    "clean": (["--no-clean"], False),
+    "conv": (["--no-conv"], False),
+    "rounds": (["--rounds", "3"], 3),
+    "labeled_fraction": (["--labeled-fraction", "0.4"], 0.4),
+    "n_regions": (["--n-regions", "50"], 50),
+    "compactness": (["--compactness", "5.5"], 5.5),
+    "svm_c": (["--svm-c", "2.5"], 2.5),
+    "seed": (["--seed", "7"], 7),
+}
+
+
+def run_cli_capturing_config(monkeypatch, tmp_path, flags):
+    """Run ``sarchange run`` with ``flags``; return the config it would run."""
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        return SimpleNamespace(change_map_path="m", scores_path="s", report=None,
+                               timings={"total": 0.0})
+
+    monkeypatch.setattr(cli, "run_pipeline", fake_run)
+    argv = ["run", "--t1", "a.f32", "--t2", "b.f32", "--out-dir", str(tmp_path / "o")]
+    assert main(argv + flags) == 0
+    return seen[0]
+
+
+def test_cli_has_one_flag_per_config_field(tmp_path, monkeypatch):
+    paths = {"t1", "t2", "gt", "out_dir"}
+    assert set(FLAG_VALUES) == {f.name for f in fields(PipelineConfig)} - paths
+    flags = [token for tokens, _ in FLAG_VALUES.values() for token in tokens]
+    cfg = run_cli_capturing_config(monkeypatch, tmp_path, flags)
+    for name, (_, value) in FLAG_VALUES.items():
+        assert getattr(cfg, name) == value, name
+
+
+def test_cli_flag_overrides_config_file_with_null(tmp_path, monkeypatch):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"n_regions": 40, "kernels_per_layer": 8}))
+    cfg = run_cli_capturing_config(
+        monkeypatch, tmp_path, ["--config", str(config_path), "--n-regions", "null"])
+    assert cfg.n_regions is None and cfg.kernels_per_layer == 8
+    # A unique prefix of a flag still reads as the flag.
+    cfg = run_cli_capturing_config(monkeypatch, tmp_path, ["--kernels", "9"])
+    assert cfg.kernels_per_layer == 9
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--seed", "1.5", "seed"),
+    ("--kernel-mode", "x", "kernel_mode"),
+    ("--threshold", "nan", "threshold"),
+    ("--threshold=-inf", None, "threshold"),
+])
+def test_cli_bad_flag_value_names_the_field(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "o"
+    argv = ["run", "--t1", "a.f32", "--t2", "b.f32", "--out-dir", str(out), flag]
+    assert main(argv + ([value] if value is not None else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be"), err
+    assert not out.exists()
+
+
+def test_cli_dash_value_needs_the_equals_form(tmp_path, capsys):
+    # argparse reads "-inf" after a space as a flag, not as a value.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--t1", "a.f32", "--t2", "b.f32", "--threshold", "-inf"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -353,3 +353,18 @@ def test_sample_training_rejects_bad_ratio():
     lf = LabelField(labels=np.zeros((2, 2), dtype=np.int8))
     with pytest.raises(ParameterError):
         sample_training(lf, 0.0, seed=0)
+
+
+@pytest.mark.parametrize("value", [257, 255, 0.7, np.nan, -2])
+def test_label_field_rejects_values_before_the_int8_cast(value):
+    # The cast alone would turn 257 into CHANGED, 255 into UNLABELED and
+    # 0.7 into UNCHANGED.
+    with pytest.raises(ParameterError, match="unknown values"):
+        LabelField(labels=np.array([[0, value]]))
+
+
+def test_label_field_keeps_valid_values_of_any_dtype():
+    for dtype in (np.int8, np.int64, np.float64):
+        lf = LabelField(labels=np.array([[UNLABELED, UNCHANGED, CHANGED]], dtype=dtype))
+        assert lf.labels.dtype == np.int8
+        np.testing.assert_array_equal(lf.labels, [[UNLABELED, UNCHANGED, CHANGED]])

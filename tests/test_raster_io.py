@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sarchange.errors import FormatError, ShapeError, TruncationError
-from sarchange.raster import Raster, detect_format, load_raster, save_raster
+from sarchange.raster import Raster, load_raster, save_raster
 
 
 def write_pgm(path, width, height, maxval, payload: bytes):
@@ -16,7 +16,7 @@ def write_pgm(path, width, height, maxval, payload: bytes):
 def test_load_pgm8_scales_by_maxval(tmp_path):
     p = tmp_path / "a.pgm"
     write_pgm(p, 2, 2, 255, bytes([0, 255, 128, 64]))
-    r = load_raster(p, "pgm8")
+    r = load_raster(p)
     assert (r.width, r.height, r.channels) == (2, 2, 1)
     np.testing.assert_allclose(
         r.band(0), [[0.0, 1.0], [128 / 255, 64 / 255]], rtol=0, atol=0
@@ -30,7 +30,7 @@ def test_load_f32raw_identity(tmp_path):
     (tmp_path / "b.f32.json").write_text(
         json.dumps({"width": 3, "height": 1, "channels": 1})
     )
-    r = load_raster(p, "f32raw")
+    r = load_raster(p)
     np.testing.assert_array_equal(r.band(0), [[0.25, -1.5, 3.0]])
 
 
@@ -39,7 +39,7 @@ def test_pgm16_round_trip_within_quantisation_bound(tmp_path):
     original = Raster.from_array(rng.random((16, 16)))
     p = tmp_path / "c.pgm"
     save_raster(original, p, "pgm16")
-    loaded = load_raster(p, "pgm16")
+    loaded = load_raster(p)
     assert np.abs(loaded.band(0) - original.band(0)).max() <= 1 / (2 * 65535)
 
 
@@ -61,7 +61,7 @@ def test_pgm16_samples_are_big_endian(tmp_path):
     save_raster(Raster.from_array(np.array([[1.0]])), p, "pgm16")
     assert p.read_bytes().split(b"\n", 3)[3] == b"\xff\xff"
     write_pgm(p, 1, 1, 65535, b"\x01\x00")  # 0x0100 = 256
-    assert load_raster(p, "pgm16").band(0)[0, 0] == pytest.approx(256 / 65535)
+    assert load_raster(p).band(0)[0, 0] == pytest.approx(256 / 65535)
 
 
 @given(
@@ -76,44 +76,34 @@ def test_f32raw_round_trip_is_identity(tmp_path_factory, h, w, c, seed):
     original = Raster((rng.standard_normal((h, w, c)) * 10).astype("<f4").astype(float))
     p = tmp / "x.f32"
     save_raster(original, p, "f32raw")
-    np.testing.assert_array_equal(load_raster(p, "f32raw").data, original.data)
+    np.testing.assert_array_equal(load_raster(p).data, original.data)
 
 
 def test_malformed_header_raises_format_error(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P6\n2 2\n255\n" + bytes(4))
     with pytest.raises(FormatError):
-        load_raster(p, "pgm8")
+        load_raster(p)
     p.write_bytes(b"P5\n2 nonsense\n255\n")
     with pytest.raises(FormatError):
-        load_raster(p, "pgm8")
+        load_raster(p)
 
 
 def test_payload_size_mismatch_raises_truncation_error(tmp_path):
     p = tmp_path / "short.pgm"
     write_pgm(p, 4, 4, 255, bytes(15))
     with pytest.raises(TruncationError):
-        load_raster(p, "pgm8")
+        load_raster(p)
     write_pgm(p, 4, 4, 255, bytes(17))
     with pytest.raises(TruncationError):
-        load_raster(p, "pgm8")
+        load_raster(p)
     f = tmp_path / "short.f32"
     f.write_bytes(bytes(8))
     (tmp_path / "short.f32.json").write_text(
         json.dumps({"width": 3, "height": 1, "channels": 1})
     )
     with pytest.raises(TruncationError):
-        load_raster(f, "f32raw")
-
-
-def test_declared_format_must_match_depth(tmp_path):
-    p = tmp_path / "deep.pgm"
-    write_pgm(p, 1, 1, 65535, b"\x00\x01")
-    with pytest.raises(FormatError):
-        load_raster(p, "pgm8")
-    write_pgm(p, 1, 1, 255, b"\x00")
-    with pytest.raises(FormatError):
-        load_raster(p, "pgm16")
+        load_raster(f)
 
 
 def test_multichannel_pgm_save_rejected(tmp_path):
@@ -129,7 +119,7 @@ def test_non_finite_f32_rejected(tmp_path):
         json.dumps({"width": 2, "height": 1, "channels": 1})
     )
     with pytest.raises(FormatError):
-        load_raster(p, "f32raw")
+        load_raster(p)
 
 
 def test_raster_rejects_non_finite_construction():
@@ -139,17 +129,25 @@ def test_raster_rejects_non_finite_construction():
         Raster(np.zeros((2, 2)))  # missing channel axis
 
 
-def test_detect_format(tmp_path):
+def test_load_raster_reads_the_format_from_the_file(tmp_path):
     p = tmp_path / "g.pgm"
     save_raster(Raster.from_array(np.array([[0.5]])), p, "pgm16")
-    assert detect_format(p) == "pgm16"
+    assert load_raster(p).band(0)[0, 0] == 32768 / 65535
     save_raster(Raster.from_array(np.array([[0.5]])), p, "pgm8")
-    assert detect_format(p) == "pgm8"
+    assert load_raster(p).band(0)[0, 0] == 128 / 255
     f = tmp_path / "g.f32"
     save_raster(Raster.from_array(np.array([[0.5]])), f, "f32raw")
-    assert detect_format(f) == "f32raw"
+    assert load_raster(f).band(0)[0, 0] == 0.5
+    # A sidecar makes any other path f32raw.
+    bare = tmp_path / "g.bin"
+    bare.write_bytes(f.read_bytes())
+    (tmp_path / "g.bin.json").write_text((tmp_path / "g.f32.json").read_text())
+    assert load_raster(bare).band(0)[0, 0] == 0.5
     # The header is read in full, however long its comments run.
     long = tmp_path / "long.pgm"
     long.write_bytes(b"P5\n# " + b"x" * 600 + b"\n2 1\n65535\n" + bytes([0, 1, 255, 255]))
-    assert detect_format(long) == "pgm16"
-    np.testing.assert_array_equal(load_raster(long, "pgm16").band(0), [[1 / 65535, 1.0]])
+    np.testing.assert_array_equal(load_raster(long).band(0), [[1 / 65535, 1.0]])
+    unknown = tmp_path / "g.tif"
+    unknown.write_bytes(bytes(4))
+    with pytest.raises(FormatError, match="cannot infer"):
+        load_raster(unknown)

@@ -125,11 +125,11 @@ def test_write_scene_files_load_back_as_generated(tmp_path):
     assert (t1, t2, gt_path) == (out / "t1.f32", out / "t2.f32", out / "gt.pgm")
     i1, i2, gt = gen_pair(spec)
     # f32raw stores float32 samples; the ground truth is exact 0/1
-    np.testing.assert_array_equal(load_raster(t1, "f32raw").data,
+    np.testing.assert_array_equal(load_raster(t1).data,
                                   i1.data.astype(np.float32))
-    np.testing.assert_array_equal(load_raster(t2, "f32raw").data,
+    np.testing.assert_array_equal(load_raster(t2).data,
                                   i2.data.astype(np.float32))
-    np.testing.assert_array_equal(load_raster(gt_path, "pgm8").band(0), gt.labels)
+    np.testing.assert_array_equal(load_raster(gt_path).band(0), gt.labels)
     assert load_scene(out / "scene.json") == spec
 
 
