@@ -53,7 +53,6 @@ from .synth import (
     change_truth,
     default_scene,
     gen_pair,
-    inject_label_noise,
     load_scene,
     reflectance_fields,
     write_scene,

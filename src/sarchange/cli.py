@@ -75,8 +75,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"scores:     {result.scores_path}")
     if result.report is not None:
         r = result.report
+        auc = "n/a" if r.auc is None else f"{r.auc:.4f}"
         print(
-            f"pcc={r.pcc:.4f} kc={r.kc:.4f} f1={r.f1:.4f} auc={r.auc:.4f} "
+            f"pcc={r.pcc:.4f} kc={r.kc:.4f} f1={r.f1:.4f} auc={auc} "
             f"fp={r.counts.fp} fn={r.counts.fn}"
         )
     print(f"total time: {result.timings['total']:.2f}s")

@@ -4,8 +4,9 @@ One frozen :class:`PipelineConfig` holds every value the stages read.
 The two denoising paths, ``clean_labels`` and ``stack_features``, take
 it whole and read their own fields; functions that take raw values
 default to its defaults, so each default is written here once.
-Construction, each ``dataclasses.replace`` included, applies the rules
-of ``_FIELD_RULES``, so every instance is valid; the checks that need
+Each rule is written once, in ``_FIELD_RULES``: :func:`check` applies it
+to every field when a config is built or replaced, so every instance is
+valid, and to the stage functions' raw arguments.  The checks that need
 the loaded image's shape run in ``run_pipeline`` right after ``load``.
 """
 
@@ -44,13 +45,19 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, (kind, rule, ok) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-                raise ParameterError(f"{name} must be {rule}, got {value!r}")
+        for name in _FIELD_RULES:
+            check(name, getattr(self, name))
 
 
-# (accepted types, rule, check) of every PipelineConfig field a stage reads.
+def check(name: str, value) -> None:
+    """Raise :class:`ParameterError` "<name> must be <rule>, got <value>" unless
+    ``value`` meets field ``name``'s rule; only a bool field takes a bool."""
+    kind, rule, ok = _FIELD_RULES[name]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or not ok(value):
+        raise ParameterError(f"{name} must be {rule}, got {value!r}")
+
+
+# (accepted types, rule, check) of every PipelineConfig field but the paths.
 _FIELD_RULES = {
     "alpha": (Real, "a number in (0, 1)", lambda v: 0 < v < 1),
     "patch_size": (Integral, "an odd integer >= 3", lambda v: v >= 3 and v % 2 == 1),
@@ -60,6 +67,8 @@ _FIELD_RULES = {
     "kernel_size": (Integral, "an odd integer >= 1", lambda v: v >= 1 and v % 2 == 1),
     "threshold": (Real, "a finite number", math.isfinite),
     "kernel_mode": (str, "'distinctive' or 'random'", lambda v: v in ("distinctive", "random")),
+    "clean": (bool, "true or false", lambda v: True),
+    "conv": (bool, "true or false", lambda v: True),
     "rounds": (Integral, "an integer >= 1", lambda v: v >= 1),
     "labeled_fraction": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
     "n_regions": ((Integral, type(None)), "None or an integer >= 1", lambda v: v is None or v >= 1),

@@ -11,6 +11,15 @@ from .raster import Raster
 LOG_RATIO_EPS = 1e-6
 
 
+def _min_max(a: np.ndarray) -> Raster:
+    """``a`` rescaled to [0, 1]; a constant ``a`` maps to all zeros."""
+    lo = a.min()
+    hi = a.max()
+    if hi - lo < 1e-300:
+        return Raster.from_array(np.zeros_like(a))
+    return Raster.from_array((a - lo) / (hi - lo))
+
+
 def log_ratio_di(i1: Raster, i2: Raster) -> Raster:
     """Absolute log-ratio of two intensity images, min-max rescaled to [0, 1].
 
@@ -30,9 +39,4 @@ def log_ratio_di(i1: Raster, i2: Raster) -> Raster:
     b = i2.band(0)
     if (a < 0).any() or (b < 0).any():
         raise ParameterError("intensity images must be non-negative")
-    di = np.abs(np.log((b + LOG_RATIO_EPS) / (a + LOG_RATIO_EPS)))
-    lo = di.min()
-    hi = di.max()
-    if hi - lo < 1e-300:
-        return Raster.from_array(np.zeros_like(di))
-    return Raster.from_array((di - lo) / (hi - lo))
+    return _min_max(np.abs(np.log((b + LOG_RATIO_EPS) / (a + LOG_RATIO_EPS))))

@@ -42,6 +42,3 @@ class LabelField:
     @property
     def width(self) -> int:
         return self.labels.shape[1]
-
-    def copy(self) -> "LabelField":
-        return LabelField(labels=self.labels.copy())

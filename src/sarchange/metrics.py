@@ -139,7 +139,7 @@ class MetricReport:
     pcc: float
     kc: float
     f1: float
-    auc: float
+    auc: float | None  # None when the reference holds one class
     counts: ConfusionCounts
 
     def to_dict(self) -> dict:
@@ -162,9 +162,10 @@ def evaluate(
     pred: LabelField, gt: LabelField, scores: Raster
 ) -> tuple[MetricReport, list[tuple[float, float]]]:
     """Full report for a predicted change map against a reference, plus
-    the ROC curve of ``scores`` (see ``roc_auc``)."""
+    the ROC curve of ``scores`` (see ``roc_auc``).  A one-class reference
+    has no ROC: the AUC is None and the curve empty."""
     c = confusion(pred, gt)
-    curve, auc = roc_auc(scores, gt)
+    curve, auc = roc_auc(scores, gt) if c.n_changed and c.n_unchanged else ([], None)
     return MetricReport(pcc=pcc(c), kc=kappa(c), f1=f1(c), auc=auc, counts=c), curve
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check
+from .difference import _min_max
 from .errors import ParameterError, ShapeError
 from .raster import Raster
 from .seeds import derive_seed
@@ -36,14 +37,8 @@ def normalize_activation(f: Raster) -> Raster:
     A constant map normalises to all zeros.
     """
     if f.channels == 1:
-        a = f.band(0)
-    else:
-        a = np.sqrt((f.data ** 2).sum(axis=2))
-    lo = a.min()
-    hi = a.max()
-    if hi - lo < 1e-300:
-        return Raster.from_array(np.zeros_like(a))
-    return Raster.from_array((a - lo) / (hi - lo))
+        return _min_max(f.band(0))
+    return _min_max(np.sqrt((f.data ** 2).sum(axis=2)))
 
 
 def _windows(data: np.ndarray, k: int) -> np.ndarray:
@@ -78,21 +73,17 @@ def select_kernels(
     removing it would strip the kernels' response to local averages, the
     main carrier of contextual evidence.  An all-zero patch stays zero.
     """
-    if mode not in ("distinctive", "random"):
-        raise ParameterError(f"unknown kernel mode {mode!r}")
-    if m < 1:
-        raise ParameterError(f"kernel count must be >= 1, got {m}")
+    check("kernel_mode", mode)
+    check("kernels_per_layer", m)
     n_pixels = f.height * f.width
     if m > n_pixels:
         raise ParameterError(f"cannot draw {m} centres from {n_pixels} pixels")
-    if k % 2 == 0 or k < 1:
-        raise ParameterError(f"kernel size must be odd, got {k}")
+    check("kernel_size", k)
     if k > min(f.height, f.width):
         raise ParameterError(
             f"kernel size {k} exceeds image extent {f.height}x{f.width}"
         )
-    if not np.isfinite(threshold):
-        raise ParameterError(f"threshold must be a finite number, got {threshold!r}")
+    check("threshold", threshold)
 
     rng = np.random.default_rng(seed)
     fallback = False

@@ -223,8 +223,9 @@ def run_synth_bench(
     ``overrides``; the default is the four-row ablation grid.  For each of
     ``n_seeds`` scene realisations, runs every row with paired pipeline
     seeds and reports per-row mean/stdev of PCC/KC/F1/AUC plus mean
-    per-stage wall-clock seconds.  The summary is returned and written to
-    ``<out_dir>/summary.json``.
+    per-stage wall-clock seconds; a row's AUC mean and stdev are None
+    when one of its scenes has a one-class reference.  The summary is
+    returned and written to ``<out_dir>/summary.json``.
     """
     if n_seeds < 1:
         raise ParameterError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -255,7 +256,7 @@ def run_synth_bench(
         "rows": {
             row: {
                 **{
-                    metric: {
+                    metric: {"mean": None, "stdev": None} if None in vals else {
                         "mean": float(np.mean(vals)),
                         "stdev": float(np.std(vals)),
                     }

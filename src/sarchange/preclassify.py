@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from .config import check
 from .errors import ConvergenceError, ParameterError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
@@ -89,8 +90,7 @@ def preclassify_di(di: Raster, w: int, seed: int = 0) -> LabelField:
     distinct feature rows (one cluster), leave everything unchanged.
     Every pixel receives a label.
     """
-    if w < 3 or w % 2 == 0:
-        raise ParameterError(f"patch size must be odd and >= 3, got {w}")
+    check("patch_size", w)
     if di.channels != 1:
         raise ParameterError("preclassification expects a single-channel difference image")
     band = di.band(0)
@@ -124,8 +124,7 @@ def sample_training(lf: LabelField, ratio: float, seed: int = 0) -> LabelField:
     class contributes its share rounded to nearest and the larger class
     the rest, which is its own rounded share give or take one.
     """
-    if not 0.0 < ratio <= 1.0:
-        raise ParameterError(f"sample ratio must be in (0, 1], got {ratio}")
+    check("sample_ratio", ratio)
     flat = lf.labels.ravel()
     changed_idx = np.flatnonzero(flat == CHANGED)
     unchanged_idx = np.flatnonzero(flat == UNCHANGED)

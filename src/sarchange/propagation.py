@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check
 from .errors import ParameterError, ShapeError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
@@ -66,8 +66,7 @@ def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.nd
     """
     if (img.height, img.width) != (rm.height, rm.width):
         raise ShapeError("image and region map dimensions disagree")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be strictly inside (0, 1), got {alpha}")
+    check("alpha", alpha)
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 2 or y0.shape[0] != img.height * img.width:
         raise ShapeError(
@@ -109,10 +108,7 @@ def clean_labels(
     if labeled_idx.size == 0:
         raise ParameterError("label cleaning needs at least one labeled pixel")
 
-    n_regions = cfg.n_regions
-    if n_regions is None:
-        n_regions = max(1, (img.height * img.width) // 64)
-    rm = segment_superpixels(img, n_regions, cfg.compactness)
+    rm = segment_superpixels(img, cfg.n_regions, cfg.compactness)
 
     n_keep = max(1, int(np.floor(cfg.labeled_fraction * labeled_idx.size + 0.5)))
     # Column pair (2 * rnd, 2 * rnd + 1) holds round rnd's (unchanged,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .config import check
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -18,8 +18,7 @@ def derive_seed(seed: int, *path: int) -> int:
 
     The same arguments always produce the same child on every platform.
     """
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
+    check("seed", seed)
     entropy = [int(seed)] + [int(p) for p in path]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])

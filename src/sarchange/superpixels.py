@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check
 from .errors import ParameterError
 from .raster import Raster
 
@@ -174,21 +174,24 @@ def _assign(
 
 
 def segment_superpixels(
-    img: Raster, n_regions: int, compactness: float = PipelineConfig.compactness
+    img: Raster,
+    n_regions: int | None = PipelineConfig.n_regions,
+    compactness: float = PipelineConfig.compactness,
 ) -> RegionMap:
     """Partition ``img`` into roughly ``n_regions`` compact homogeneous regions.
 
+    ``n_regions`` None asks for one region per 64 pixels (at least one).
     ``compactness`` (a finite number >= 0) trades intensity coherence
     against spatial regularity; larger values give squarer regions.
     Requesting at least as many regions as pixels yields the identity
     segmentation.
     """
-    if n_regions < 1:
-        raise ParameterError(f"n_regions must be >= 1, got {n_regions}")
-    if not np.isfinite(compactness) or compactness < 0:
-        raise ParameterError(f"compactness must be a finite number >= 0, got {compactness!r}")
+    check("n_regions", n_regions)
+    check("compactness", compactness)
     h, w = img.height, img.width
     n_pixels = h * w
+    if n_regions is None:
+        n_regions = max(1, n_pixels // 64)
     if n_regions >= n_pixels:
         return RegionMap(
             region_id=np.arange(n_pixels, dtype=np.int32).reshape(h, w),

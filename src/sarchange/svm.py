@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check
 from .errors import ConvergenceError, DegenerateTrainingError, ParameterError, ShapeError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
@@ -150,8 +150,7 @@ def train_svm(
         raise ShapeError("x must be (n, d) and y (n,)")
     if not np.isfinite(x).all() or not np.isfinite(y).all():
         raise ParameterError("training data contains non-finite values")
-    if not np.isfinite(c) or c <= 0:
-        raise ParameterError(f"C must be a finite number > 0, got {c!r}")
+    check("svm_c", c)
     if y.size == 0:
         raise DegenerateTrainingError("no training rows")
     n, d = x.shape

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
+from .labels import CHANGED, UNCHANGED, LabelField
 from .raster import Raster, load_json_object, save_raster
 
 
@@ -218,26 +218,6 @@ def write_scene(spec: SceneSpec, out_dir: str | Path) -> tuple[Path, Path, Path]
     save_raster(Raster.from_array(gt.labels.astype(np.float64)), paths[2], "pgm8")
     (out_dir / "scene.json").write_text(spec.to_json())
     return paths
-
-
-def inject_label_noise(lf: LabelField, rate: float, seed: int) -> LabelField:
-    """Flip exactly ``floor(rate * n_labeled)`` labels, chosen uniformly.
-
-    Unlabeled pixels are never touched.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"noise rate must be in [0, 1], got {rate}")
-    out = lf.copy()
-    labeled = np.flatnonzero(out.labels.ravel() != UNLABELED)
-    n_flip = int(np.floor(rate * labeled.size))
-    if n_flip == 0:
-        return out
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(labeled, size=n_flip, replace=False)
-    flat = out.labels.ravel()
-    flat[chosen] = np.where(flat[chosen] == CHANGED, UNCHANGED, CHANGED)
-    out.labels = flat.reshape(lf.labels.shape)
-    return out
 
 
 def default_scene(seed: int = 0) -> SceneSpec:

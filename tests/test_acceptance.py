@@ -32,6 +32,7 @@ from test_patch_features import naive_conv
 from test_propagation import one_hot
 from test_metrics import pairwise_auc
 from test_svm import hinge_objective, hinge_subgradient
+from test_synth import inject_label_noise
 
 
 @contextmanager
@@ -132,7 +133,7 @@ def test_label_noise_reduction():
                 ndimage.uniform_filter(di.band(0), size=7, mode="reflect")
             )
             training = sample_training(gt, 0.12, seed=2000 + s)
-            noisy = sc.inject_label_noise(training, 0.10, seed=3000 + s)
+            noisy = inject_label_noise(training, 0.10, seed=3000 + s)
             mask = noisy.labels != UNLABELED
             before = (noisy.labels[mask] != gt.labels[mask]).mean()
             cleaned = clean_labels(smoothed, noisy, PipelineConfig(), seed=4000 + s)

@@ -9,6 +9,7 @@ from sarchange.metrics import (
     ConfusionCounts,
     MetricReport,
     confusion,
+    evaluate,
     f1,
     kappa,
     pcc,
@@ -200,6 +201,17 @@ def test_roc_rejects_single_class():
     scores = Raster.from_array(np.zeros((2, 2)))
     with pytest.raises(ParameterError):
         roc_auc(scores, field(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_evaluate_one_class_reference_has_no_auc(value):
+    gt = field(np.full((2, 3), value))
+    pred = field(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    report, curve = evaluate(pred, gt, Raster.from_array(np.arange(6.0).reshape(2, 3)))
+    assert report.auc is None and curve == []
+    assert report.counts == confusion(pred, gt)
+    assert report.pcc == pcc(report.counts) and report.kc == kappa(report.counts)
+    assert report.to_dict()["auc"] is None
 
 
 def test_metric_report_flat_json():

@@ -7,8 +7,10 @@ import pytest
 
 from sarchange import cli, pipeline
 from sarchange.cli import main
+from sarchange.config import _FIELD_RULES
 from sarchange.errors import ParameterError, PipelineStageError
-from sarchange.labels import UNCHANGED
+from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
+from sarchange.patch_features import select_kernels
 from sarchange.pipeline import (
     ABLATION_ROWS,
     PipelineConfig,
@@ -16,7 +18,12 @@ from sarchange.pipeline import (
     run_pipeline,
     run_synth_bench,
 )
+from sarchange.preclassify import preclassify_di, sample_training
+from sarchange.propagation import propagate
 from sarchange.raster import Raster, load_raster, save_raster
+from sarchange.seeds import derive_seed
+from sarchange.superpixels import segment_superpixels
+from sarchange.svm import train_svm
 from sarchange.synth import BaseField, Ellipse, Rect, SceneSpec, write_scene
 
 
@@ -118,18 +125,94 @@ def test_conv_shape_errors_come_before_preclassify(tmp_path, monkeypatch, shape,
     assert reached.value.stage == "preclassify"
 
 
-@pytest.mark.parametrize("field, value", [
+BAD_FIELD_VALUES = [
     ("alpha", 1.0), ("patch_size", 4), ("sample_ratio", 0), ("depth", 0), ("depth", True),
     ("kernels_per_layer", 0), ("kernel_size", 4), ("threshold", float("nan")),
     ("threshold", float("-inf")), ("kernel_mode", "learned"), ("rounds", 2.0),
     ("labeled_fraction", 1.5), ("n_regions", 0), ("compactness", -1.0),
-    ("svm_c", float("inf")), ("svm_c", 0.0), ("seed", -1),
-])
+    ("svm_c", float("inf")), ("svm_c", 0.0), ("seed", -1), ("clean", "false"), ("conv", 0),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_FIELD_VALUES)
 def test_config_is_checked_when_built_or_replaced(field, value):
     with pytest.raises(ParameterError, match=field):
         PipelineConfig(**{field: value})
     with pytest.raises(ParameterError, match=field):
         replace(PipelineConfig(), **{field: value})
+
+
+def test_every_settable_field_has_a_rule():
+    paths = {"t1", "t2", "gt", "out_dir"}
+    assert set(_FIELD_RULES) == {f.name for f in fields(PipelineConfig)} - paths
+
+
+def _stage_calls():
+    """field -> a call of the stage function that takes its value raw."""
+    rng = np.random.default_rng(0)
+    img = Raster.from_array(rng.random((16, 16)))
+    labels = LabelField(labels=rng.choice([UNLABELED, UNCHANGED, CHANGED], size=(16, 16)))
+    rm = segment_superpixels(img, 4)
+    y0 = np.eye(2)[rng.integers(0, 2, size=256)]
+    x = rng.normal(size=(20, 2))
+    y = np.where(x[:, 0] > 0, 1.0, -1.0)
+    return {
+        "patch_size": lambda v: preclassify_di(img, v),
+        "sample_ratio": lambda v: sample_training(labels, v),
+        "alpha": lambda v: propagate(img, rm, y0, v),
+        "n_regions": lambda v: segment_superpixels(img, v),
+        "compactness": lambda v: segment_superpixels(img, 4, v),
+        "kernel_mode": lambda v: select_kernels(img, v, 2, 3),
+        "kernels_per_layer": lambda v: select_kernels(img, "random", v, 3),
+        "kernel_size": lambda v: select_kernels(img, "random", 2, v),
+        "threshold": lambda v: select_kernels(img, "distinctive", 2, 3, v),
+        "svm_c": lambda v: train_svm(x, y, v),
+        "seed": lambda v: derive_seed(v, 1),
+    }
+
+
+_STAGE_FIELDS = sorted(_stage_calls())
+_INTEGER_FIELDS = ["kernel_size", "kernels_per_layer", "n_regions", "patch_size", "seed"]
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, value in BAD_FIELD_VALUES if field in _STAGE_FIELDS
+] + [(field, 2.5) for field in _INTEGER_FIELDS] + [(field, True) for field in _STAGE_FIELDS])
+def test_stage_functions_check_raw_values_with_the_config_rule(field, value):
+    with pytest.raises(ParameterError) as built:
+        PipelineConfig(**{field: value})
+    with pytest.raises(ParameterError) as called:
+        _stage_calls()[field](value)
+    assert str(called.value) == str(built.value)
+
+
+def test_cli_run_with_a_one_class_reference_writes_a_null_auc(scene_files, tmp_path, capsys):
+    t1, t2, _ = scene_files
+    gt = tmp_path / "no_change.pgm"
+    save_raster(Raster.from_array(np.zeros((64, 64))), gt, "pgm8")
+    out = tmp_path / "o"
+    code = main(["run", "--t1", str(t1), "--t2", str(t2), "--gt", str(gt),
+                 "--out-dir", str(out), "--seed", "1"])
+    assert code == 0
+    assert "auc=n/a" in capsys.readouterr().out
+    for name in ("change_map.pgm", "scores.f32"):
+        assert (out / name).exists()
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["auc"] is None
+    assert metrics["tp"] == metrics["fn"] == 0
+    assert metrics["fp"] + metrics["tn"] == 64 * 64
+    assert metrics["pcc"] == metrics["tn"] / (64 * 64)
+    assert metrics["kc"] == 0.0 and metrics["f1"] == 0.0
+    assert (out / "roc.csv").read_text() == "fpr,tpr\n"
+
+
+def test_bench_row_with_a_one_class_reference_has_a_null_auc(tmp_path):
+    spec = replace(small_scene(seed=2), changes=())
+    summary = run_synth_bench(spec, n_seeds=2, out_dir=tmp_path, rows={"1": ABLATION_ROWS["1"]})
+    row = json.loads((tmp_path / "summary.json").read_text())["rows"]["1"]
+    assert row == summary["rows"]["1"]
+    assert row["auc"] == {"mean": None, "stdev": None}
+    assert 0.0 <= row["pcc"]["mean"] <= 1.0
 
 
 @pytest.mark.parametrize("row", sorted(ABLATION_ROWS))
@@ -193,6 +276,7 @@ def test_cli_bench_sweep_rows_and_unknown_field(tmp_path, capsys):
         "svm_c=-1", "svm_epochs=0", "patch_size=4", "labeled_fraction=0",
         "n_regions=0", "alpha=x", "compactness=NaN", "compactness=Infinity",
         "compactness=-1", "svm_c=Infinity", "threshold=NaN", "threshold=Infinity",
+        "clean=False",
     ]
     for sweep in bad_values:
         out = tmp_path / "bad_value"

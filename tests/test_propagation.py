@@ -23,6 +23,8 @@ from sarchange.propagation import (
 from sarchange.raster import Raster
 from sarchange.superpixels import RegionMap, segment_superpixels
 
+from test_synth import inject_label_noise
+
 # The earlier two-pass design, kept verbatim as the reference: every
 # region's block is built and checked into one TransitionMatrix first, and
 # only then are the regions solved.
@@ -372,7 +374,7 @@ def test_clean_labels_reduces_injected_noise():
         i1, i2, gt = sc.gen_pair(spec)
         di = sc.log_ratio_di(i1, i2)
         training = sample_training(gt, 0.12, seed=40 + s)
-        noisy = sc.inject_label_noise(training, 0.10, seed=50 + s)
+        noisy = inject_label_noise(training, 0.10, seed=50 + s)
         mask = noisy.labels != UNLABELED
         before = (noisy.labels[mask] != gt.labels[mask]).mean()
         cleaned = clean_labels(di, noisy, PipelineConfig(), seed=60 + s)

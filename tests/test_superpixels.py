@@ -296,6 +296,16 @@ def test_segmentation_is_deterministic():
     np.testing.assert_array_equal(a.region_id, b.region_id)
 
 
+@pytest.mark.parametrize("shape", [(40, 56), (7, 9)])
+def test_default_region_count_is_one_per_64_pixels(shape):
+    h, w = shape
+    img = Raster.from_array(np.random.default_rng(3).random(shape))
+    default = segment_superpixels(img)
+    explicit = segment_superpixels(img, max(1, h * w // 64))
+    assert default.region_count == explicit.region_count
+    np.testing.assert_array_equal(default.region_id, explicit.region_id)
+
+
 def test_invalid_region_count_rejected():
     with pytest.raises(ParameterError):
         segment_superpixels(Raster.from_array(np.zeros((4, 4))), 0)

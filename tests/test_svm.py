@@ -158,7 +158,7 @@ def test_build_samples_without_labeled_pixels_raises():
 @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_train_svm_rejects_c_that_is_not_finite_and_positive(c):
     x, y = blobs()
-    with pytest.raises(ParameterError, match="C must be"):
+    with pytest.raises(ParameterError, match="svm_c must be"):
         train_svm(x, y, c=c)
 
 

@@ -14,11 +14,30 @@ from sarchange.synth import (
     change_truth,
     default_scene,
     gen_pair,
-    inject_label_noise,
     load_scene,
     reflectance_fields,
     write_scene,
 )
+
+
+def inject_label_noise(lf: LabelField, rate: float, seed: int) -> LabelField:
+    """Flip exactly ``floor(rate * n_labeled)`` labels, chosen uniformly.
+
+    Unlabeled pixels are never touched.
+    """
+    if not 0.0 <= rate <= 1.0:
+        raise ParameterError(f"noise rate must be in [0, 1], got {rate}")
+    out = LabelField(labels=lf.labels.copy())
+    labeled = np.flatnonzero(out.labels.ravel() != UNLABELED)
+    n_flip = int(np.floor(rate * labeled.size))
+    if n_flip == 0:
+        return out
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(labeled, size=n_flip, replace=False)
+    flat = out.labels.ravel()
+    flat[chosen] = np.where(flat[chosen] == CHANGED, UNCHANGED, CHANGED)
+    out.labels = flat.reshape(lf.labels.shape)
+    return out
 
 
 def flat_scene(width=256, height=256, value=1.0, looks=4.0, seed=0):
