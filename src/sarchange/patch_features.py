@@ -21,6 +21,8 @@ from .errors import ParameterError, ShapeError
 from .raster import Raster
 from .seeds import derive_seed
 
+_TILE_PIXELS = 4096  # pixels per block of windows convolved at once
+
 
 @dataclass
 class KernelSet:
@@ -84,6 +86,7 @@ def select_kernels(
             f"kernel size {k} exceeds image extent {f.height}x{f.width}"
         )
     check("threshold", threshold)
+    check("seed", seed)
 
     rng = np.random.default_rng(seed)
     fallback = False
@@ -124,11 +127,23 @@ def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
         raise ShapeError(
             f"kernel channels ({kc}) disagree with image channels ({f.channels})"
         )
-    cols = _windows(f.data, k).reshape(f.height * f.width, f.channels * k * k)
+    windows = _windows(f.data, k)
     kmat = kernels.kernels.transpose(0, 3, 1, 2).reshape(m, kc * k * k)
-    out = cols @ kmat.T
-    np.maximum(out, 0.0, out=out)
-    return Raster(out.reshape(f.height, f.width, m))
+    # One reused tile bounds the im2col copy: blocks of whole rows, about
+    # _TILE_PIXELS each (a wider row is one block), sized within one row of
+    # each other so none is a lone pixel: numpy would multiply that by GEMV,
+    # whose bits differ from GEMM's.
+    blocks = min(f.height, -(-f.height * f.width // _TILE_PIXELS))
+    tile = np.empty((-(-f.height // blocks),) + windows.shape[1:])
+    out = np.empty((f.height, f.width, m))
+    for i in range(blocks):
+        top, bottom = f.height * i // blocks, f.height * (i + 1) // blocks
+        block = tile[: bottom - top]
+        block[...] = windows[top:bottom]
+        res = out[top:bottom].reshape(-1, m)
+        np.matmul(block.reshape(res.shape[0], -1), kmat.T, out=res)
+        np.maximum(res, 0.0, out=res)
+    return Raster(out)
 
 
 def pca_reduce(f: Raster, keep: int) -> Raster:
@@ -196,6 +211,5 @@ def stack_features(input: Raster, cfg: PipelineConfig, seed: int = 0) -> Raster:
             current, cfg.kernel_mode, cfg.kernels_per_layer, cfg.kernel_size,
             cfg.threshold, derive_seed(seed, d),
         )
-        layer_out = conv_layer(current, kernels)
-        reduced.append(pca_reduce(layer_out, 3))
+        reduced.append(pca_reduce(conv_layer(current, kernels), 3))
     return Raster(np.concatenate([zscore_channels(r.data) for r in reduced], axis=2))

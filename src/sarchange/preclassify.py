@@ -38,10 +38,12 @@ def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
     distance ties go to cluster 0.  Returns per-point ids in ``{0, 1}``,
     all 0 (one cluster) when the points have fewer than 2 distinct rows.
     Raises :class:`ParameterError` unless the points are a finite
-    ``(n, 2)`` array with n >= 1, and :class:`ConvergenceError` if
-    ``MAX_LLOYD_STEPS`` assignment steps do not repeat an assignment, or
-    if the within-cluster sum of squares rises.
+    ``(n, 2)`` array with n >= 1 and ``seed`` meets the config's rule,
+    and :class:`ConvergenceError` if ``MAX_LLOYD_STEPS`` assignment steps
+    do not repeat an assignment, or if the within-cluster sum of squares
+    rises.
     """
+    check("seed", seed)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ParameterError("points must be a non-empty (n, 2) array")
@@ -125,6 +127,7 @@ def sample_training(lf: LabelField, ratio: float, seed: int = 0) -> LabelField:
     the rest, which is its own rounded share give or take one.
     """
     check("sample_ratio", ratio)
+    check("seed", seed)
     flat = lf.labels.ravel()
     changed_idx = np.flatnonzero(flat == CHANGED)
     unchanged_idx = np.flatnonzero(flat == UNCHANGED)

@@ -48,6 +48,7 @@ MAX_NEWTON_STEPS = 200  # over all stages; the benchmark's training sets take 20
 _STAGE_TOL = 1e-12  # Newton decrement, relative to the objective, that ends a stage
 _ARMIJO = 0.25  # share of the predicted decrease a step must achieve
 _MAX_HALVINGS = 40
+_SCORE_ROWS = 4096  # rows standardised and scored at once by predict_map
 
 
 @dataclass
@@ -212,6 +213,9 @@ def predict_map(model: SvmModel, fs: Raster) -> tuple[LabelField, Raster]:
     if model.weights.shape != model.scaler.kept.shape:
         raise ShapeError("model weights and scaler dimensions disagree")
     x = fs.data.reshape(-1, fs.channels)
-    scores = model.decision(x).reshape(fs.height, fs.width)
+    scores = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _SCORE_ROWS):  # bounds decision's copies
+        scores[start : start + _SCORE_ROWS] = model.decision(x[start : start + _SCORE_ROWS])
+    scores = scores.reshape(fs.height, fs.width)
     labels = np.where(scores > 0.0, CHANGED, UNCHANGED).astype(np.int8)
     return LabelField(labels=labels), Raster.from_array(scores)

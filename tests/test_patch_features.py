@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sarchange.config import PipelineConfig
 from sarchange.errors import ParameterError, ShapeError
 from sarchange.patch_features import (
+    _TILE_PIXELS,
     KernelSet,
     conv_layer,
     normalize_activation,
@@ -216,6 +220,40 @@ def test_conv_layer_matches_naive_oracle():
     np.testing.assert_allclose(out.data, naive_conv(values, kernels), atol=1e-10)
 
 
+def one_shot_conv(values, kernels):
+    """The untiled convolution: one im2col matrix over every pixel, one GEMM."""
+    h, w, c = values.shape
+    m, k = kernels.shape[:2]
+    half = k // 2
+    padded = np.pad(values, ((half, half), (half, half), (0, 0)), mode="symmetric")
+    cols = sliding_window_view(padded, (k, k), axis=(0, 1)).reshape(h * w, c * k * k)
+    kmat = kernels.transpose(0, 3, 1, 2).reshape(m, c * k * k)
+    return np.maximum(cols @ kmat.T, 0.0).reshape(h, w, m)
+
+
+@pytest.mark.parametrize("h, w, c, k", [
+    (131, 64, 3, 5),   # three blocks of 43, 44 and 44 rows
+    (131, 64, 1, 1),
+    (3, 4500, 1, 3),   # rows wider than the tile: one row per block; k = the extent
+    (3, 4500, 3, 1),
+    (1, 5000, 3, 1),   # a single row
+    (9, 600, 3, 9),    # two blocks; k = the extent
+    (9, 600, 1, 9),
+    (4097, 1, 3, 1),   # a one-pixel-wide column of two blocks
+])
+def test_conv_layer_tiles_equal_the_one_shot_product_bit_for_bit(h, w, c, k):
+    """Row tiling changes no bit of the default 30-kernel layer on shapes that
+    put block edges between, inside and at the end of rows."""
+    assert h * w > _TILE_PIXELS
+    rng = np.random.default_rng(h * w + c + k)
+    values = rng.standard_normal((h, w, c))
+    kernels = rng.standard_normal((PipelineConfig.kernels_per_layer, k, k, c))
+    ks = KernelSet(kernels=kernels, centers=np.zeros((len(kernels), 2), dtype=int),
+                   mode="random")
+    out = conv_layer(Raster(values), ks)
+    assert out.data.tobytes() == one_shot_conv(values, kernels).tobytes()
+
+
 def test_conv_layer_rejects_channel_mismatch():
     ks = KernelSet(
         kernels=np.zeros((1, 3, 3, 2)), centers=np.zeros((1, 2), dtype=int),
@@ -330,3 +368,31 @@ def test_stack_features_deterministic_per_seed():
     a = stack_features(img, cfg, seed=5)
     b = stack_features(img, cfg, seed=5)
     np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_stack_features_memory_is_bounded_by_two_layer_outputs_and_one_tile():
+    """Peak traced memory of the default stack on a 256x256x3 input.
+
+    With n pixels, m = 30 kernels of k = 5 over c = 3 channels and depth 4:
+    - a layer's output is n * m float64 (15.7 MB), and ``pca_reduce`` centres
+      a copy of it, so two of them are alive at once;
+    - the im2col tile holds _TILE_PIXELS windows of c * k * k float64 (2.5 MB);
+    - the slack is every layer's (n, 3) reduction, n * 3 * depth float64
+      (6.3 MB), plus 1 MB for the kernels, the padded layer input and the
+      per-channel statistics.
+    The bound is 41.2 MB; an im2col copy of the whole image (n * c * k * k
+    float64, 39 MB) next to one layer output breaks it.
+    """
+    n, m, c, k, depth = 256 * 256, 30, 3, 5, 4
+    cfg = PipelineConfig()
+    assert (cfg.kernels_per_layer, cfg.kernel_size, cfg.depth) == (m, k, depth)
+    img = Raster(np.random.default_rng(16).standard_normal((256, 256, c)))
+    bound = 8 * (2 * n * m + _TILE_PIXELS * c * k * k + n * 3 * depth) + 2**20
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        stack_features(img, cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)

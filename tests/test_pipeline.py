@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +22,7 @@ from sarchange.pipeline import (
     run_pipeline,
     run_synth_bench,
 )
-from sarchange.preclassify import preclassify_di, sample_training
+from sarchange.preclassify import kmeans_cluster, preclassify_di, sample_training
 from sarchange.propagation import propagate
 from sarchange.raster import Raster, load_raster, save_raster
 from sarchange.seeds import derive_seed
@@ -148,7 +152,7 @@ def test_every_settable_field_has_a_rule():
 
 
 def _stage_calls():
-    """field -> a call of the stage function that takes its value raw."""
+    """field -> calls of the stage functions that take its value raw."""
     rng = np.random.default_rng(0)
     img = Raster.from_array(rng.random((16, 16)))
     labels = LabelField(labels=rng.choice([UNLABELED, UNCHANGED, CHANGED], size=(16, 16)))
@@ -157,17 +161,22 @@ def _stage_calls():
     x = rng.normal(size=(20, 2))
     y = np.where(x[:, 0] > 0, 1.0, -1.0)
     return {
-        "patch_size": lambda v: preclassify_di(img, v),
-        "sample_ratio": lambda v: sample_training(labels, v),
-        "alpha": lambda v: propagate(img, rm, y0, v),
-        "n_regions": lambda v: segment_superpixels(img, v),
-        "compactness": lambda v: segment_superpixels(img, 4, v),
-        "kernel_mode": lambda v: select_kernels(img, v, 2, 3),
-        "kernels_per_layer": lambda v: select_kernels(img, "random", v, 3),
-        "kernel_size": lambda v: select_kernels(img, "random", 2, v),
-        "threshold": lambda v: select_kernels(img, "distinctive", 2, 3, v),
-        "svm_c": lambda v: train_svm(x, y, v),
-        "seed": lambda v: derive_seed(v, 1),
+        "patch_size": [lambda v: preclassify_di(img, v)],
+        "sample_ratio": [lambda v: sample_training(labels, v)],
+        "alpha": [lambda v: propagate(img, rm, y0, v)],
+        "n_regions": [lambda v: segment_superpixels(img, v)],
+        "compactness": [lambda v: segment_superpixels(img, 4, v)],
+        "kernel_mode": [lambda v: select_kernels(img, v, 2, 3)],
+        "kernels_per_layer": [lambda v: select_kernels(img, "random", v, 3)],
+        "kernel_size": [lambda v: select_kernels(img, "random", 2, v)],
+        "threshold": [lambda v: select_kernels(img, "distinctive", 2, 3, v)],
+        "svm_c": [lambda v: train_svm(x, y, v)],
+        "seed": [
+            lambda v: derive_seed(v, 1),
+            lambda v: sample_training(labels, 0.5, seed=v),
+            lambda v: kmeans_cluster(x, seed=v),
+            lambda v: select_kernels(img, "random", 2, 3, seed=v),
+        ],
     }
 
 
@@ -181,9 +190,10 @@ _INTEGER_FIELDS = ["kernel_size", "kernels_per_layer", "n_regions", "patch_size"
 def test_stage_functions_check_raw_values_with_the_config_rule(field, value):
     with pytest.raises(ParameterError) as built:
         PipelineConfig(**{field: value})
-    with pytest.raises(ParameterError) as called:
-        _stage_calls()[field](value)
-    assert str(called.value) == str(built.value)
+    for call in _stage_calls()[field]:
+        with pytest.raises(ParameterError) as called:
+            call(value)
+        assert str(called.value) == str(built.value)
 
 
 def test_cli_run_with_a_one_class_reference_writes_a_null_auc(scene_files, tmp_path, capsys):
@@ -342,6 +352,24 @@ def test_cli_reports_stage_errors_with_nonzero_exit(tmp_path, capsys):
     ])
     assert code == 1
     assert "load" in capsys.readouterr().err
+
+
+def test_cli_run_into_a_closed_pipe_exits_without_a_traceback(scene_files, tmp_path):
+    t1, t2, gt = scene_files
+    out = tmp_path / "o"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "sarchange", "run", "--t1", str(t1), "--t2", str(t2),
+            "--gt", str(gt), "--out-dir", str(out), "--depth", "1", "--rounds", "2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before the first line
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr, stderr
+    for name in ("change_map.pgm", "scores.f32", "metrics.json"):
+        assert (out / name).exists()
 
 
 def test_cli_no_clean_no_conv_flags(tmp_path):

@@ -350,6 +350,20 @@ def test_predict_map_separable_training_pixels_recovered():
     np.testing.assert_array_equal(labels.labels, expected)
 
 
+def test_predict_map_scores_in_slices_equal_one_decision_bit_for_bit():
+    """8704 rows: two full 4096-row slices and a 512-row rest."""
+    assert 68 * 128 % svm._SCORE_ROWS != 0
+    rng = np.random.default_rng(15)
+    features = rng.standard_normal((68, 128, 5)) * [1.0, 3.0, 0.5, 2.0, 7.0]
+    scaler = FeatureScaler(mean=rng.standard_normal(4), std=rng.uniform(0.5, 2.0, 4),
+                           kept=np.array([0, 1, 3, 4]), n_features=5)
+    model = SvmModel(weights=rng.standard_normal(4), bias=0.2, scaler=scaler)
+    labels, scores = predict_map(model, stack_from(features))
+    expected = model.decision(features.reshape(-1, 5)).reshape(68, 128)
+    assert scores.band(0).tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(labels.labels == CHANGED, expected > 0.0)
+
+
 def test_predict_map_dimension_guard():
     from sarchange.svm import FeatureScaler
 
