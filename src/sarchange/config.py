@@ -6,8 +6,10 @@ it whole and read their own fields; functions that take raw values
 default to its defaults, so each default is written here once.
 Each rule is written once, in ``_FIELD_RULES``: :func:`check` applies it
 to every field when a config is built or replaced, so every instance is
-valid, and to the stage functions' raw arguments.  The checks that need
-the loaded image's shape run in ``run_pipeline`` right after ``load``.
+valid, and to the stage functions' raw arguments.  The rule that needs
+the image's shape, that the convolution stack fits it, is
+``patch_features.check_shape``: ``stack_features`` applies it first, and
+``run_pipeline`` right after ``load``.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from .config import PipelineConfig, check
 from .difference import _min_max
@@ -192,23 +193,40 @@ def zscore_channels(data: np.ndarray) -> np.ndarray:
     return out.reshape(data.shape)
 
 
-def stack_features(input: Raster, cfg: PipelineConfig, seed: int = 0) -> Raster:
+def check_shape(cfg: PipelineConfig, height: int, width: int) -> None:
+    """Raise :class:`ParameterError` unless ``cfg``'s convolution stack fits a
+    ``height`` x ``width`` image: kernels inside it, more pixels than kernels."""
+    image = f"{height}x{width} image"
+    if cfg.kernel_size > min(height, width):
+        raise ParameterError(f"kernel_size {cfg.kernel_size} exceeds the {image}")
+    if cfg.kernels_per_layer >= height * width:
+        raise ParameterError(f"kernels_per_layer {cfg.kernels_per_layer} must be below the "
+                             f"{height * width} pixels of the {image}, for each layer's PCA")
+
+
+def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Raster:
     """Run ``cfg.depth`` patch-convolution layers and stack their features.
 
-    Layer 1 convolves the input directly; every later layer first reduces
-    its input to 3 principal channels.  Each layer's output is likewise
-    reduced to 3 channels, z-scored, and concatenated in layer order.
-    Kernel selection at layer d uses the child seed ``(seed, d)`` and
-    reads ``kernel_mode``, ``kernels_per_layer``, ``kernel_size`` and
-    ``threshold`` from ``cfg``.
+    Layer 1 convolves the raw ``channels`` averaged over the kernel
+    footprint, which lifts the kernels' signal-to-speckle ratio at their
+    own scale, and z-scored, so background variance cannot drown the
+    change evidence; every later layer convolves the previous layer's
+    output reduced to 3 principal channels.  These reductions are
+    z-scored and concatenated in layer order.  Kernel selection at layer
+    d uses the child seed ``(seed, d)`` and reads ``kernel_mode``,
+    ``kernels_per_layer``, ``kernel_size`` and ``threshold`` from ``cfg``;
+    :func:`check_shape` runs first.
     """
+    check_shape(cfg, channels.height, channels.width)
+    k = cfg.kernel_size
+    current = Raster(zscore_channels(ndimage.uniform_filter(
+        channels.data, size=(k, k, 1), mode="reflect")))
     reduced: list[Raster] = []
-    current = input
     for d in range(1, cfg.depth + 1):
         if d > 1:
             current = reduced[-1]
         kernels = select_kernels(
-            current, cfg.kernel_mode, cfg.kernels_per_layer, cfg.kernel_size,
+            current, cfg.kernel_mode, cfg.kernels_per_layer, k,
             cfg.threshold, derive_seed(seed, d),
         )
         reduced.append(pca_reduce(conv_layer(current, kernels), 3))

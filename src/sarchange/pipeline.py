@@ -1,11 +1,11 @@
 """End-to-end orchestration of the change-detection pipeline.
 
-Stages: load the acquisition pair, build the log-ratio difference image,
-cluster it into pseudo-labels, draw the training subset, optionally clean
-the labels by region-constrained propagation, build features (patch
-convolution stack or the pointwise fallback), train the linear
-classifier, predict the change map, and score it against ground truth
-when one is supplied.
+Stages: load the acquisition pair and any reference, build the log-ratio
+difference image, cluster it into pseudo-labels, draw the training
+subset, optionally clean the labels by region-constrained propagation,
+build features (patch convolution stack or the pointwise fallback),
+train the linear classifier, predict the change map, and score it
+against the reference when one is supplied.
 
 Every stochastic stage derives its seed from the configured root seed
 and a fixed stage index, so toggling one ablation flag leaves the other
@@ -25,9 +25,9 @@ from scipy import ndimage
 from . import metrics as metrics_mod
 from .config import PipelineConfig
 from .difference import log_ratio_di
-from .errors import ParameterError, PipelineStageError
+from .errors import ParameterError, PipelineStageError, ShapeError
 from .labels import CHANGED, UNCHANGED, LabelField
-from .patch_features import stack_features, zscore_channels
+from .patch_features import check_shape, stack_features, zscore_channels
 from .preclassify import preclassify_di, sample_training
 from .propagation import clean_labels
 from .raster import Raster, load_raster, save_raster
@@ -72,30 +72,20 @@ class _StageTimer:
         return time.perf_counter() - self._t0
 
 
-def _input_channels(i1: Raster, i2: Raster, di: Raster) -> Raster:
-    return Raster(np.stack([i1.band(0), i2.band(0), di.band(0)], axis=2))
-
-
-def _build_features(
-    i1: Raster, i2: Raster, di: Raster, cfg: PipelineConfig, seed: int
-) -> Raster:
-    """Assemble the per-pixel feature vectors.
-
-    The convolution stack sees the acquisition pair plus the difference
-    image, each channel pre-averaged over the kernel footprint and then
-    z-scored: the averaging lifts the kernels' signal-to-speckle ratio at
-    the kernels' own receptive scale, and the channel balancing keeps the
-    change evidence from being drowned by background variance.  The
-    z-scored raw triple is appended after the layer channels.  Without
-    the stack the z-scored triple alone is the feature vector.
-    """
-    channels = _input_channels(i1, i2, di)
-    if not cfg.conv:
-        return Raster(zscore_channels(channels.data))
-    k = cfg.kernel_size
-    averaged = ndimage.uniform_filter(channels.data, size=(k, k, 1), mode="reflect")
-    layers = stack_features(Raster(zscore_channels(averaged)), cfg, seed)
-    return Raster(np.concatenate([layers.data, zscore_channels(channels.data)], axis=2))
+def _load(cfg: PipelineConfig) -> tuple[Raster, Raster, LabelField | None]:
+    """The acquisition pair and, when configured, the reference as labels,
+    which must have the pair's shape."""
+    i1, i2 = load_raster(cfg.t1), load_raster(cfg.t2)
+    if cfg.gt is None:
+        return i1, i2, None
+    gt = load_raster(cfg.gt)
+    if (gt.height, gt.width) != (i1.height, i1.width):
+        raise ShapeError(
+            f"reference {gt.height}x{gt.width} and t1 {i1.height}x{i1.width} disagree"
+        )
+    return i1, i2, LabelField(
+        labels=np.where(gt.band(0) > 0.5, CHANGED, UNCHANGED).astype(np.int8)
+    )
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -110,16 +100,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     timer = _StageTimer()
 
-    i1, i2 = timer.run("load", lambda: (load_raster(cfg.t1), load_raster(cfg.t2)))
-    # The convolution stack's own shape checks would fail only after clean.
-    h, w = i1.height, i1.width
-    if cfg.conv and cfg.kernel_size > min(h, w):
-        raise ParameterError(f"kernel_size {cfg.kernel_size} exceeds the loaded {h}x{w} image")
-    if cfg.conv and cfg.kernels_per_layer >= h * w:
-        raise ParameterError(
-            f"kernels_per_layer {cfg.kernels_per_layer} must be below the {h * w} pixels "
-            f"of the loaded {h}x{w} image, for each layer's PCA"
-        )
+    i1, i2, gt = timer.run("load", _load, cfg)
+    if cfg.conv:
+        check_shape(cfg, i1.height, i1.width)
     di = timer.run("difference", log_ratio_di, i1, i2)
     pseudo = timer.run(
         "preclassify", preclassify_di, di, cfg.patch_size,
@@ -139,10 +122,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             "clean", clean_labels, smoothed_di, training, cfg,
             derive_seed(cfg.seed, STAGE_CLEAN),
         )
-    features = timer.run(
-        "features", _build_features, i1, i2, di, cfg,
-        derive_seed(cfg.seed, STAGE_FEATURES),
-    )
+
+    def _features():
+        channels = Raster(np.stack([i1.band(0), i2.band(0), di.band(0)], axis=2))
+        seed = derive_seed(cfg.seed, STAGE_FEATURES)
+        layers = [stack_features(channels, cfg, seed).data] if cfg.conv else []
+        return Raster(np.concatenate(layers + [zscore_channels(channels.data)], axis=2))
+
+    features = timer.run("features", _features)
 
     def _train():
         x, y, scaler = build_samples(features, training)
@@ -153,14 +140,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     report = None
     curve = None
-    if cfg.gt is not None:
-        gt = timer.run("load_gt", load_raster, cfg.gt)
-        gt_labels = LabelField(
-            labels=np.where(gt.band(0) > 0.5, CHANGED, UNCHANGED).astype(np.int8)
-        )
-        report, curve = timer.run(
-            "metrics", metrics_mod.evaluate, change, gt_labels, scores
-        )
+    if gt is not None:
+        report, curve = timer.run("metrics", metrics_mod.evaluate, change, gt, scores)
 
     change_path = out_dir / "change_map.pgm"
     scores_path = out_dir / "scores.f32"

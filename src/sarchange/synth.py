@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check
 from .errors import FormatError, ParameterError
 from .labels import CHANGED, UNCHANGED, LabelField
 from .raster import Raster, load_json_object, save_raster
@@ -119,6 +120,7 @@ class SceneSpec:
             raise ParameterError("scene dimensions must be positive")
         if self.looks <= 0:
             raise ParameterError(f"looks must be positive, got {self.looks}")
+        check("seed", self.seed)
         hw = (self.height, self.width)
         for shape, _ in self.changes:
             if not shape.fits(hw):
@@ -161,7 +163,7 @@ class SceneSpec:
                 for c in d.get("changes", [])
             ),
             looks=float(d.get("looks", 4.0)),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
         )
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from sarchange.config import PipelineConfig
 from sarchange.errors import ParameterError, ShapeError
@@ -342,23 +343,27 @@ def test_stack_features_channels_are_zscored():
 
 def test_stack_features_matches_stepwise_composition():
     rng = np.random.default_rng(10)
-    img = Raster.from_array(rng.random((8, 8)))
     cfg = PipelineConfig(depth=2, kernels_per_layer=5, kernel_size=3,
                          kernel_mode="distinctive")
     seed = 21
-    fs = stack_features(img, cfg, seed=seed)
+    for channels in (1, 3):
+        img = Raster(rng.random((8, 8, channels)))
+        fs = stack_features(img, cfg, seed=seed)
 
-    # manual composition out of the module's own primitives
-    k1 = select_kernels(img, cfg.kernel_mode, 5, 3, cfg.threshold, derive_seed(seed, 1))
-    f1 = conv_layer(img, k1)
-    r1 = pca_reduce(f1, 3)
-    k2 = select_kernels(r1, cfg.kernel_mode, 5, 3, cfg.threshold, derive_seed(seed, 2))
-    f2 = conv_layer(r1, k2)
-    r2 = pca_reduce(f2, 3)
-    expected = np.concatenate(
-        [zscore_channels(r1.data), zscore_channels(r2.data)], axis=2
-    )
-    np.testing.assert_allclose(fs.data, expected, atol=1e-12)
+        # manual composition out of the module's own primitives
+        prepared = Raster(zscore_channels(
+            ndimage.uniform_filter(img.data, size=(3, 3, 1), mode="reflect")
+        ))
+        k1 = select_kernels(prepared, cfg.kernel_mode, 5, 3, cfg.threshold, derive_seed(seed, 1))
+        f1 = conv_layer(prepared, k1)
+        r1 = pca_reduce(f1, 3)
+        k2 = select_kernels(r1, cfg.kernel_mode, 5, 3, cfg.threshold, derive_seed(seed, 2))
+        f2 = conv_layer(r1, k2)
+        r2 = pca_reduce(f2, 3)
+        expected = np.concatenate(
+            [zscore_channels(r1.data), zscore_channels(r2.data)], axis=2
+        )
+        np.testing.assert_array_equal(fs.data, expected)
 
 
 def test_stack_features_deterministic_per_seed():
@@ -379,7 +384,11 @@ def test_stack_features_memory_is_bounded_by_two_layer_outputs_and_one_tile():
     - the im2col tile holds _TILE_PIXELS windows of c * k * k float64 (2.5 MB);
     - the slack is every layer's (n, 3) reduction, n * 3 * depth float64
       (6.3 MB), plus 1 MB for the kernels, the padded layer input and the
-      per-channel statistics.
+      per-channel statistics;
+    - the prepared input, the raw channels averaged and z-scored (n * c
+      float64, 1.6 MB), does not move the peak: layer 2 replaces it as the
+      current input, so it is alive only through layer 1, when no
+      reduction exists yet, while the peak comes at layer 4, next to three.
     The bound is 41.2 MB; an im2col copy of the whole image (n * c * k * k
     float64, 39 MB) next to one layer output breaks it.
     """

@@ -8,13 +8,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from sarchange import cli, pipeline
 from sarchange.cli import main
 from sarchange.config import _FIELD_RULES
-from sarchange.errors import ParameterError, PipelineStageError
+from sarchange.difference import log_ratio_di
+from sarchange.errors import ParameterError, PipelineStageError, ShapeError
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
-from sarchange.patch_features import select_kernels
+from sarchange.patch_features import (
+    conv_layer,
+    pca_reduce,
+    select_kernels,
+    stack_features,
+    zscore_channels,
+)
 from sarchange.pipeline import (
     ABLATION_ROWS,
     PipelineConfig,
@@ -27,8 +35,8 @@ from sarchange.propagation import propagate
 from sarchange.raster import Raster, load_raster, save_raster
 from sarchange.seeds import derive_seed
 from sarchange.superpixels import segment_superpixels
-from sarchange.svm import train_svm
-from sarchange.synth import BaseField, Ellipse, Rect, SceneSpec, write_scene
+from sarchange.svm import build_samples, train_svm
+from sarchange.synth import BaseField, Ellipse, Rect, SceneSpec, default_scene, write_scene
 
 
 def small_scene(seed=0):
@@ -123,10 +131,78 @@ def test_conv_shape_errors_come_before_preclassify(tmp_path, monkeypatch, shape,
     with pytest.raises(ParameterError, match=field) as exc_info:
         run_pipeline(cfg)
     assert f"{shape[0]}x{shape[1]}" in str(exc_info.value)
+    # A library caller of the stack gets the same error from the same rule.
+    with pytest.raises(ParameterError) as direct:
+        stack_features(Raster(rng.random(shape + (3,))), cfg)
+    assert str(direct.value) == str(exc_info.value)
     # Without the convolution stack the same shape passes the check.
     with pytest.raises(PipelineStageError) as reached:
         run_pipeline(replace(cfg, conv=False))
     assert reached.value.stage == "preclassify"
+
+
+@pytest.mark.parametrize("gt_case", ["smaller", "missing"])
+def test_a_bad_reference_fails_at_load_before_preclassify(tmp_path, monkeypatch, gt_case):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("preclassify ran with a reference that cannot be scored")
+
+    monkeypatch.setattr(pipeline, "preclassify_di", not_reached)
+    t1, t2, _ = write_scene(default_scene(seed=1), tmp_path / "scene")
+    if gt_case == "smaller":
+        gt = write_scene(small_scene(), tmp_path / "small")[2]  # 64x64
+    else:
+        gt = tmp_path / "no_such_gt.pgm"
+    with pytest.raises(PipelineStageError) as exc_info:
+        run_pipeline(PipelineConfig(t1=t1, t2=t2, gt=gt, out_dir=tmp_path / "o"))
+    assert exc_info.value.stage == "load"
+    if gt_case == "smaller":
+        assert isinstance(exc_info.value.cause, ShapeError)
+        assert "64x64" in str(exc_info.value) and "128x128" in str(exc_info.value)
+
+
+def _reference_features(channels: np.ndarray, cfg: PipelineConfig, seed: int) -> np.ndarray:
+    """The feature raster written out step by step: with the stack, the raw
+    channels averaged over the kernel footprint and z-scored, each layer's
+    kernels, convolution and 3-channel PCA, the z-scored reductions, then
+    the z-scored raw channels; without it, the z-scored raw channels."""
+    raw = zscore_channels(channels)
+    if not cfg.conv:
+        return raw
+    k = cfg.kernel_size
+    current = Raster(zscore_channels(
+        ndimage.uniform_filter(channels, size=(k, k, 1), mode="reflect")
+    ))
+    reduced = []
+    for d in range(1, cfg.depth + 1):
+        kernels = select_kernels(current, cfg.kernel_mode, cfg.kernels_per_layer, k,
+                                 cfg.threshold, derive_seed(seed, d))
+        current = pca_reduce(conv_layer(current, kernels), 3)
+        reduced.append(zscore_channels(current.data))
+    return np.concatenate(reduced + [raw], axis=2)
+
+
+@pytest.mark.parametrize("conv", [True, False])
+def test_feature_raster_equals_the_reference_assembly_bit_for_bit(
+    scene_files, tmp_path, monkeypatch, conv
+):
+    seen = []
+
+    def recording(features, training):
+        seen.append(features.data)
+        return build_samples(features, training)
+
+    monkeypatch.setattr(pipeline, "build_samples", recording)
+    t1, t2, _ = scene_files
+    cfg = PipelineConfig(t1=t1, t2=t2, out_dir=tmp_path / "o", seed=3, conv=conv,
+                         clean=False, depth=2)
+    run_pipeline(cfg)
+    i1, i2 = load_raster(t1), load_raster(t2)
+    channels = np.stack([i1.band(0), i2.band(0), log_ratio_di(i1, i2).band(0)], axis=2)
+    expected = _reference_features(
+        channels, cfg, derive_seed(cfg.seed, pipeline.STAGE_FEATURES)
+    )
+    assert seen[0].shape == (64, 64, 3 * cfg.depth + 3 if conv else 3)
+    np.testing.assert_array_equal(seen[0], expected)
 
 
 BAD_FIELD_VALUES = [
@@ -176,6 +252,7 @@ def _stage_calls():
             lambda v: sample_training(labels, 0.5, seed=v),
             lambda v: kmeans_cluster(x, seed=v),
             lambda v: select_kernels(img, "random", 2, 3, seed=v),
+            lambda v: SceneSpec(width=8, height=8, seed=v),
         ],
     }
 
@@ -314,6 +391,25 @@ def test_cli_malformed_json_is_an_error_not_a_traceback(tmp_path, capsys, flag, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, seed", [
+    ("flag", "-1"), ("scene", -1), ("scene", 1.5),
+], ids=["flag-negative", "scene-negative", "scene-fraction"])
+def test_cli_synth_bad_seed_is_an_error_not_a_traceback(tmp_path, capsys, source, seed):
+    out = tmp_path / "scene_out"
+    argv = ["synth", "--out-dir", str(out)]
+    if source == "flag":
+        argv += ["--seed", seed]
+    else:
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({**small_scene().to_dict(), "seed": seed}))
+        argv += ["--scene", str(scene_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed must be"), captured.err
+    assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
 
 

@@ -1,0 +1,94 @@
+"""Digests of the artifacts the benchmark's runs write, for byte-identity checks.
+
+Usage, from the root of a checkout:
+
+    python3 tools/output_digests.py --src <checkout>/src --seeds 1-10 > digests.json
+
+For every perfbench workload, seed, scene and ablation row, writes the
+benchmark's scene pair with perfbench's own generator and seeding, runs
+``run_pipeline`` of the package under ``--src`` on it once, and prints
+one JSON object that maps ``workload/seed/scene/row`` to the sha256 of
+that run's ``change_map.pgm``, ``scores.f32`` and ``metrics.json``, or to
+``"failed"``.  Two checkouts give byte-identical outputs on the
+benchmark's inputs when their maps are equal.  The workloads, rows and
+seeding are imported from ``perfbench/`` and only read, so the inputs are
+exactly the benchmark's, BLAS is pinned to one thread as there, and
+nothing is written under ``perfbench/``.  Scenes and run outputs go to
+``.digests_work/`` at the root of this checkout.
+"""
+
+import sys
+
+sys.dont_write_bytecode = True  # keep perfbench/ free of bytecode caches
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import json  # noqa: E402
+import shutil  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import run as perfbench  # noqa: E402  (pins BLAS before numpy loads)
+
+WORK = ROOT / ".digests_work"
+ARTIFACTS = ("change_map.pgm", "scores.f32", "metrics.json")
+
+
+def parse_seeds(spec: str) -> list[int]:
+    """Seeds from a range ``"1-10"`` or a single ``"3"``."""
+    first, _, last = spec.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def output_digests(pipeline, seeds: list[int], workloads: list[str], work: Path) -> dict:
+    """Run every (workload, seed, scene, row) once with ``pipeline``, the
+    imported ``sarchange.pipeline`` module, under ``work``; return the map
+    of keys to artifact digests."""
+    out = {}
+    for name in workloads:
+        wl = perfbench.WORKLOADS[name]
+        for seed in seeds:
+            base = work / name / str(seed)
+            inputs = perfbench.write_inputs(wl, seed, base / "inputs")
+            runner = perfbench.Runner(pipeline, wl, seed, inputs)
+            for k in range(wl.scenes):
+                runner.round(k, base / "runs", runner.untraced)
+                for run in runner.runs[-len(wl.rows):]:
+                    run_dir = base / "runs" / f"scene{k}" / f"row{run.row}"
+                    digest = "failed"
+                    if run.quality is not None:
+                        h = hashlib.sha256()
+                        for artifact in ARTIFACTS:
+                            h.update((run_dir / artifact).read_bytes())
+                        digest = h.hexdigest()
+                    out[f"{name}/{seed}/{k}/{run.row}"] = digest
+    return out
+
+
+def import_pipeline(src: Path):
+    """``sarchange.pipeline`` imported from ``src``, and from nowhere else."""
+    sys.path.insert(0, str(src))
+    pipeline = importlib.import_module("sarchange.pipeline")
+    if not Path(pipeline.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"output_digests: imported sarchange from {pipeline.__file__}, not {src}")
+    return pipeline
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="the src/ directory of the checkout under test")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="workload seeds, e.g. 1-10 or 3")
+    args = parser.parse_args(argv)
+    pipeline = import_pipeline(args.src.resolve())
+    shutil.rmtree(WORK, ignore_errors=True)
+    digests = output_digests(pipeline, args.seeds, list(perfbench.WORKLOADS), WORK)
+    print(json.dumps(digests, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
