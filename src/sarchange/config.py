@@ -6,7 +6,8 @@ it whole and read their own fields; functions that take raw values
 default to its defaults, so each default is written here once.
 Each rule is written once, in ``_FIELD_RULES``: :func:`check` applies it
 to every field when a config is built or replaced, so every instance is
-valid, and to the stage functions' raw arguments.  The rule that needs
+valid, and to the stage functions' raw arguments; its integer rules
+also check the synthetic scenes' geometry.  The rule that needs
 the image's shape, that the convolution stack fits it, is
 ``patch_features.check_shape``: ``stack_features`` applies it first, and
 ``run_pipeline`` right after ``load``.
@@ -51,30 +52,35 @@ class PipelineConfig:
             check(name, getattr(self, name))
 
 
-def check(name: str, value) -> None:
+def check(name: str, value, rule: tuple | None = None) -> None:
     """Raise :class:`ParameterError` "<name> must be <rule>, got <value>" unless
-    ``value`` meets field ``name``'s rule; only a bool field takes a bool."""
-    kind, rule, ok = _FIELD_RULES[name]
+    ``value`` meets ``rule``, by default field ``name``'s; only a bool rule
+    takes a bool."""
+    kind, text, ok = rule or _FIELD_RULES[name]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) or not ok(value):
-        raise ParameterError(f"{name} must be {rule}, got {value!r}")
+        raise ParameterError(f"{name} must be {text}, got {value!r}")
 
 
-# (accepted types, rule, check) of every PipelineConfig field but the paths.
+# (accepted types, rule, check) rules, shared with the scene geometry.
+POSITIVE_INT = (Integral, "an integer >= 1", lambda v: v >= 1)
+NON_NEGATIVE_INT = (Integral, "an integer >= 0", lambda v: v >= 0)
+
+# The rule of every PipelineConfig field but the paths.
 _FIELD_RULES = {
     "alpha": (Real, "a number in (0, 1)", lambda v: 0 < v < 1),
     "patch_size": (Integral, "an odd integer >= 3", lambda v: v >= 3 and v % 2 == 1),
     "sample_ratio": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
-    "depth": (Integral, "an integer >= 1", lambda v: v >= 1),
-    "kernels_per_layer": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "depth": POSITIVE_INT,
+    "kernels_per_layer": POSITIVE_INT,
     "kernel_size": (Integral, "an odd integer >= 1", lambda v: v >= 1 and v % 2 == 1),
     "threshold": (Real, "a finite number", math.isfinite),
     "kernel_mode": (str, "'distinctive' or 'random'", lambda v: v in ("distinctive", "random")),
     "clean": (bool, "true or false", lambda v: True),
     "conv": (bool, "true or false", lambda v: True),
-    "rounds": (Integral, "an integer >= 1", lambda v: v >= 1),
+    "rounds": POSITIVE_INT,
     "labeled_fraction": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
     "n_regions": ((Integral, type(None)), "None or an integer >= 1", lambda v: v is None or v >= 1),
     "compactness": (Real, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
     "svm_c": (Real, "a finite number > 0", lambda v: math.isfinite(v) and v > 0),
-    "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
+    "seed": NON_NEGATIVE_INT,
 }

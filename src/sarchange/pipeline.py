@@ -30,7 +30,7 @@ from .labels import CHANGED, UNCHANGED, LabelField
 from .patch_features import check_shape, stack_features, zscore_channels
 from .preclassify import preclassify_di, sample_training
 from .propagation import clean_labels
-from .raster import Raster, load_raster, save_raster
+from .raster import Raster, load_raster, make_out_dir, save_raster
 from .seeds import derive_seed
 from .svm import build_samples, predict_map, train_svm
 from .synth import SceneSpec, write_scene
@@ -96,8 +96,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ground-truth path is configured.  Deterministic: identical
     configurations produce byte-identical change map, scores and metrics.
     """
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(cfg.out_dir)
     timer = _StageTimer()
 
     i1, i2, gt = timer.run("load", _load, cfg)
@@ -145,10 +144,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     change_path = out_dir / "change_map.pgm"
     scores_path = out_dir / "scores.f32"
-    save_raster(
-        Raster.from_array(change.labels.astype(np.float64)), change_path, "pgm8"
-    )
-    save_raster(scores, scores_path, "f32raw")
+    save_raster(Raster.from_array(change.labels.astype(np.float64)), change_path)
+    save_raster(scores, scores_path)
     metrics_path = None
     if report is not None:
         metrics_path = out_dir / "metrics.json"

@@ -1,33 +1,30 @@
 """In-memory raster grids and their on-disk formats.
 
-Two interchange formats are supported:
+The path's suffix picks the format, on load as on save; any other
+suffix raises ``FormatError`` before anything is read or written:
 
-* ``pgm8`` / ``pgm16``: binary (``P5``) Netpbm graymaps, single channel.
-  Multi-byte samples are big-endian as Netpbm requires.  Values are
-  normalised to [0, 1] on load by dividing by the file's maxval, and
-  quantised by ``round(v * maxval)`` after clamping to [0, 1] on save.
-* ``f32raw``: raw little-endian 32-bit floats, row major, channels
-  interleaved, with a JSON sidecar at ``<path>.json`` holding
-  ``{"width", "height", "channels"}``.  Values are taken as-is.
+* ``.pgm``/``.pnm``: binary (``P5``) Netpbm graymaps, single channel.
+  Loads read one or two big-endian bytes a sample, as the header's
+  maxval says, and divide by that maxval.  Saves write 8-bit samples,
+  ``round(v * 255)`` after clamping to [0, 1].
+* ``.f32``/``.raw``/``.f32raw``, and on load any path with a sidecar:
+  raw little-endian 32-bit floats, row major, channels interleaved,
+  taken as-is, with a JSON sidecar at ``<path>.json`` holding the
+  integers ``{"width", "height", "channels"}``.
 
-``load_raster`` reads the format from the path and the PGM header;
-``save_raster`` writes the format it is given.  Loads never produce
-non-finite values; files containing NaN or Inf are rejected.
+Loads never produce non-finite values; files holding NaN or Inf are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, TruncationError
-
-FORMATS = ("pgm8", "pgm16", "f32raw")
-
-_PGM_MAXVAL = {"pgm8": 255, "pgm16": 65535}
+from .errors import FormatError, ParameterError, ShapeError, TruncationError
 
 
 @dataclass
@@ -76,40 +73,22 @@ class Raster:
         return self.data[:, :, i]
 
 
+# "P5", then width, height and maxval, each after whitespace or "#" comments
+# running to the end of their line, then one whitespace byte.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:[ \t\r\n]|#.*\n)+(\d+)" * 3 + rb"[ \t\r\n]")
+
+
 def _parse_pgm_header(blob: bytes) -> tuple[int, int, int, int]:
     """Parse a binary PGM header; return (width, height, maxval, payload offset)."""
-    if not blob.startswith(b"P5"):
-        raise FormatError("not a binary PGM file (missing P5 magic)")
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        if pos >= len(blob):
-            raise FormatError("PGM header ended before width/height/maxval")
-        ch = blob[pos : pos + 1]
-        if ch in b" \t\r\n":
-            pos += 1
-        elif ch == b"#":
-            nl = blob.find(b"\n", pos)
-            if nl < 0:
-                raise FormatError("unterminated comment in PGM header")
-            pos = nl + 1
-        elif ch.isdigit():
-            end = pos
-            while end < len(blob) and blob[end : end + 1].isdigit():
-                end += 1
-            fields.append(int(blob[pos:end]))
-            pos = end
-        else:
-            raise FormatError(f"unexpected byte {ch!r} in PGM header")
-    if pos >= len(blob) or blob[pos : pos + 1] not in b" \t\r\n":
-        raise FormatError("PGM header not terminated by whitespace")
-    pos += 1
-    width, height, maxval = fields
+    match = _PGM_HEADER.match(blob)
+    if match is None:
+        raise FormatError("not a binary PGM header (P5, width, height, maxval, whitespace)")
+    width, height, maxval = map(int, match.groups())
     if width < 1 or height < 1:
         raise FormatError(f"PGM dimensions must be positive, got {width}x{height}")
     if not 1 <= maxval <= 65535:
         raise FormatError(f"PGM maxval out of range: {maxval}")
-    return width, height, maxval, pos
+    return width, height, maxval, match.end()
 
 
 def _load_pgm(path: Path) -> Raster:
@@ -126,6 +105,17 @@ def _load_pgm(path: Path) -> Raster:
     return Raster.from_array(values.reshape(height, width))
 
 
+def _save_pgm(raster: Raster, path: Path) -> None:
+    if raster.channels != 1:
+        raise FormatError(
+            f"PGM output is single channel, raster has {raster.channels} channels"
+        )
+    # Half-up rounding so e.g. 0.5 * 255 quantises to 128.
+    quantised = np.floor(np.clip(raster.band(0), 0.0, 1.0) * 255 + 0.5)
+    header = f"P5\n{raster.width} {raster.height}\n255\n".encode("ascii")
+    path.write_bytes(header + quantised.astype(np.uint8).tobytes())
+
+
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
@@ -133,14 +123,13 @@ def _sidecar_path(path: Path) -> Path:
 def _load_f32raw(path: Path) -> Raster:
     sidecar = _sidecar_path(path)
     meta = load_json_object(sidecar)
-    try:
-        width = int(meta["width"])
-        height = int(meta["height"])
-        channels = int(meta["channels"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"malformed f32raw sidecar {sidecar}: {exc}") from exc
-    if width < 1 or height < 1 or channels < 1:
-        raise FormatError(f"f32raw sidecar dimensions must be positive: {meta}")
+    dims = [meta.get(key) for key in ("height", "width", "channels")]
+    if not all(type(v) is int and v >= 1 for v in dims):
+        raise FormatError(
+            f"f32raw sidecar {sidecar} must give width, height and channels "
+            f"as integers >= 1, got {meta}"
+        )
+    height, width, channels = dims
     blob = path.read_bytes()
     expected = width * height * channels * 4
     if len(blob) != expected:
@@ -151,6 +140,25 @@ def _load_f32raw(path: Path) -> Raster:
     if not np.isfinite(values).all():
         raise FormatError(f"f32raw file {path} contains non-finite values")
     return Raster(values.reshape(height, width, channels))
+
+
+def _save_f32raw(raster: Raster, path: Path) -> None:
+    path.write_bytes(np.ascontiguousarray(raster.data, dtype="<f4").tobytes())
+    meta = {"width": raster.width, "height": raster.height, "channels": raster.channels}
+    _sidecar_path(path).write_text(json.dumps(meta, sort_keys=True))
+
+
+# Each suffix's (load, save) pair; both directions read this one table.
+_CODECS = dict.fromkeys((".pgm", ".pnm"), (_load_pgm, _save_pgm)) | dict.fromkeys(
+    (".f32", ".raw", ".f32raw"), (_load_f32raw, _save_f32raw)
+)
+
+
+def _codec(path: Path) -> tuple:
+    codec = _CODECS.get(path.suffix.lower())
+    if codec is None:
+        raise FormatError(f"cannot infer raster format for {path}")
+    return codec
 
 
 def load_json_object(path: str | Path) -> dict:
@@ -164,45 +172,28 @@ def load_json_object(path: str | Path) -> dict:
     return data
 
 
+def make_out_dir(path: str | Path) -> Path:
+    """Create directory ``path`` and its parents unless it exists;
+    ParameterError naming it and the OS reason otherwise."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory {path}: {exc.strerror}") from exc
+    return path
+
+
 def load_raster(path: str | Path) -> Raster:
-    """Load a raster from ``path``, reading its format from the file.
-
-    ``.pgm``/``.pnm`` files are PGM, one or two bytes a sample as the
-    header's maxval says, and scaled to [0, 1] by that maxval.
-    ``.f32``/``.raw``/``.f32raw`` files, and any other path with a
-    ``<path>.json`` sidecar, are f32raw, taken verbatim.
-    """
+    """Load a raster from ``path`` in the format its suffix names, or as
+    f32raw when the suffix names none and ``<path>.json`` exists."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix in (".pgm", ".pnm"):
-        return _load_pgm(path)
-    if suffix in (".f32", ".raw", ".f32raw") or _sidecar_path(path).exists():
+    if path.suffix.lower() not in _CODECS and _sidecar_path(path).exists():
         return _load_f32raw(path)
-    raise FormatError(f"cannot infer raster format for {path}")
+    return _codec(path)[0](path)
 
 
-def save_raster(raster: Raster, path: str | Path, fmt: str) -> None:
-    """Write ``raster`` to ``path``; the result is loadable by :func:`load_raster`."""
+def save_raster(raster: Raster, path: str | Path) -> None:
+    """Write ``raster`` to ``path`` in the format its suffix names; the
+    result loads back with :func:`load_raster`."""
     path = Path(path)
-    if fmt not in FORMATS:
-        raise FormatError(f"unknown raster format {fmt!r}, expected one of {FORMATS}")
-    if fmt == "f32raw":
-        path.write_bytes(np.ascontiguousarray(raster.data, dtype="<f4").tobytes())
-        meta = {
-            "width": raster.width,
-            "height": raster.height,
-            "channels": raster.channels,
-        }
-        _sidecar_path(path).write_text(json.dumps(meta, sort_keys=True))
-        return
-    if raster.channels != 1:
-        raise FormatError(
-            f"PGM output is single channel, raster has {raster.channels} channels"
-        )
-    maxval = _PGM_MAXVAL[fmt]
-    clamped = np.clip(raster.band(0), 0.0, 1.0)
-    # Half-up rounding so e.g. 0.5 * 255 quantises to 128.
-    quantised = np.floor(clamped * maxval + 0.5)
-    dtype = np.dtype("u1") if fmt == "pgm8" else np.dtype(">u2")
-    header = f"P5\n{raster.width} {raster.height}\n{maxval}\n".encode("ascii")
-    path.write_bytes(header + quantised.astype(dtype).tobytes())
+    _codec(path)[1](raster, path)

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check
+from .config import NON_NEGATIVE_INT, POSITIVE_INT, check
 from .errors import FormatError, ParameterError
 from .labels import CHANGED, UNCHANGED, LabelField
-from .raster import Raster, load_json_object, save_raster
+from .raster import Raster, load_json_object, make_out_dir, save_raster
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,10 @@ class Rect:
     width: int
 
     def __post_init__(self):
-        if self.top < 0 or self.left < 0 or self.height < 1 or self.width < 1:
-            raise ParameterError(f"invalid rectangle {self}")
+        check("rect top", self.top, NON_NEGATIVE_INT)
+        check("rect left", self.left, NON_NEGATIVE_INT)
+        check("rect height", self.height, POSITIVE_INT)
+        check("rect width", self.width, POSITIVE_INT)
 
     def fits(self, shape_hw: tuple[int, int]) -> bool:
         h, w = shape_hw
@@ -80,8 +82,7 @@ Shape = Rect | Ellipse
 def _shape_from_dict(d: dict) -> Shape:
     kind = d.get("kind")
     if kind == "rect":
-        return Rect(top=int(d["top"]), left=int(d["left"]),
-                    height=int(d["height"]), width=int(d["width"]))
+        return Rect(top=d["top"], left=d["left"], height=d["height"], width=d["width"])
     if kind == "ellipse":
         return Ellipse(row=float(d["row"]), col=float(d["col"]),
                        r_row=float(d["r_row"]), r_col=float(d["r_col"]))
@@ -116,8 +117,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ParameterError("scene dimensions must be positive")
+        check("width", self.width, POSITIVE_INT)
+        check("height", self.height, POSITIVE_INT)
         if self.looks <= 0:
             raise ParameterError(f"looks must be positive, got {self.looks}")
         check("seed", self.seed)
@@ -155,8 +156,8 @@ class SceneSpec:
             ),
         )
         return cls(
-            width=int(d["width"]),
-            height=int(d["height"]),
+            width=d["width"],
+            height=d["height"],
             base=base,
             changes=tuple(
                 (_shape_from_dict(c), float(c["multiplier"]))
@@ -211,13 +212,12 @@ def gen_pair(spec: SceneSpec) -> tuple[Raster, Raster, LabelField]:
 def write_scene(spec: SceneSpec, out_dir: str | Path) -> tuple[Path, Path, Path]:
     """Generate the scene and write ``t1.f32``, ``t2.f32``, ``gt.pgm`` and
     ``scene.json`` into ``out_dir``; return the (t1, t2, gt) paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(out_dir)
     i1, i2, gt = gen_pair(spec)
     paths = out_dir / "t1.f32", out_dir / "t2.f32", out_dir / "gt.pgm"
-    save_raster(i1, paths[0], "f32raw")
-    save_raster(i2, paths[1], "f32raw")
-    save_raster(Raster.from_array(gt.labels.astype(np.float64)), paths[2], "pgm8")
+    save_raster(i1, paths[0])
+    save_raster(i2, paths[1])
+    save_raster(Raster.from_array(gt.labels.astype(np.float64)), paths[2])
     (out_dir / "scene.json").write_text(spec.to_json())
     return paths
 

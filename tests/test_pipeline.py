@@ -125,7 +125,7 @@ def test_conv_shape_errors_come_before_preclassify(tmp_path, monkeypatch, shape,
     rng = np.random.default_rng(0)
     paths = []
     for name in ("t1.f32", "t2.f32"):
-        save_raster(Raster.from_array(rng.gamma(4.0, 0.25, size=shape)), tmp_path / name, "f32raw")
+        save_raster(Raster.from_array(rng.gamma(4.0, 0.25, size=shape)), tmp_path / name)
         paths.append(tmp_path / name)
     cfg = PipelineConfig(t1=paths[0], t2=paths[1], out_dir=tmp_path / "o", **overrides)
     with pytest.raises(ParameterError, match=field) as exc_info:
@@ -276,7 +276,7 @@ def test_stage_functions_check_raw_values_with_the_config_rule(field, value):
 def test_cli_run_with_a_one_class_reference_writes_a_null_auc(scene_files, tmp_path, capsys):
     t1, t2, _ = scene_files
     gt = tmp_path / "no_change.pgm"
-    save_raster(Raster.from_array(np.zeros((64, 64))), gt, "pgm8")
+    save_raster(Raster.from_array(np.zeros((64, 64))), gt)
     out = tmp_path / "o"
     code = main(["run", "--t1", str(t1), "--t2", str(t2), "--gt", str(gt),
                  "--out-dir", str(out), "--seed", "1"])
@@ -307,7 +307,7 @@ def test_identical_pair_gives_an_all_unchanged_map(tmp_path, row):
     image = Raster.from_array(np.random.default_rng(0).gamma(4.0, 0.25, size=(64, 64)))
     paths = [tmp_path / "t1.f32", tmp_path / "t2.f32"]
     for path in paths:
-        save_raster(image, path, "f32raw")
+        save_raster(image, path)
     cfg = PipelineConfig(t1=paths[0], t2=paths[1], out_dir=tmp_path / "o", seed=1,
                          **ABLATION_ROWS[row])
     result = run_pipeline(cfg)
@@ -392,6 +392,49 @@ def test_cli_malformed_json_is_an_error_not_a_traceback(tmp_path, capsys, flag, 
     assert err.startswith("error:") and str(path) in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry", [
+    {"width": 32.7}, {"changes": [{"kind": "rect", "top": 1.9, "left": 0, "height": 4,
+                                   "width": 4, "multiplier": 2.0}]},
+], ids=["width-fraction", "top-fraction"])
+def test_cli_synth_fractional_geometry_is_an_error_not_a_traceback(tmp_path, capsys, geometry):
+    scene_path = tmp_path / "bad.json"
+    scene_path.write_text(json.dumps({**small_scene().to_dict(), **geometry}))
+    out = tmp_path / "scene_out"
+    assert main(["synth", "--scene", str(scene_path), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: "), captured.err
+    assert "must be an integer" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+def test_an_out_dir_that_is_a_file_fails_before_load(tmp_path, monkeypatch, scene_files):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a stage ran although the output directory is a file")
+
+    monkeypatch.setattr(pipeline, "load_raster", not_reached)
+    monkeypatch.setattr(pipeline, "preclassify_di", not_reached)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    t1, t2, gt = scene_files
+    with pytest.raises(ParameterError, match=f"output directory {afile}: "):
+        run_pipeline(PipelineConfig(t1=t1, t2=t2, gt=gt, out_dir=afile))
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--t1", "t1.f32", "--t2", "t2.f32"], ["synth"], ["bench", "--seeds", "1"],
+], ids=["run", "synth", "bench"])
+def test_cli_out_dir_that_is_a_file_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(command + ["--out-dir", str(afile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: "), captured.err
+    assert "cannot create output directory" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert afile.read_text() == ""
 
 
 @pytest.mark.parametrize("source, seed", [

@@ -36,30 +36,30 @@ def test_load_f32raw_identity(tmp_path):
 
 def test_pgm16_round_trip_within_quantisation_bound(tmp_path):
     rng = np.random.default_rng(7)
-    original = Raster.from_array(rng.random((16, 16)))
+    original = rng.random((16, 16))
     p = tmp_path / "c.pgm"
-    save_raster(original, p, "pgm16")
+    write_pgm(p, 16, 16, 65535, np.floor(original * 65535 + 0.5).astype(">u2").tobytes())
     loaded = load_raster(p)
-    assert np.abs(loaded.band(0) - original.band(0)).max() <= 1 / (2 * 65535)
+    assert np.abs(loaded.band(0) - original).max() <= 1 / (2 * 65535)
 
 
 def test_save_pgm8_constant_half_rounds_to_128(tmp_path):
     p = tmp_path / "d.pgm"
-    save_raster(Raster.from_array(np.full((3, 4), 0.5)), p, "pgm8")
+    save_raster(Raster.from_array(np.full((3, 4), 0.5)), p)
     payload = p.read_bytes().split(b"\n", 3)[3]
     assert payload == bytes([128] * 12)
 
 
 def test_save_pgm8_binary_map(tmp_path):
     p = tmp_path / "e.pgm"
-    save_raster(Raster.from_array(np.array([[0.0, 1.0]])), p, "pgm8")
+    save_raster(Raster.from_array(np.array([[0.0, 1.0]])), p)
     assert p.read_bytes().split(b"\n", 3)[3] == bytes([0, 255])
 
 
 def test_pgm16_samples_are_big_endian(tmp_path):
     p = tmp_path / "f.pgm"
-    save_raster(Raster.from_array(np.array([[1.0]])), p, "pgm16")
-    assert p.read_bytes().split(b"\n", 3)[3] == b"\xff\xff"
+    write_pgm(p, 1, 1, 65535, b"\xff\xff")
+    assert load_raster(p).band(0)[0, 0] == 1.0
     write_pgm(p, 1, 1, 65535, b"\x01\x00")  # 0x0100 = 256
     assert load_raster(p).band(0)[0, 0] == pytest.approx(256 / 65535)
 
@@ -75,7 +75,7 @@ def test_f32raw_round_trip_is_identity(tmp_path_factory, h, w, c, seed):
     rng = np.random.default_rng(seed)
     original = Raster((rng.standard_normal((h, w, c)) * 10).astype("<f4").astype(float))
     p = tmp / "x.f32"
-    save_raster(original, p, "f32raw")
+    save_raster(original, p)
     np.testing.assert_array_equal(load_raster(p).data, original.data)
 
 
@@ -109,7 +109,7 @@ def test_payload_size_mismatch_raises_truncation_error(tmp_path):
 def test_multichannel_pgm_save_rejected(tmp_path):
     r = Raster(np.zeros((2, 2, 3)))
     with pytest.raises(FormatError):
-        save_raster(r, tmp_path / "rgb.pgm", "pgm8")
+        save_raster(r, tmp_path / "rgb.pgm")
 
 
 def test_non_finite_f32_rejected(tmp_path):
@@ -131,12 +131,12 @@ def test_raster_rejects_non_finite_construction():
 
 def test_load_raster_reads_the_format_from_the_file(tmp_path):
     p = tmp_path / "g.pgm"
-    save_raster(Raster.from_array(np.array([[0.5]])), p, "pgm16")
+    write_pgm(p, 1, 1, 65535, b"\x80\x00")
     assert load_raster(p).band(0)[0, 0] == 32768 / 65535
-    save_raster(Raster.from_array(np.array([[0.5]])), p, "pgm8")
+    save_raster(Raster.from_array(np.array([[0.5]])), p)
     assert load_raster(p).band(0)[0, 0] == 128 / 255
     f = tmp_path / "g.f32"
-    save_raster(Raster.from_array(np.array([[0.5]])), f, "f32raw")
+    save_raster(Raster.from_array(np.array([[0.5]])), f)
     assert load_raster(f).band(0)[0, 0] == 0.5
     # A sidecar makes any other path f32raw.
     bare = tmp_path / "g.bin"
@@ -151,3 +151,86 @@ def test_load_raster_reads_the_format_from_the_file(tmp_path):
     unknown.write_bytes(bytes(4))
     with pytest.raises(FormatError, match="cannot infer"):
         load_raster(unknown)
+
+
+_PGM_WHITESPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n"])
+# A run of whitespace bytes and comments that reach the end of their line.
+_PGM_GAP = st.lists(
+    _PGM_WHITESPACE | st.binary(max_size=20).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n"),
+    min_size=1, max_size=4,
+).map(b"".join)
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([255, 65535]),
+    st.lists(_PGM_GAP, min_size=3, max_size=3),
+    _PGM_WHITESPACE,
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pgm_header_takes_any_whitespace_and_comments_between_fields(
+    tmp_path_factory, width, height, maxval, gaps, last, seed
+):
+    dtype = ">u2" if maxval > 255 else "u1"
+    payload = np.random.default_rng(seed).integers(0, maxval + 1, size=(height, width))
+    header = b"P5" + b"".join(
+        gap + str(v).encode() for gap, v in zip(gaps, (width, height, maxval))
+    )
+    p = tmp_path_factory.mktemp("pgm") / "h.pgm"
+    p.write_bytes(header + last + payload.astype(dtype).tobytes())
+    np.testing.assert_array_equal(load_raster(p).band(0), payload / maxval)
+
+
+@pytest.mark.parametrize("blob", [
+    b"P52 1 255\n" + bytes(2),    # magic glued to the width
+    b"P5 2 1 255#\n" + bytes(2),  # a comment in place of the final whitespace byte
+    b"P5 2 1 25",                # header cut short
+    b"P5 2 1",
+    b"P5 2 1 255",
+    b"P5 # no end of line",
+])
+def test_malformed_pgm_headers_raise_format_error_only(tmp_path, blob):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(blob)
+    with pytest.raises(FormatError, match="PGM header") as exc_info:
+        load_raster(p)
+    assert type(exc_info.value) is FormatError
+
+
+@pytest.mark.parametrize("meta", [
+    {"width": 3.9, "height": 1, "channels": 1},
+    {"width": 3, "height": "1", "channels": 1},
+    {"width": 3, "height": 1, "channels": True},
+    {"width": 3, "height": 0, "channels": 1},
+    {"width": 3, "height": 1},
+])
+def test_sidecar_dimensions_must_be_integers_of_at_least_one(tmp_path, meta):
+    p = tmp_path / "s.f32"
+    p.write_bytes(np.zeros(3, dtype="<f4").tobytes())
+    (tmp_path / "s.f32.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match="s.f32.json"):
+        load_raster(p)
+
+
+def test_save_raster_to_an_unknown_suffix_raises_and_writes_nothing(tmp_path):
+    with pytest.raises(FormatError, match="cannot infer"):
+        save_raster(Raster.from_array(np.zeros((2, 3))), tmp_path / "x.tif")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["r.pnm", "r.raw", "r.f32raw", "R.PGM"])
+def test_every_suffix_round_trips(tmp_path, name):
+    original = Raster.from_array(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+    save_raster(original, tmp_path / name)
+    np.testing.assert_array_equal(load_raster(tmp_path / name).data, original.data)
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    values = np.array([[0.0, 0.5, 1.0], [0.25, -1.0, 2.0]])
+    save_raster(Raster.from_array(values), tmp_path / "p.pgm")
+    pgm = (tmp_path / "p.pgm").read_bytes()
+    assert pgm == b"P5\n3 2\n255\n" + bytes([0, 128, 255, 64, 0, 255])
+    save_raster(Raster.from_array(values), tmp_path / "p.f32")
+    assert (tmp_path / "p.f32").read_bytes() == values.astype("<f4").tobytes()
+    assert (tmp_path / "p.f32.json").read_text() == '{"channels": 1, "height": 2, "width": 3}'

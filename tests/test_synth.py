@@ -171,3 +171,22 @@ def test_shape_validation():
                   changes=((Rect(top=10, left=10, height=10, width=10), 2.0),))
     with pytest.raises(ParameterError):
         SceneSpec(width=16, height=16, looks=0.0)
+
+
+@pytest.mark.parametrize("keys, value, field", [
+    (("width",), 32.7, "width"),
+    (("height",), True, "height"),
+    (("changes", 0, "top"), 1.9, "rect top"),
+    (("changes", 0, "width"), 4.0, "rect width"),
+    (("base", "regions", 0, "left"), "3", "rect left"),
+], ids=["width-fraction", "height-bool", "top-fraction", "rect-width-float", "left-string"])
+def test_load_scene_rejects_geometry_that_is_not_an_integer(tmp_path, keys, value, field):
+    d = default_scene().to_dict()
+    target = d
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+        load_scene(path)

@@ -9,8 +9,12 @@ benchmark's scene pair with perfbench's own generator and seeding, runs
 ``run_pipeline`` of the package under ``--src`` on it once, and prints
 one JSON object that maps ``workload/seed/scene/row`` to the sha256 of
 that run's ``change_map.pgm``, ``scores.f32`` and ``metrics.json``, or to
-``"failed"``.  Two checkouts give byte-identical outputs on the
-benchmark's inputs when their maps are equal.  The workloads, rows and
+``"failed"``.  For every seed it also adds ``synth/<seed>``: the sha256
+of every file that the package's own ``write_scene(default_scene(seed))``
+writes and of every file but ``timing.json`` that a default
+``run_pipeline`` on that scene writes, so the package's writers are
+covered too.  Two checkouts give byte-identical outputs when their maps
+are equal.  The workloads, rows and
 seeding are imported from ``perfbench/`` and only read, so the inputs are
 exactly the benchmark's, BLAS is pinned to one thread as there, and
 nothing is written under ``perfbench/``.  Scenes and run outputs go to
@@ -42,11 +46,31 @@ def parse_seeds(spec: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def output_digests(pipeline, seeds: list[int], workloads: list[str], work: Path) -> dict:
+def synth_digest(pipeline, synth, seed: int, work: Path) -> str:
+    """Digest of the files of ``synth.write_scene(synth.default_scene(seed))``
+    and of a default ``pipeline.run_pipeline`` on them, each file's name
+    hashed before its bytes; ``"failed"`` when either raises."""
+    try:
+        t1, t2, gt = synth.write_scene(synth.default_scene(seed), work / "scene")
+        pipeline.run_pipeline(pipeline.PipelineConfig(t1=t1, t2=t2, gt=gt, out_dir=work / "run"))
+    except Exception:  # a failed run is recorded in the map, as perfbench's are
+        return "failed"
+    files = sorted((work / "scene").iterdir()) + sorted(
+        p for p in (work / "run").iterdir() if p.name != "timing.json"
+    )
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def output_digests(pipeline, synth, seeds: list[int], workloads: list[str], work: Path) -> dict:
     """Run every (workload, seed, scene, row) once with ``pipeline``, the
-    imported ``sarchange.pipeline`` module, under ``work``; return the map
-    of keys to artifact digests."""
-    out = {}
+    imported ``sarchange.pipeline`` module, and every seed's ``synth/<seed>``
+    scene with it and ``synth``, under ``work``; return the map of keys to
+    artifact digests."""
+    out = {f"synth/{seed}": synth_digest(pipeline, synth, seed, work / "synth" / str(seed))
+           for seed in seeds}
     for name in workloads:
         wl = perfbench.WORKLOADS[name]
         for seed in seeds:
@@ -67,13 +91,15 @@ def output_digests(pipeline, seeds: list[int], workloads: list[str], work: Path)
     return out
 
 
-def import_pipeline(src: Path):
-    """``sarchange.pipeline`` imported from ``src``, and from nowhere else."""
+def import_modules(src: Path) -> list:
+    """``sarchange.pipeline`` and ``sarchange.synth`` imported from ``src``,
+    and from nowhere else."""
     sys.path.insert(0, str(src))
-    pipeline = importlib.import_module("sarchange.pipeline")
-    if not Path(pipeline.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"output_digests: imported sarchange from {pipeline.__file__}, not {src}")
-    return pipeline
+    modules = [importlib.import_module(f"sarchange.{name}") for name in ("pipeline", "synth")]
+    for module in modules:
+        if not Path(module.__file__).resolve().is_relative_to(src):
+            raise SystemExit(f"output_digests: imported sarchange from {module.__file__}, not {src}")
+    return modules
 
 
 def main(argv=None) -> int:
@@ -83,9 +109,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="workload seeds, e.g. 1-10 or 3")
     args = parser.parse_args(argv)
-    pipeline = import_pipeline(args.src.resolve())
+    pipeline, synth = import_modules(args.src.resolve())
     shutil.rmtree(WORK, ignore_errors=True)
-    digests = output_digests(pipeline, args.seeds, list(perfbench.WORKLOADS), WORK)
+    digests = output_digests(pipeline, synth, args.seeds, list(perfbench.WORKLOADS), WORK)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
