@@ -6,8 +6,8 @@ it whole and read their own fields; functions that take raw values
 default to its defaults, so each default is written here once.
 Each rule is written once, in ``_FIELD_RULES``: :func:`check` applies it
 to every field when a config is built or replaced, so every instance is
-valid, and to the stage functions' raw arguments; its integer rules
-also check the synthetic scenes' geometry.  The rule that needs
+valid, and to the stage functions' raw arguments; its shared rules
+also check the synthetic scenes' fields.  The rule that needs
 the image's shape, that the convolution stack fits it, is
 ``patch_features.check_shape``: ``stack_features`` applies it first, and
 ``run_pipeline`` right after ``load``.
@@ -15,7 +15,7 @@ the image's shape, that the convolution stack fits it, is
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -61,9 +61,16 @@ def check(name: str, value, rule: tuple | None = None) -> None:
         raise ParameterError(f"{name} must be {text}, got {value!r}")
 
 
-# (accepted types, rule, check) rules, shared with the scene geometry.
+def _finite(v) -> bool:
+    """``math.isfinite``, but False, not OverflowError, for an int too large for a float."""
+    return abs(v) <= sys.float_info.max
+
+
+# (accepted types, rule, check) rules, shared with the synthetic scenes.
 POSITIVE_INT = (Integral, "an integer >= 1", lambda v: v >= 1)
 NON_NEGATIVE_INT = (Integral, "an integer >= 0", lambda v: v >= 0)
+FINITE_REAL = (Real, "a finite number", _finite)
+POSITIVE_REAL = (Real, "a finite number > 0", lambda v: _finite(v) and v > 0)
 
 # The rule of every PipelineConfig field but the paths.
 _FIELD_RULES = {
@@ -73,14 +80,14 @@ _FIELD_RULES = {
     "depth": POSITIVE_INT,
     "kernels_per_layer": POSITIVE_INT,
     "kernel_size": (Integral, "an odd integer >= 1", lambda v: v >= 1 and v % 2 == 1),
-    "threshold": (Real, "a finite number", math.isfinite),
+    "threshold": FINITE_REAL,
     "kernel_mode": (str, "'distinctive' or 'random'", lambda v: v in ("distinctive", "random")),
     "clean": (bool, "true or false", lambda v: True),
     "conv": (bool, "true or false", lambda v: True),
     "rounds": POSITIVE_INT,
     "labeled_fraction": (Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
     "n_regions": ((Integral, type(None)), "None or an integer >= 1", lambda v: v is None or v >= 1),
-    "compactness": (Real, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
-    "svm_c": (Real, "a finite number > 0", lambda v: math.isfinite(v) and v > 0),
+    "compactness": (Real, "a finite number >= 0", lambda v: _finite(v) and v >= 0),
+    "svm_c": POSITIVE_REAL,
     "seed": NON_NEGATIVE_INT,
 }

@@ -31,12 +31,20 @@ def _distinct_rows(pts: np.ndarray) -> np.ndarray:
     return keys.view(np.float64).reshape(-1, 2)
 
 
+def _mean_row(z: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """``pts[members].mean(axis=0)`` bit for bit, from ``(n, 2)`` points viewed as complex ``z``:
+    cumsum adds in row order as the axis-0 reduce does; ``+ 0.0`` is that reduce's +0.0 start."""
+    m = z[members]
+    return (np.cumsum(m, out=m)[-1:].view(np.float64) + 0.0) / m.size
+
+
 def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
     """Two-cluster Lloyd's algorithm on ``(n, 2)`` points, run to its fixpoint.
 
     The initial centroids are two distinct points drawn with ``seed``;
     distance ties go to cluster 0.  Returns per-point ids in ``{0, 1}``,
-    all 0 (one cluster) when the points have fewer than 2 distinct rows.
+    all 0 (one cluster) when the points have fewer than 2 distinct rows
+    or squared distances that underflow to 0 empty a cluster.
     Raises :class:`ParameterError` unless the points are a finite
     ``(n, 2)`` array with n >= 1 and ``seed`` meets the config's rule,
     and :class:`ConvergenceError` if ``MAX_LLOYD_STEPS`` assignment steps
@@ -55,17 +63,18 @@ def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
     chosen = np.random.default_rng(seed).choice(distinct.shape[0], size=2, replace=False)
     c0, c1 = distinct[chosen]
 
-    # Neither cluster can empty: each distinct seed lands in its own cluster,
-    # and afterwards each centroid is the mean of its members, which cannot
-    # all be nearer the other centroid without their mean being nearer too.
-    p0, p1 = pts.T
+    # Each distinct seed lands in its own cluster, and afterwards each centroid
+    # is the mean of its members, which cannot all be nearer the other centroid
+    # without their mean being nearer too, unless squared distances underflow.
+    z = np.ascontiguousarray(pts).view(np.complex128).ravel()
+    p0, p1 = z.real.copy(), z.imag.copy()
     in1 = None
     prev_objective = np.inf
     for _ in range(MAX_LLOYD_STEPS):
         d0 = (p0 - c0[0]) ** 2 + (p1 - c0[1]) ** 2
         d1 = (p0 - c1[0]) ** 2 + (p1 - c1[1]) ** 2
         new_in1 = d1 < d0
-        objective = float(np.where(new_in1, d1, d0).sum())
+        objective = float(np.minimum(d0, d1).sum())
         # Lloyd's steps never increase the within-cluster sum of squares.
         if objective > prev_objective * (1.0 + 1e-12) + 1e-12:
             raise ConvergenceError(
@@ -75,8 +84,9 @@ def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
         if in1 is not None and np.array_equal(new_in1, in1):
             return in1.astype(np.int64)
         in1 = new_in1
-        c0 = pts[~in1].mean(axis=0)
-        c1 = pts[in1].mean(axis=0)
+        if not in1.any() or in1.all():  # emptied by underflow: one cluster
+            return np.zeros(pts.shape[0], dtype=np.int64)
+        c0, c1 = _mean_row(z, ~in1), _mean_row(z, in1)
     raise ConvergenceError(f"k-means reached no fixpoint within {MAX_LLOYD_STEPS} steps")
 
 

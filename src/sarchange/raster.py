@@ -121,6 +121,7 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def _load_f32raw(path: Path) -> Raster:
+    blob = path.read_bytes()  # first, so a missing raster is named before its sidecar
     sidecar = _sidecar_path(path)
     meta = load_json_object(sidecar)
     dims = [meta.get(key) for key in ("height", "width", "channels")]
@@ -130,7 +131,6 @@ def _load_f32raw(path: Path) -> Raster:
             f"as integers >= 1, got {meta}"
         )
     height, width, channels = dims
-    blob = path.read_bytes()
     expected = width * height * channels * 4
     if len(blob) != expected:
         raise TruncationError(
@@ -185,11 +185,17 @@ def make_out_dir(path: str | Path) -> Path:
 
 def load_raster(path: str | Path) -> Raster:
     """Load a raster from ``path`` in the format its suffix names, or as
-    f32raw when the suffix names none and ``<path>.json`` exists."""
+    f32raw when the suffix names none and ``<path>.json`` exists; a file
+    that cannot be read is a FormatError naming it."""
     path = Path(path)
     if path.suffix.lower() not in _CODECS and _sidecar_path(path).exists():
-        return _load_f32raw(path)
-    return _codec(path)[0](path)
+        load = _load_f32raw
+    else:
+        load = _codec(path)[0]
+    try:
+        return load(path)
+    except OSError as exc:
+        raise FormatError(f"cannot read raster {path}: {exc.strerror}") from exc
 
 
 def save_raster(raster: Raster, path: str | Path) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import NON_NEGATIVE_INT, POSITIVE_INT, check
+from .config import FINITE_REAL, NON_NEGATIVE_INT, POSITIVE_INT, POSITIVE_REAL, check
 from .errors import FormatError, ParameterError
 from .labels import CHANGED, UNCHANGED, LabelField
 from .raster import Raster, load_json_object, make_out_dir, save_raster
@@ -58,8 +58,10 @@ class Ellipse:
     r_col: float
 
     def __post_init__(self):
-        if self.r_row <= 0 or self.r_col <= 0:
-            raise ParameterError(f"invalid ellipse {self}")
+        check("ellipse row", self.row, FINITE_REAL)
+        check("ellipse col", self.col, FINITE_REAL)
+        check("ellipse r_row", self.r_row, POSITIVE_REAL)
+        check("ellipse r_col", self.r_col, POSITIVE_REAL)
 
     def fits(self, shape_hw: tuple[int, int]) -> bool:
         h, w = shape_hw
@@ -84,8 +86,7 @@ def _shape_from_dict(d: dict) -> Shape:
     if kind == "rect":
         return Rect(top=d["top"], left=d["left"], height=d["height"], width=d["width"])
     if kind == "ellipse":
-        return Ellipse(row=float(d["row"]), col=float(d["col"]),
-                       r_row=float(d["r_row"]), r_col=float(d["r_col"]))
+        return Ellipse(row=d["row"], col=d["col"], r_row=d["r_row"], r_col=d["r_col"])
     raise ParameterError(f"unknown shape kind {kind!r}")
 
 
@@ -96,6 +97,12 @@ class BaseField:
     low: float = 0.25
     high: float = 0.55
     regions: tuple[tuple[Shape, float], ...] = ()
+
+    def __post_init__(self):
+        check("base low", self.low, FINITE_REAL)
+        check("base high", self.high, FINITE_REAL)
+        for _, value in self.regions:
+            check("region value", value, FINITE_REAL)
 
     def render(self, shape_hw: tuple[int, int]) -> np.ndarray:
         h, w = shape_hw
@@ -119,11 +126,11 @@ class SceneSpec:
     def __post_init__(self):
         check("width", self.width, POSITIVE_INT)
         check("height", self.height, POSITIVE_INT)
-        if self.looks <= 0:
-            raise ParameterError(f"looks must be positive, got {self.looks}")
+        check("looks", self.looks, POSITIVE_REAL)
         check("seed", self.seed)
         hw = (self.height, self.width)
-        for shape, _ in self.changes:
+        for shape, multiplier in self.changes:
+            check("change multiplier", multiplier, FINITE_REAL)
             if not shape.fits(hw):
                 raise ParameterError(f"change shape {shape} extends outside the scene")
 
@@ -148,10 +155,10 @@ class SceneSpec:
     def from_dict(cls, d: dict) -> "SceneSpec":
         base_d = d.get("base", {})
         base = BaseField(
-            low=float(base_d.get("low", 0.25)),
-            high=float(base_d.get("high", 0.55)),
+            low=base_d.get("low", 0.25),
+            high=base_d.get("high", 0.55),
             regions=tuple(
-                (_shape_from_dict(r), float(r["value"]))
+                (_shape_from_dict(r), r["value"])
                 for r in base_d.get("regions", [])
             ),
         )
@@ -160,10 +167,10 @@ class SceneSpec:
             height=d["height"],
             base=base,
             changes=tuple(
-                (_shape_from_dict(c), float(c["multiplier"]))
+                (_shape_from_dict(c), c["multiplier"])
                 for c in d.get("changes", [])
             ),
-            looks=float(d.get("looks", 4.0)),
+            looks=d.get("looks", 4.0),
             seed=d.get("seed", 0),
         )
 

@@ -222,6 +222,12 @@ def test_config_is_checked_when_built_or_replaced(field, value):
         replace(PipelineConfig(), **{field: value})
 
 
+@pytest.mark.parametrize("field", ["threshold", "compactness", "svm_c"])
+def test_an_int_too_large_for_a_float_is_not_a_finite_number(field):
+    with pytest.raises(ParameterError, match=f"^{field} must be a finite number"):
+        PipelineConfig(**{field: 10**400})
+
+
 def test_every_settable_field_has_a_rule():
     paths = {"t1", "t2", "gt", "out_dir"}
     assert set(_FIELD_RULES) == {f.name for f in fields(PipelineConfig)} - paths
@@ -410,6 +416,17 @@ def test_cli_synth_fractional_geometry_is_an_error_not_a_traceback(tmp_path, cap
     assert not out.exists()
 
 
+def test_cli_synth_non_numeric_scene_field_is_an_error_not_a_traceback(tmp_path, capsys):
+    scene_path = tmp_path / "bad.json"
+    scene_path.write_text(json.dumps({**small_scene().to_dict(), "looks": "4"}))
+    out = tmp_path / "scene_out"
+    assert main(["synth", "--scene", str(scene_path), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: looks must be a finite number > 0, got '4'"), captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_an_out_dir_that_is_a_file_fails_before_load(tmp_path, monkeypatch, scene_files):
     def not_reached(*args, **kwargs):
         raise AssertionError("a stage ran although the output directory is a file")
@@ -490,7 +507,9 @@ def test_cli_reports_stage_errors_with_nonzero_exit(tmp_path, capsys):
         "--out-dir", str(tmp_path / "o"),
     ])
     assert code == 1
-    assert "load" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "load" in err and f"cannot read raster {tmp_path / 'nope.f32'}: " in err
+    assert "nope.f32.json" not in err
 
 
 def test_cli_run_into_a_closed_pipe_exits_without_a_traceback(scene_files, tmp_path):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -16,13 +16,14 @@ from sarchange.raster import Raster
 
 
 def reference_kmeans(
-    points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
+    points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100, reseeds: list | None = None
 ) -> np.ndarray:
     """Lloyd's algorithm with seeded distinct-point initialisation.
 
     Iterates until the assignment reaches a fixpoint or ``max_iter``.
     Clusters that empty out are re-seeded to the point currently farthest
-    from its own centroid.  Returns per-point cluster ids in ``[0, k)``.
+    from its own centroid, and their ids are appended to ``reseeds`` if it
+    is given.  Returns per-point cluster ids in ``[0, k)``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -70,6 +71,8 @@ def reference_kmeans(
                 centroids[j] = pts[members].mean(axis=0)
         for j in range(k):
             if not (ids == j).any():
+                if reseeds is not None:
+                    reseeds.append(j)
                 centroids[j] = pts[int(np.argmax(own))]
                 own[int(np.argmax(own))] = 0.0
     return ids
@@ -223,6 +226,77 @@ def test_kmeans_matches_general_k_reference_on_scenes(scene_seed):
         kmeans_cluster(pts, seed=scene_seed),
         reference_kmeans(pts, 2, seed=scene_seed, max_iter=10**6),
     )
+
+
+# Integer grids times one magnitude tie exactly; both signs of zero; any
+# float from the subnormals up to 1e6.
+_lloyd_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda i, m: i * m, st.integers(-3, 3), st.sampled_from([1e-300, 1e-8, 1.0, 1e6])),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@st.composite
+def lloyd_point_sets(draw):
+    """Small point sets with repeated rows and at least 2 distinct rows."""
+    rows = draw(st.lists(st.tuples(_lloyd_coordinate, _lloyd_coordinate), min_size=1, max_size=30))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=30))
+    pts = np.array(rows + [rows[i] for i in repeats], dtype=np.float64)
+    assume(np.unique(pts, axis=0).shape[0] >= 2)
+    return pts
+
+
+def outcome(cluster, pts, seed):
+    """The ids ``cluster`` returns, or the type and text of its ConvergenceError."""
+    try:
+        return cluster(pts, seed).tolist()
+    except ConvergenceError as err:
+        return (type(err), str(err))
+
+
+@given(lloyd_point_sets(), st.integers(0, 3))
+@example(np.array([[0.0, 0.0]] * 5 + [[1e6, 1e6]]), 0)  # a one-member cluster
+@example(np.array([[-0.0, -0.0], [-0.0, -0.0], [1.0, 1.0], [-0.0, 0.0]]), 1)
+@example(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 5.0], [1.0, -5.0]]), 2)
+# Seeds (0, 0) and (0, 1e-300): every squared distance is 1 or underflows to 0,
+# so every point ties into cluster 0 and cluster 1 empties.
+@example(np.array([[0.0, 0.0], [0.0, 1e-300], [0.0, 1.0]]), 1)
+def test_kmeans_matches_general_k_reference_on_drawn_points(pts, seed):
+    reseeds = []
+    expected = outcome(
+        lambda p, s: reference_kmeans(p, 2, seed=s, max_iter=10**6, reseeds=reseeds), pts, seed
+    )
+    if reseeds:  # an underflowed distance emptied a cluster, which is one cluster here
+        expected = [0] * len(pts)
+    assert outcome(kmeans_cluster, pts, seed) == expected
+
+
+def _same_bits(got, expected):
+    assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape == (2,)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@given(st.lists(st.tuples(_lloyd_coordinate, _lloyd_coordinate), min_size=1, max_size=60))
+@example([(-0.0, -0.0)])
+@example([(-0.0, 1.0), (-0.0, -1.0)])
+def test_mean_row_has_the_bits_of_the_row_mean(rows):
+    pts = np.array(rows, dtype=np.float64)
+    every = np.ones(len(pts), dtype=bool)
+    _same_bits(preclassify._mean_row(pts.view(np.complex128).ravel(), every), pts.mean(axis=0))
+
+
+@pytest.mark.parametrize("n", [1000, 65536])
+def test_mean_row_has_the_bits_of_the_masked_row_mean_on_many_rows(n):
+    # numpy's pairwise sum of a contiguous column rounds differently here.
+    pts = np.random.default_rng(n).normal(size=(n, 2)) * np.array([1.0, 1e6])
+    mask = np.random.default_rng(n + 1).random(n) < 0.7
+    before = pts.copy()
+    for members in (mask, ~mask):
+        _same_bits(preclassify._mean_row(pts.view(np.complex128).ravel(), members),
+                   pts[members].mean(axis=0))
+    np.testing.assert_array_equal(pts, before)  # the sums run in a copy
 
 
 def test_kmeans_returns_a_lloyd_fixpoint():

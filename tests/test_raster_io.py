@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,3 +235,22 @@ def test_saved_bytes_are_pinned(tmp_path):
     save_raster(Raster.from_array(values), tmp_path / "p.f32")
     assert (tmp_path / "p.f32").read_bytes() == values.astype("<f4").tobytes()
     assert (tmp_path / "p.f32.json").read_text() == '{"channels": 1, "height": 2, "width": 3}'
+
+
+@pytest.mark.parametrize("name", ["nope.f32", "nope.pgm", "nope.raw"])
+def test_a_missing_raster_is_named_not_its_sidecar(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(FormatError, match=f"^cannot read raster {re.escape(str(path))}: ") as exc_info:
+        load_raster(path)
+    assert ".json" not in str(exc_info.value)
+
+
+def test_a_missing_raster_with_a_sidecar_is_named(tmp_path):
+    path = tmp_path / "t1.bin"  # no format suffix: its sidecar makes it f32raw
+    (tmp_path / "t1.bin.json").write_text(json.dumps({"width": 1, "height": 1, "channels": 1}))
+    with pytest.raises(FormatError, match=f"^cannot read raster {re.escape(str(path))}: "):
+        load_raster(path)
+    folder = tmp_path / "folder.pgm"
+    folder.mkdir()
+    with pytest.raises(FormatError, match=f"^cannot read raster {re.escape(str(folder))}: "):
+        load_raster(folder)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,3 +191,41 @@ def test_load_scene_rejects_geometry_that_is_not_an_integer(tmp_path, keys, valu
     path.write_text(json.dumps(d))
     with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
         load_scene(path)
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("changes", 1, "row"), "66", "ellipse row must be a finite number,"),
+    (("changes", 1, "col"), None, "ellipse col must be a finite number,"),
+    (("changes", 1, "r_row"), True, "ellipse r_row must be a finite number > 0"),
+    (("changes", 1, "r_col"), 0, "ellipse r_col must be a finite number > 0"),
+    (("changes", 0, "multiplier"), float("nan"), "change multiplier must be a finite number,"),
+    (("looks",), "4", "looks must be a finite number > 0"),
+    (("looks",), float("inf"), "looks must be a finite number > 0"),
+    (("looks",), 10**400, "looks must be a finite number > 0"),
+    (("base", "low"), "0.25", "base low must be a finite number,"),
+    (("base", "high"), False, "base high must be a finite number,"),
+    (("base", "regions", 1, "value"), [0.12], "region value must be a finite number,"),
+], ids=["row-string", "col-null", "r_row-bool", "r_col-zero", "multiplier-nan",
+        "looks-string", "looks-inf", "looks-huge-int", "low-string", "high-bool", "value-list"])
+def test_load_scene_rejects_a_float_field_that_is_not_a_finite_number(tmp_path, keys, value,
+                                                                      message):
+    d = default_scene().to_dict()
+    target = d
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ParameterError, match="^" + re.escape(message)):
+        load_scene(path)
+
+
+def test_load_scene_takes_integers_as_numbers(tmp_path):
+    d = default_scene().to_dict()
+    d["looks"], d["changes"][1]["row"], d["changes"][0]["multiplier"] = 4, 66, 3
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(d))
+    spec = load_scene(path)
+    assert spec == default_scene()
+    for got, expected in zip(gen_pair(spec)[:2], gen_pair(default_scene())[:2]):
+        np.testing.assert_array_equal(got.data, expected.data)

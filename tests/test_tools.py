@@ -14,16 +14,21 @@ def _tree(path: Path) -> dict:
     return {p.relative_to(path): p.stat().st_mtime_ns for p in path.rglob("*")}
 
 
-def test_output_digests_cover_a_workload_and_write_nothing_into_perfbench(
-    tmp_path, monkeypatch
-):
-    before = _tree(PERFBENCH)
+def _import_output_digests(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # restored after the test; perfbench sets them
     monkeypatch.syspath_prepend(str(ROOT / "tools"))  # sys.path is restored whole
     import output_digests
 
+    return output_digests
+
+
+def test_output_digests_cover_a_workload_and_write_nothing_into_perfbench(
+    tmp_path, monkeypatch
+):
+    before = _tree(PERFBENCH)
+    output_digests = _import_output_digests(monkeypatch)
     digests = output_digests.output_digests(pipeline, synth, [1], ["ablation-128"], tmp_path)
     assert set(digests) == {"synth/1"} | {
         f"ablation-128/1/{k}/{row}" for k in range(3) for row in ("1", "3", "4", "6")
@@ -33,3 +38,29 @@ def test_output_digests_cover_a_workload_and_write_nothing_into_perfbench(
     assert output_digests.parse_seeds("1-3") == [1, 2, 3]
     assert output_digests.parse_seeds("7") == [7]
     assert _tree(PERFBENCH) == before
+
+
+def test_output_digests_runs_on_two_checkouts_use_their_own_work_directories(
+    tmp_path, monkeypatch
+):
+    output_digests = _import_output_digests(monkeypatch)
+    monkeypatch.setattr(output_digests, "WORK", tmp_path / "work")
+    parent, change = tmp_path / "parent" / "src", tmp_path / "change" / "src"
+    parent.mkdir(parents=True)
+    change.mkdir(parents=True)
+    (tmp_path / "link").symlink_to(parent)
+    key = output_digests.work_dir
+    assert key(parent) == key(tmp_path / "change" / ".." / "parent" / "src") == key(tmp_path / "link")
+    assert key(parent) != key(change) and key(parent).parent == key(change).parent == tmp_path / "work"
+
+    for src in (parent, change):
+        key(src).mkdir(parents=True)
+        (key(src) / "stale").write_text("")
+    used = []
+    monkeypatch.setattr(output_digests, "import_modules", lambda src: (None, None))
+    monkeypatch.setattr(output_digests, "output_digests",
+                        lambda pipeline, synth, seeds, workloads, work: used.append(work) or {})
+    assert output_digests.main(["--src", str(tmp_path / "link"), "--seeds", "1"]) == 0
+    assert used == [key(parent)]
+    assert not (key(parent) / "stale").exists()  # its own directory is emptied
+    assert (key(change) / "stale").exists()  # the other checkout's is left alone

@@ -18,7 +18,9 @@ are equal.  The workloads, rows and
 seeding are imported from ``perfbench/`` and only read, so the inputs are
 exactly the benchmark's, BLAS is pinned to one thread as there, and
 nothing is written under ``perfbench/``.  Scenes and run outputs go to
-``.digests_work/`` at the root of this checkout.
+``.digests_work/<key>/`` at the root of this checkout, where the key is a
+digest of the resolved ``--src``: runs on different checkouts can go on
+at the same time, and each run first empties only its own directory.
 """
 
 import sys
@@ -38,6 +40,11 @@ import run as perfbench  # noqa: E402  (pins BLAS before numpy loads)
 
 WORK = ROOT / ".digests_work"
 ARTIFACTS = ("change_map.pgm", "scores.f32", "metrics.json")
+
+
+def work_dir(src: Path) -> Path:
+    """The work directory of runs on ``src``, keyed by its resolved path."""
+    return WORK / hashlib.sha256(str(src.resolve()).encode()).hexdigest()[:16]
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -110,8 +117,9 @@ def main(argv=None) -> int:
                         help="workload seeds, e.g. 1-10 or 3")
     args = parser.parse_args(argv)
     pipeline, synth = import_modules(args.src.resolve())
-    shutil.rmtree(WORK, ignore_errors=True)
-    digests = output_digests(pipeline, synth, args.seeds, list(perfbench.WORKLOADS), WORK)
+    work = work_dir(args.src)
+    shutil.rmtree(work, ignore_errors=True)
+    digests = output_digests(pipeline, synth, args.seeds, list(perfbench.WORKLOADS), work)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
