@@ -20,6 +20,26 @@ def _min_max(a: np.ndarray) -> Raster:
     return Raster.from_array((a - lo) / (hi - lo))
 
 
+def _column_stats(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``flat.mean(axis=0)`` and ``flat.std(axis=0)`` of an ``(n, c)`` array, bit for bit.
+
+    For c >= 2 numpy's axis-0 reduce adds the rows in order from a +0.0
+    start, with an inner loop only c long; each column is summed here in
+    1-D passes in the same order, as ``np.cumsum(col)[-1] + 0.0``.  A
+    single column is reduced pairwise, so numpy's own calls serve it.
+    """
+    n, c = flat.shape
+    if c == 1:
+        return flat.mean(axis=0), flat.std(axis=0)
+    mean, std = np.empty(c), np.empty(c)
+    for j in range(c):
+        col = flat[:, j]
+        mean[j] = (np.cumsum(col)[-1] + 0.0) / n
+        dev = col - mean[j]
+        std[j] = np.sqrt((np.cumsum(np.square(dev, out=dev))[-1] + 0.0) / n)
+    return mean, std
+
+
 def log_ratio_di(i1: Raster, i2: Raster) -> Raster:
     """Absolute log-ratio of two intensity images, min-max rescaled to [0, 1].
 

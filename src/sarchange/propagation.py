@@ -11,7 +11,9 @@ affinities yields a transition matrix, and anchored propagation
 
 converges to the fixpoint y = (1 - alpha) (I - alpha T)^-1 y(0) (Zhou et
 al., "Learning with Local and Global Consistency", NIPS 2003), which is
-solved exactly per region, building one region's dense block at a time.
+solved exactly per region.  Regions of equal pixel count are built and
+solved together as stacked dense blocks, a bounded chunk at a time, with
+the bits each region gets when solved alone.
 Cleaning repeats this over several rounds, each time keeping a random
 subset of the labeled pixels as anchors and demoting the rest, then
 takes a majority vote over the per-round predictions; all rounds share
@@ -30,27 +32,40 @@ from .seeds import derive_seed
 from .superpixels import RegionMap, segment_superpixels
 
 
-def build_transition(values: np.ndarray) -> np.ndarray:
-    """Column-stochastic ``(n, n)`` transition block of one region.
+# A chunk holds at most this many regions of one size, and its (regions, n, n)
+# blocks at most this many entries (1 MB of float64 per temporary).
+_CHUNK_REGIONS = 32
+_CHUNK_ENTRIES = 1 << 17
 
-    ``values`` holds the region's ``(n, channels)`` pixel values.  The
-    affinity is W_ij = exp(-|v_i - v_j|^2 / (2 sigma^2)) with sigma the
-    region's root-mean-square deviation of pixel values (the standard
-    deviation for single-channel input), so W_ii = 1; a region of
-    identical pixels gets the all-ones limit of the kernel.  Then
-    T_ij = W_ij / sum_k W_kj.
+
+def build_transition(values: np.ndarray) -> np.ndarray:
+    """Column-stochastic transition blocks of one region or a stack of them.
+
+    ``values`` holds one region's ``(n, channels)`` pixel values, giving
+    its ``(n, n)`` block, or a ``(b, n, channels)`` stack of b regions of
+    n pixels each, giving their ``(b, n, n)`` blocks, each with the bits
+    it gets alone.  The affinity is W_ij = exp(-|v_i - v_j|^2 / (2 sigma^2))
+    with sigma the region's root-mean-square deviation of pixel values
+    (the standard deviation for single-channel input), so W_ii = 1; a
+    region of identical pixels gets the all-ones limit of the kernel.
+    Then T_ij = W_ij / sum_k W_kj.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 2:
-        raise ShapeError(f"region values must be (n, channels), got shape {v.shape}")
-    centred = v - v.mean(axis=0)
-    sigma2 = float((centred ** 2).sum(axis=1).mean())
-    if sigma2 < 1e-24:
-        w = np.ones((v.shape[0], v.shape[0]))
-    else:
-        d2 = ((v[:, np.newaxis, :] - v[np.newaxis, :, :]) ** 2).sum(axis=2)
-        w = np.exp(-d2 / (2.0 * sigma2))
-    return w / w.sum(axis=0)
+    if v.ndim not in (2, 3):
+        raise ShapeError(
+            f"region values must be (n, channels) or (b, n, channels), got shape {v.shape}"
+        )
+    centred = v - v.mean(axis=-2, keepdims=True)
+    sigma2 = (centred ** 2).sum(axis=-1).mean(axis=-1)
+    flat = sigma2 < 1e-24
+    w = v[..., :, np.newaxis, :] - v[..., np.newaxis, :, :]
+    w = np.square(w, out=w).sum(axis=-1)
+    # x / (-s) has the bits of -x / s; flat blocks divide by 1 and are then overwritten
+    w /= (-2.0 * np.where(flat, 1.0, sigma2))[..., np.newaxis, np.newaxis]
+    np.exp(w, out=w)
+    w[flat] = 1.0
+    w /= w.sum(axis=-2, keepdims=True)
+    return w
 
 
 def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.ndarray:
@@ -61,8 +76,11 @@ def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.nd
     columns propagate independently in one solve.  Each region r of
     ``rm`` returns ``(1 - alpha) (I - alpha T_r)^-1 y0[r]``, the limit of
     the iteration in the module docstring, with ``T_r`` from
-    :func:`build_transition`; each block is built just before its solve
-    and dropped after it.
+    :func:`build_transition`.  Regions of one pixel count are solved
+    together, in chunks of at most ``_CHUNK_REGIONS`` regions and
+    ``_CHUNK_ENTRIES`` block entries: one stacked build and one stacked
+    solve per chunk, each chunk's blocks dropped before the next chunk's
+    are built.  Every region gets the bits of a solve on its own.
     """
     if (img.height, img.width) != (rm.height, rm.width):
         raise ShapeError("image and region map dimensions disagree")
@@ -74,10 +92,14 @@ def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.nd
             f"got {y0.shape}"
         )
     values = img.data.reshape(-1, img.channels)
-    out = np.zeros_like(y0)
-    for idx in rm.pixel_indices():
-        system = np.eye(idx.size) - alpha * build_transition(values[idx])
-        out[idx] = np.linalg.solve(system, (1.0 - alpha) * y0[idx])
+    out = np.empty_like(y0)  # the size groups cover every pixel
+    for group in rm.size_groups():
+        n = group.shape[1]
+        step = max(1, min(_CHUNK_REGIONS, _CHUNK_ENTRIES // (n * n)))
+        for first in range(0, group.shape[0], step):
+            idx = group[first : first + step]
+            system = np.eye(n) - alpha * build_transition(values[idx])
+            out[idx] = np.linalg.solve(system, (1.0 - alpha) * y0[idx])
     return out
 
 

@@ -54,12 +54,20 @@ class RegionMap:
     def width(self) -> int:
         return self.region_id.shape[1]
 
-    def pixel_indices(self) -> list[np.ndarray]:
-        """Flat pixel indices per region, in region-id order."""
+    def size_groups(self) -> list[np.ndarray]:
+        """Flat pixel indices of the regions, grouped by pixel count.
+
+        One ``(regions, count)`` array per distinct count, in increasing
+        count; its rows are the regions of that count in region-id order,
+        each row in increasing pixel index.
+        """
         flat = self.region_id.ravel()
-        order = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[order], np.arange(self.region_count + 1))
-        return [order[bounds[i] : bounds[i + 1]] for i in range(self.region_count)]
+        sizes = np.bincount(flat)
+        order = np.argsort(sizes[flat] * self.region_count + flat, kind="stable")
+        pixels, regions = np.unique(sizes, return_counts=True)
+        ends = np.cumsum(pixels * regions)
+        return [order[end - n * r : end].reshape(r, n)
+                for n, r, end in zip(pixels, regions, ends)]
 
 
 def _grid_centres(h: int, w: int, n_regions: int) -> tuple[np.ndarray, np.ndarray]:

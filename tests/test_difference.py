@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sarchange.difference import LOG_RATIO_EPS, log_ratio_di
+from sarchange.difference import LOG_RATIO_EPS, _column_stats, log_ratio_di
 from sarchange.errors import ShapeError
 from sarchange.raster import Raster
 
@@ -67,3 +67,41 @@ def test_dimension_mismatch_raises():
         log_ratio_di(
             Raster.from_array(np.zeros((2, 2))), Raster.from_array(np.zeros((3, 2)))
         )
+
+
+def _same_bits(got, expected):
+    assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+# Zeros of both signs and repeated values make constant and -0.0 columns likely.
+_stat_values = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6)
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)),
+                  elements=_stat_values))
+def test_column_stats_have_the_bits_of_numpy_mean_and_std(flat):
+    mean, std = _column_stats(flat)
+    _same_bits(mean, flat.mean(axis=0))
+    _same_bits(std, flat.std(axis=0))
+
+
+@pytest.mark.parametrize("shape", [(65536, 1), (65536, 2), (65536, 3), (1000, 7)])
+def test_column_stats_have_the_bits_of_numpy_on_many_rows(shape):
+    # numpy sums one column pairwise but several columns row by row.
+    rng = np.random.default_rng(shape[1])
+    flat = rng.normal(size=shape) * np.logspace(0, 6, shape[1]) + 3.0
+    flat[:, -1] = -0.0 if shape[1] > 1 else flat[:, -1]
+    before = flat.copy()
+    mean, std = _column_stats(flat)
+    _same_bits(mean, flat.mean(axis=0))
+    _same_bits(std, flat.std(axis=0))
+    np.testing.assert_array_equal(flat, before)
+
+
+def test_column_stats_run_on_strided_views():
+    data = np.random.default_rng(3).random((50, 40, 4))[:, ::3, 1:]
+    flat = data.reshape(-1, 3)
+    mean, std = _column_stats(flat)
+    _same_bits(mean, flat.mean(axis=0))
+    _same_bits(std, flat.std(axis=0))

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import dataclass
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import sarchange as sc
 from sarchange import propagation
@@ -49,11 +51,19 @@ class TransitionMatrix:
                 raise ValueError("transition columns must sum to 1")
 
 
+def pixel_indices(rm: RegionMap) -> list[np.ndarray]:
+    """Flat pixel indices per region, in region-id order."""
+    flat = rm.region_id.ravel()
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[order], np.arange(rm.region_count + 1))
+    return [order[bounds[i] : bounds[i + 1]] for i in range(rm.region_count)]
+
+
 def reference_build_transition(img: Raster, rm: RegionMap) -> TransitionMatrix:
     if (img.height, img.width) != (rm.height, rm.width):
         raise ShapeError("image and region map dimensions disagree")
     values = img.data.reshape(-1, img.channels)
-    indices = rm.pixel_indices()
+    indices = pixel_indices(rm)
     blocks: list[np.ndarray] = []
     for idx in indices:
         v = values[idx]
@@ -150,7 +160,7 @@ def test_weights_never_cross_regions(monkeypatch):
     monkeypatch.setattr(propagation, "build_transition", recording)
     # anchors in one region never leak into the other
     out = propagate(img, rm, anchors([[CHANGED, CHANGED, UNLABELED, UNLABELED]]), alpha=0.7)
-    assert shapes == [(2, 2), (2, 2)]
+    assert shapes == [(2, 2, 2)]  # both regions in one stack, one block each
     np.testing.assert_array_equal(out[2:, :], 0.0)
 
 
@@ -279,9 +289,28 @@ def test_propagate_rejects_alpha_outside_open_interval():
 
 
 def test_build_transition_rejects_values_that_are_not_2d():
-    for bad in (np.zeros(3), np.zeros((1, 3, 1))):
+    # one region's (n, c) values or a (b, n, c) stack; nothing else
+    assert build_transition(np.zeros((1, 3, 1))).shape == (1, 3, 3)
+    for bad in (np.zeros(3), np.zeros((1, 1, 3, 1))):
         with pytest.raises(ShapeError):
             build_transition(bad)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_stacked_build_transition_has_the_bits_of_per_region_calls(channels):
+    rng = np.random.default_rng(channels)
+    stack = rng.random((6, 9, channels))
+    stack[2] = stack[2, 0]  # identical pixels: sigma2 == 0
+    stack[4] = 0.5 + 1e-13 * rng.random((9, channels))  # near-flat: 0 < sigma2 < 1e-24
+    centred = stack[4] - stack[4].mean(axis=0)
+    assert 0.0 < (centred ** 2).sum(axis=1).mean() < 1e-24
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = build_transition(stack)
+    assert blocks.shape == (6, 9, 9)
+    for values, block in zip(stack, blocks):
+        np.testing.assert_array_equal(block, build_transition(values))
+    np.testing.assert_array_equal(blocks[[2, 4]], np.full((2, 9, 9), 1 / 9))
 
 
 def test_propagate_rejects_mismatched_region_map():
@@ -332,7 +361,7 @@ def test_propagate_matches_reference_with_identical_and_singleton_regions():
 
 def test_propagate_drops_each_block_before_building_the_next(monkeypatch):
     img = Raster.from_array(np.random.default_rng(9).random((12, 12)))
-    rm = segment_superpixels(img, 9)
+    rm = segment_superpixels(img, 144)  # 144 single-pixel regions
     built = []
     alive_at_build = []
 
@@ -345,8 +374,33 @@ def test_propagate_drops_each_block_before_building_the_next(monkeypatch):
 
     monkeypatch.setattr(propagation, "build_transition", tracking)
     propagate(img, rm, np.zeros((144, 2)), alpha=0.7)
-    assert len(alive_at_build) == rm.region_count > 1
-    assert alive_at_build == [0] * rm.region_count
+    chunks = -(-rm.region_count // propagation._CHUNK_REGIONS)
+    assert len(alive_at_build) == chunks > 1
+    assert alive_at_build == [0] * chunks
+
+
+def test_propagate_matches_reference_where_a_size_group_spans_several_chunks(monkeypatch):
+    img = Raster.from_array(np.random.default_rng(13).random((16, 16)))
+    identity = segment_superpixels(img, 256)
+    assert identity.region_count > 3 * propagation._CHUNK_REGIONS
+    assert_matches_reference(img, identity, seed=13)
+
+    i1, i2, _ = sc.gen_pair(sc.default_scene(seed=3))
+    di = sc.log_ratio_di(i1, i2).band(0)[:96, :96]
+    scene = Raster.from_array(ndimage.uniform_filter(di, size=7, mode="reflect"))  # as cleaned
+    rm = segment_superpixels(scene)
+    chunks = []
+    monkeypatch.setattr(propagation, "_CHUNK_REGIONS", 3)
+    monkeypatch.setattr(propagation, "_CHUNK_ENTRIES", 3 * 64 * 64)  # under 3 regions above 64 px
+    monkeypatch.setattr(propagation, "build_transition",
+                        lambda values: chunks.append(values.shape[:2]) or build_transition(values))
+    assert_matches_reference(scene, rm, seed=14)  # three alphas
+    groups = [g.shape for g in rm.size_groups()]
+    steps = {n: max(1, min(3, 3 * 64 * 64 // (n * n))) for _, n in groups}
+    assert max(r for r, n in groups if steps[n] == 3) > 3
+    assert max(r for r, n in groups if steps[n] < 3) > 1
+    expected = [(min(steps[n], r - first), n) for r, n in groups for first in range(0, r, steps[n])]
+    assert chunks == 3 * expected
 
 
 def test_majority_vote_tie_goes_to_unchanged():

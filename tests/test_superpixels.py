@@ -323,6 +323,31 @@ def test_region_map_validates_ids():
     assert RegionMap(region_id=np.array([[1, 0], [1, 2]]), region_count=3).region_count == 3
 
 
+def test_size_groups_hold_each_region_once_by_size_then_id():
+    region_id = np.array([[2, 0, 0, 3],
+                          [2, 1, 0, 3],
+                          [4, 1, 1, 3]])
+    groups = RegionMap(region_id=region_id, region_count=5).size_groups()
+    # sizes: region 4 has 1 pixel, 2 has 2, regions 0, 1 and 3 have 3
+    expected = [[[8]], [[0, 4]], [[1, 2, 6], [5, 9, 10], [3, 7, 11]]]
+    assert [g.tolist() for g in groups] == expected
+
+
+def test_size_groups_cover_a_segmentation_in_region_order():
+    img = Raster.from_array(np.random.default_rng(6).random((40, 30)))
+    rm = segment_superpixels(img, 20)
+    groups = rm.size_groups()
+    sizes = [g.shape[1] for g in groups]
+    assert sizes == sorted(set(sizes))
+    flat = rm.region_id.ravel()
+    for g in groups:
+        ids = flat[g]
+        assert (ids == ids[:, :1]).all()  # one region per row
+        assert (np.diff(ids[:, 0]) > 0).all()  # rows in region-id order
+        assert (np.diff(g, axis=1) > 0).all()  # pixels in index order
+    assert sum(g.size for g in groups) == flat.size
+
+
 @pytest.mark.parametrize("compactness", [np.nan, np.inf, -np.inf, -1.0, -1e-9])
 def test_non_finite_or_negative_compactness_rejected(compactness):
     img = Raster.from_array(np.random.default_rng(1).random((8, 8)))
