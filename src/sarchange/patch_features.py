@@ -23,6 +23,7 @@ from .raster import Raster
 from .seeds import derive_seed
 
 _TILE_PIXELS = 4096  # pixels per block of windows convolved at once
+_PIXEL_STEP = 8  # a block's pixel columns are padded to a multiple of this
 
 
 @dataclass
@@ -44,14 +45,16 @@ def normalize_activation(f: Raster) -> Raster:
     return _min_max(np.sqrt((f.data ** 2).sum(axis=2)))
 
 
-def _windows(data: np.ndarray, k: int) -> np.ndarray:
-    """The k-by-k window around every pixel, symmetric-reflected at borders.
+def _padded_planes(data: np.ndarray, k: int) -> np.ndarray:
+    """The channels of ``data`` as planes padded for a k-by-k window around
+    every pixel, symmetric-reflected at borders.
 
-    A view of shape (height, width, channels, k, k) over the padded input.
+    Shape (channels, height + 2 * (k // 2), width + 2 * (k // 2)); the
+    window around pixel (r, c) is ``[:, r : r + k, c : c + k]``.
     """
     half = k // 2
-    padded = np.pad(data, ((half, half), (half, half), (0, 0)), mode="symmetric")
-    return sliding_window_view(padded, (k, k), axis=(0, 1))
+    return np.pad(data.transpose(2, 0, 1), ((0, 0), (half, half), (half, half)),
+                  mode="symmetric")
 
 
 def select_kernels(
@@ -105,8 +108,9 @@ def select_kernels(
             flat = order[:m]
     centers = np.stack([flat // f.width, flat % f.width], axis=1)
 
+    windows = sliding_window_view(_padded_planes(f.data, k), (k, k), axis=(1, 2))
     patches = np.ascontiguousarray(
-        _windows(f.data, k)[centers[:, 0], centers[:, 1]].transpose(0, 2, 3, 1)
+        windows[:, centers[:, 0], centers[:, 1]].transpose(1, 2, 3, 0)
     )
     norm = np.sqrt((patches ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
     kernels = np.zeros_like(patches)
@@ -119,7 +123,19 @@ def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
 
     Symmetric-reflection padding keeps the spatial dimensions; channel
     counts of image and kernels must agree.  Output has one channel per
-    kernel.
+    kernel, pixel-major: shape (height, width, kernels).
+
+    Blocks of whole rows, about ``_TILE_PIXELS`` pixels each (a wider row
+    is one block) and within one row of each other in height, are
+    multiplied as ``kernels @ columns``: one im2col row per (channel, dy,
+    dx), in the kernels' flattened order, cut from shifted slices of the
+    padded planes, and one column per pixel, padded with zeros to a
+    multiple of ``_PIXEL_STEP``.  With two or more kernels this has the
+    bits of the pixel-major product ``windows @ kernels.T`` (OpenBLAS
+    rounds a remainder of fewer than ``_PIXEL_STEP`` columns differently),
+    except in blocks of at most 1200 outputs over 32 or more terms, which
+    OpenBLAS sends to a small-matrix kernel.  One kernel makes both
+    products GEMVs, whose bits may differ.
     """
     m, k, k2, kc = kernels.kernels.shape
     if k != k2:
@@ -128,22 +144,28 @@ def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
         raise ShapeError(
             f"kernel channels ({kc}) disagree with image channels ({f.channels})"
         )
-    windows = _windows(f.data, k)
+    h, w = f.height, f.width
+    planes = _padded_planes(f.data, k)
     kmat = kernels.kernels.transpose(0, 3, 1, 2).reshape(m, kc * k * k)
-    # One reused tile bounds the im2col copy: blocks of whole rows, about
-    # _TILE_PIXELS each (a wider row is one block), sized within one row of
-    # each other so none is a lone pixel: numpy would multiply that by GEMV,
-    # whose bits differ from GEMM's.
-    blocks = min(f.height, -(-f.height * f.width // _TILE_PIXELS))
-    tile = np.empty((-(-f.height // blocks),) + windows.shape[1:])
-    out = np.empty((f.height, f.width, m))
+    blocks = min(h, -(-h * w // _TILE_PIXELS))
+    tallest = -(-h // blocks)
+    most = -(-tallest * w // _PIXEL_STEP) * _PIXEL_STEP  # padded columns of a block
+    # The output is allocated before the two reused scratch blocks, so it
+    # does not land above them in the heap.  Padding columns stay finite.
+    out = np.empty((h, w, m))
+    cols_buf = np.zeros(kc * k * k * most)
+    prod_buf = np.empty(m * most)
     for i in range(blocks):
-        top, bottom = f.height * i // blocks, f.height * (i + 1) // blocks
-        block = tile[: bottom - top]
-        block[...] = windows[top:bottom]
-        res = out[top:bottom].reshape(-1, m)
-        np.matmul(block.reshape(res.shape[0], -1), kmat.T, out=res)
-        np.maximum(res, 0.0, out=res)
+        top, bottom = h * i // blocks, h * (i + 1) // blocks
+        n = (bottom - top) * w
+        padded = -(-n // _PIXEL_STEP) * _PIXEL_STEP
+        cols = cols_buf[: kc * k * k * padded].reshape(-1, padded)
+        pixels = cols[:, :n].reshape(kc, k, k, bottom - top, w)
+        for dy in range(k):
+            for dx in range(k):
+                pixels[:, dy, dx] = planes[:, top + dy : bottom + dy, dx : dx + w]
+        prod = np.matmul(kmat, cols, out=prod_buf[: m * padded].reshape(m, padded))
+        np.maximum(prod[:, :n].T, 0.0, out=out[top:bottom].reshape(n, m))
     return Raster(out)
 
 

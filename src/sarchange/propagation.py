@@ -16,8 +16,11 @@ solved together as stacked dense blocks, a bounded chunk at a time, with
 the bits each region gets when solved alone.
 Cleaning repeats this over several rounds, each time keeping a random
 subset of the labeled pixels as anchors and demoting the rest, then
-takes a majority vote over the per-round predictions; all rounds share
-one solve as stacked right-hand sides.
+takes a majority vote over the per-round predictions.  A round's anchors
+are one signed column, +1 CHANGED and -1 UNCHANGED: the fixpoint is
+linear, so in exact arithmetic its sign is that of the changed score
+minus the unchanged score of one-hot anchors.  All rounds share one
+solve as stacked right-hand sides.
 """
 
 from __future__ import annotations
@@ -58,8 +61,12 @@ def build_transition(values: np.ndarray) -> np.ndarray:
     centred = v - v.mean(axis=-2, keepdims=True)
     sigma2 = (centred ** 2).sum(axis=-1).mean(axis=-1)
     flat = sigma2 < 1e-24
-    w = v[..., :, np.newaxis, :] - v[..., np.newaxis, :, :]
-    w = np.square(w, out=w).sum(axis=-1)
+    # Channel by channel, in the order numpy's sum over the last axis adds them
+    w = v[..., :, np.newaxis, 0] - v[..., np.newaxis, :, 0]
+    np.square(w, out=w)
+    for ch in range(1, v.shape[-1]):
+        d = v[..., :, np.newaxis, ch] - v[..., np.newaxis, :, ch]
+        w += np.square(d, out=d)
     # x / (-s) has the bits of -x / s; flat blocks divide by 1 and are then overwritten
     w /= (-2.0 * np.where(flat, 1.0, sigma2))[..., np.newaxis, np.newaxis]
     np.exp(w, out=w)
@@ -72,15 +79,15 @@ def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.nd
     """Exact fixpoint of anchored propagation, per region.
 
     ``y0`` is a ``(pixels, k)`` matrix of anchor scores over the flat
-    pixels of ``img``, one column per class channel; any number of
-    columns propagate independently in one solve.  Each region r of
-    ``rm`` returns ``(1 - alpha) (I - alpha T_r)^-1 y0[r]``, the limit of
-    the iteration in the module docstring, with ``T_r`` from
-    :func:`build_transition`.  Regions of one pixel count are solved
-    together, in chunks of at most ``_CHUNK_REGIONS`` regions and
-    ``_CHUNK_ENTRIES`` block entries: one stacked build and one stacked
-    solve per chunk, each chunk's blocks dropped before the next chunk's
-    are built.  Every region gets the bits of a solve on its own.
+    pixels of ``img``; any number of columns propagate independently in
+    one solve.  Each region r of ``rm`` returns
+    ``(1 - alpha) (I - alpha T_r)^-1 y0[r]``, the limit of the iteration
+    in the module docstring, with ``T_r`` from :func:`build_transition`.
+    Regions of one pixel count are solved together, in chunks of at most
+    ``_CHUNK_REGIONS`` regions and ``_CHUNK_ENTRIES`` block entries: one
+    stacked build and one stacked solve per chunk, each chunk's blocks
+    turned into ``I - alpha T`` in place and dropped before the next
+    chunk's are built.  Every region gets the bits of a solve on its own.
     """
     if (img.height, img.width) != (rm.height, rm.width):
         raise ShapeError("image and region map dimensions disagree")
@@ -98,9 +105,17 @@ def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.nd
         step = max(1, min(_CHUNK_REGIONS, _CHUNK_ENTRIES // (n * n)))
         for first in range(0, group.shape[0], step):
             idx = group[first : first + step]
-            system = np.eye(n) - alpha * build_transition(values[idx])
-            out[idx] = np.linalg.solve(system, (1.0 - alpha) * y0[idx])
+            out[idx] = _solve(build_transition(values[idx]), (1.0 - alpha) * y0[idx], alpha)
     return out
+
+
+def _solve(t: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
+    """Solve (I - alpha T) x = rhs for a (b, n, n) stack ``t``, overwritten
+    with I - alpha T: the bits of ``np.eye(n) - alpha * t``, except that an
+    off-diagonal zero of ``t`` becomes -0.0."""
+    t *= -alpha
+    t.reshape(t.shape[0], -1)[:, :: t.shape[1] + 1] += 1.0
+    return np.linalg.solve(t, rhs)
 
 
 def majority_vote(changed_votes: np.ndarray, rounds: int) -> np.ndarray:
@@ -115,15 +130,17 @@ def clean_labels(
     """Clean noisy labels by repeated random keep/demote propagation rounds.
 
     Each round keeps a random ``labeled_fraction`` of the labeled pixels
-    as anchors and demotes the rest to unlabeled; the rounds' one-hot
-    anchor scores propagate within regions in a single solve, and each
-    round predicts CHANGED where its changed score beats its unchanged
-    score (ties go to unchanged).  The output label of every originally
-    labeled pixel is the majority vote across rounds; pixels unlabeled in
-    ``pseudo`` stay unlabeled.  A round whose anchor set misses a class
-    is redrawn (at most 10 retries, so a ``pseudo`` of one class keeps
-    the last draw).  Reads ``alpha``, ``n_regions``, ``rounds``,
-    ``labeled_fraction`` and ``compactness`` from ``cfg``.
+    as anchors and demotes the rest to unlabeled; each round's signed
+    anchor column (+1 CHANGED, -1 UNCHANGED, 0 elsewhere) propagates
+    within regions, all rounds in a single solve, and each round predicts
+    CHANGED where its score is above zero.  A region with no anchor in a
+    round scores exactly zero there, so its pixels vote unchanged.  The
+    output label of every originally labeled pixel is the majority vote
+    across rounds; pixels unlabeled in ``pseudo`` stay unlabeled.  A
+    round whose anchor set misses a class is redrawn (at most 10 retries,
+    so a ``pseudo`` of one class keeps the last draw).  Reads ``alpha``,
+    ``n_regions``, ``rounds``, ``labeled_fraction`` and ``compactness``
+    from ``cfg``.
     """
     flat_labels = pseudo.labels.ravel()
     labeled_idx = np.flatnonzero(flat_labels != UNLABELED)
@@ -133,9 +150,8 @@ def clean_labels(
     rm = segment_superpixels(img, cfg.n_regions, cfg.compactness)
 
     n_keep = max(1, int(np.floor(cfg.labeled_fraction * labeled_idx.size + 0.5)))
-    # Column pair (2 * rnd, 2 * rnd + 1) holds round rnd's (unchanged,
-    # changed) anchor scores; labels 0/1 index the pair directly.
-    y0 = np.zeros((flat_labels.size, cfg.rounds, 2))
+    # Column rnd holds round rnd's signed anchors: +1 CHANGED, -1 UNCHANGED.
+    y0 = np.zeros((flat_labels.size, cfg.rounds))
     for rnd in range(cfg.rounds):
         rng = np.random.default_rng(derive_seed(seed, 1 + rnd))
         for _ in range(11):  # after the retries, proceed with the last draw
@@ -143,10 +159,9 @@ def clean_labels(
             kept_labels = flat_labels[labeled_idx[keep]]
             if (kept_labels == CHANGED).any() and (kept_labels == UNCHANGED).any():
                 break
-        y0[labeled_idx[keep], rnd, kept_labels] = 1.0
-    y = propagate(img, rm, y0.reshape(flat_labels.size, -1), cfg.alpha)
-    y = y.reshape(flat_labels.size, cfg.rounds, 2)[labeled_idx]
-    changed_votes = np.count_nonzero(y[..., 1] > y[..., 0], axis=1)
+        y0[labeled_idx[keep], rnd] = np.where(kept_labels == CHANGED, 1.0, -1.0)
+    y = propagate(img, rm, y0, cfg.alpha)[labeled_idx]
+    changed_votes = np.count_nonzero(y > 0.0, axis=1)
 
     cleaned = np.full(flat_labels.shape, UNLABELED, dtype=np.int8)
     cleaned[labeled_idx] = majority_vote(changed_votes, cfg.rounds)

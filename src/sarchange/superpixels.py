@@ -89,7 +89,8 @@ def _absorb_orphans(ids: np.ndarray) -> np.ndarray:
     labeled inside its bounding box grown by one pixel, which holds every
     4-path between its pixels and every pixel next to them; a region's
     box also grows to take in the box of each region that merges a
-    fragment into it.
+    fragment into it.  Each fragment looks for its neighbours inside its
+    own bounding box grown by one pixel.
     """
     h, w = ids.shape
     ids = ids.copy()
@@ -112,14 +113,16 @@ def _absorb_orphans(ids: np.ndarray) -> np.ndarray:
         comp, n_comp = ndimage.label(sub == rid, _CROSS)
         sizes = np.bincount(comp.ravel())[1:]
         keep = int(np.argmax(sizes)) + 1
-        for ci in range(1, n_comp + 1):
+        for ci, (rows, cols) in enumerate(ndimage.find_objects(comp), start=1):
             if ci == keep:
                 continue
-            cmask = comp == ci
+            near = (slice(max(rows.start - 1, 0), rows.stop + 1),
+                    slice(max(cols.start - 1, 0), cols.stop + 1))
+            cmask = comp[near] == ci
             grown = ndimage.binary_dilation(cmask, structure=_CROSS)
-            neighbour_ids = np.unique(sub[grown & ~cmask])
+            neighbour_ids = np.unique(sub[near][grown & ~cmask])
             target = neighbour_ids[int(np.argmax(counts[neighbour_ids]))]
-            sub[cmask] = target
+            sub[near][cmask] = target
             counts[target] += sizes[ci - 1]
             counts[rid] -= sizes[ci - 1]
             if target in boxes:

@@ -79,6 +79,28 @@ def test_select_kernels_are_reference_patches_over_their_norm(mode, channels, k)
             np.testing.assert_array_equal(kernel, patch / np.sqrt((patch ** 2).sum()))
 
 
+def reference_windows(data, k):
+    """The earlier pixel-major window helper, kept verbatim as the reference:
+    a (height, width, channels, k, k) view over the padded input."""
+    half = k // 2
+    padded = np.pad(data, ((half, half), (half, half), (0, 0)), mode="symmetric")
+    return sliding_window_view(padded, (k, k), axis=(0, 1))
+
+
+@pytest.mark.parametrize("mode", ["distinctive", "random"])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_select_kernels_have_the_bits_of_pixel_major_windows(mode, channels, k):
+    rng = np.random.default_rng([channels, k, 7])
+    img = Raster(rng.standard_normal((13, 17, channels)))
+    ks = select_kernels(img, mode, 30, k, threshold=0.5, seed=k)
+    patches = np.ascontiguousarray(
+        reference_windows(img.data, k)[ks.centers[:, 0], ks.centers[:, 1]].transpose(0, 2, 3, 1)
+    )
+    norm = np.sqrt((patches ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
+    assert ks.kernels.tobytes() == (patches / norm).tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
 def test_select_kernels_cut_border_centres_like_the_reference(k):
     rng = np.random.default_rng(k)
@@ -214,11 +236,15 @@ def naive_conv(values, kernels):
 
 def test_conv_layer_matches_naive_oracle():
     rng = np.random.default_rng(3)
-    values = rng.standard_normal((6, 6, 1))
-    kernels = rng.standard_normal((2, 3, 3, 1))
-    ks = KernelSet(kernels=kernels, centers=np.zeros((2, 2), dtype=int), mode="random")
-    out = conv_layer(Raster(values), ks)
-    np.testing.assert_allclose(out.data, naive_conv(values, kernels), atol=1e-10)
+    # One kernel (m = 1) makes the product a GEMV, whose sums may round
+    # differently from a GEMM's: only the tolerance holds for it.
+    for (h, w, c), m, k in [((6, 6, 1), 2, 3), ((6, 6, 1), 1, 3), ((9, 7, 3), 1, 5),
+                            ((1, 40, 2), 1, 1), ((40, 1, 3), 1, 1)]:
+        values = rng.standard_normal((h, w, c))
+        kernels = rng.standard_normal((m, k, k, c))
+        ks = KernelSet(kernels=kernels, centers=np.zeros((m, 2), dtype=int), mode="random")
+        out = conv_layer(Raster(values), ks)
+        np.testing.assert_allclose(out.data, naive_conv(values, kernels), atol=1e-10)
 
 
 def one_shot_conv(values, kernels):
@@ -243,16 +269,17 @@ def one_shot_conv(values, kernels):
     (4097, 1, 3, 1),   # a one-pixel-wide column of two blocks
 ])
 def test_conv_layer_tiles_equal_the_one_shot_product_bit_for_bit(h, w, c, k):
-    """Row tiling changes no bit of the default 30-kernel layer on shapes that
-    put block edges between, inside and at the end of rows."""
+    """Row tiling and the kernels-by-pixels product change no bit of a layer
+    of two or more kernels, the default 30 among them, on shapes that put
+    block edges between, inside and at the end of rows."""
     assert h * w > _TILE_PIXELS
     rng = np.random.default_rng(h * w + c + k)
     values = rng.standard_normal((h, w, c))
-    kernels = rng.standard_normal((PipelineConfig.kernels_per_layer, k, k, c))
-    ks = KernelSet(kernels=kernels, centers=np.zeros((len(kernels), 2), dtype=int),
-                   mode="random")
-    out = conv_layer(Raster(values), ks)
-    assert out.data.tobytes() == one_shot_conv(values, kernels).tobytes()
+    for m in (2, 3, PipelineConfig.kernels_per_layer):
+        kernels = rng.standard_normal((m, k, k, c))
+        ks = KernelSet(kernels=kernels, centers=np.zeros((m, 2), dtype=int), mode="random")
+        out = conv_layer(Raster(values), ks)
+        assert out.data.tobytes() == one_shot_conv(values, kernels).tobytes(), m
 
 
 def test_conv_layer_rejects_channel_mismatch():
@@ -382,6 +409,8 @@ def test_stack_features_memory_is_bounded_by_two_layer_outputs_and_one_tile():
     - a layer's output is n * m float64 (15.7 MB), and ``pca_reduce`` centres
       a copy of it, so two of them are alive at once;
     - the im2col tile holds _TILE_PIXELS windows of c * k * k float64 (2.5 MB);
+      the m * _TILE_PIXELS product block (1 MB) lives only in the convolution,
+      when no centred copy is alive;
     - the slack is every layer's (n, 3) reduction, n * 3 * depth float64
       (6.3 MB), plus 1 MB for the kernels, the padded layer input and the
       per-channel statistics;

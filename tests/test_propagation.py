@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import warnings
@@ -23,6 +24,7 @@ from sarchange.propagation import (
     propagate,
 )
 from sarchange.raster import Raster
+from sarchange.seeds import derive_seed
 from sarchange.superpixels import RegionMap, segment_superpixels
 
 from test_synth import inject_label_noise
@@ -97,6 +99,47 @@ def reference_propagate_blocks(t: TransitionMatrix, y0: np.ndarray, alpha: float
 
 def reference_propagate(img, rm, y0, alpha):
     return reference_propagate_blocks(reference_build_transition(img, rm), y0, alpha)
+
+
+def reference_stacked_build_transition(values):
+    """The earlier stacked builder, kept verbatim as the reference: squared
+    differences in one (b, n, n, c) array summed over its last axis."""
+    v = np.asarray(values, dtype=np.float64)
+    centred = v - v.mean(axis=-2, keepdims=True)
+    sigma2 = (centred ** 2).sum(axis=-1).mean(axis=-1)
+    flat = sigma2 < 1e-24
+    w = v[..., :, np.newaxis, :] - v[..., np.newaxis, :, :]
+    w = np.square(w, out=w).sum(axis=-1)
+    w /= (-2.0 * np.where(flat, 1.0, sigma2))[..., np.newaxis, np.newaxis]
+    np.exp(w, out=w)
+    w[flat] = 1.0
+    w /= w.sum(axis=-2, keepdims=True)
+    return w
+
+
+def reference_clean_labels(img, pseudo, cfg, seed=0):
+    """The earlier two-column vote, kept verbatim as the reference: each
+    round propagates one-hot (unchanged, changed) anchor scores and votes
+    CHANGED where the changed score beats the unchanged one."""
+    flat_labels = pseudo.labels.ravel()
+    labeled_idx = np.flatnonzero(flat_labels != UNLABELED)
+    rm = segment_superpixels(img, cfg.n_regions, cfg.compactness)
+    n_keep = max(1, int(np.floor(cfg.labeled_fraction * labeled_idx.size + 0.5)))
+    y0 = np.zeros((flat_labels.size, cfg.rounds, 2))
+    for rnd in range(cfg.rounds):
+        rng = np.random.default_rng(derive_seed(seed, 1 + rnd))
+        for _ in range(11):
+            keep = rng.choice(labeled_idx.size, size=n_keep, replace=False)
+            kept_labels = flat_labels[labeled_idx[keep]]
+            if (kept_labels == CHANGED).any() and (kept_labels == UNCHANGED).any():
+                break
+        y0[labeled_idx[keep], rnd, kept_labels] = 1.0
+    y = propagate(img, rm, y0.reshape(flat_labels.size, -1), cfg.alpha)
+    y = y.reshape(flat_labels.size, cfg.rounds, 2)[labeled_idx]
+    changed_votes = np.count_nonzero(y[..., 1] > y[..., 0], axis=1)
+    cleaned = np.full(flat_labels.shape, UNLABELED, dtype=np.int8)
+    cleaned[labeled_idx] = majority_vote(changed_votes, cfg.rounds)
+    return LabelField(labels=cleaned.reshape(pseudo.labels.shape))
 
 
 def single_region(values):
@@ -313,6 +356,16 @@ def test_stacked_build_transition_has_the_bits_of_per_region_calls(channels):
     np.testing.assert_array_equal(blocks[[2, 4]], np.full((2, 9, 9), 1 / 9))
 
 
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_build_transition_channel_sum_has_the_bits_of_the_4d_sum(channels):
+    rng = np.random.default_rng(30 + channels)
+    stack = rng.random((5, 11, channels)) * 10.0 ** rng.integers(-3, 4, size=(5, 11, channels))
+    stack[1] = stack[1, 0]  # a flat block
+    blocks = build_transition(stack)
+    assert blocks.tobytes() == reference_stacked_build_transition(stack).tobytes()
+    np.testing.assert_array_equal(blocks[1], np.full((11, 11), 1 / 11))
+
+
 def test_propagate_rejects_mismatched_region_map():
     img = Raster.from_array(np.random.default_rng(5).random((2, 3)))
     rm = RegionMap(region_id=np.zeros((3, 2), dtype=np.int32), region_count=1)
@@ -482,3 +535,54 @@ def test_clean_labels_requires_a_labeled_pixel():
             seed=0,
         )
 
+
+
+def pipeline_clean_input(seed, looks):
+    """The smoothed difference image and sampled pseudo-labels that the
+    pipeline hands to ``clean_labels`` on a ``default_scene`` at ``looks``."""
+    spec = dataclasses.replace(sc.default_scene(seed=seed), looks=looks)
+    i1, i2, _ = sc.gen_pair(spec)
+    di = sc.log_ratio_di(i1, i2)
+    training = sample_training(sc.preclassify_di(di, 7, seed=seed), 0.12, seed=seed + 1)
+    smoothed = Raster.from_array(ndimage.uniform_filter(di.band(0), size=7, mode="reflect"))
+    return smoothed, training
+
+
+@pytest.mark.parametrize("looks", [4.0, 2.0])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_signed_vote_matches_two_column_reference_on_scenes(looks, seed):
+    img, training = pipeline_clean_input(seed, looks)
+    cfg = PipelineConfig()
+    cleaned = clean_labels(img, training, cfg, seed=seed + 2)
+    expected = reference_clean_labels(img, training, cfg, seed=seed + 2)
+    assert cleaned.labels.tobytes() == expected.labels.tobytes()
+    assert (cleaned.labels != training.labels).any()  # cleaning did flip labels
+
+
+def test_signed_vote_matches_reference_with_one_class_and_anchorless_regions():
+    """A labelled set of CHANGED pixels only: every round leaves some regions
+    without an anchor, whose pixels get exact zero scores and vote unchanged."""
+    img = Raster.from_array(np.random.default_rng(17).random((64, 64)))
+    labels = np.full((64, 64), UNLABELED, dtype=np.int8)
+    labels.ravel()[np.random.default_rng(18).choice(64 * 64, 492, replace=False)] = CHANGED
+    pseudo = LabelField(labels=labels)
+    cfg = PipelineConfig()
+    cleaned = clean_labels(img, pseudo, cfg, seed=3)
+    assert cleaned.labels.tobytes() == reference_clean_labels(img, pseudo, cfg, seed=3).labels.tobytes()
+    assert (cleaned.labels == UNCHANGED).any()  # anchor-less regions still vote unchanged
+
+
+def test_signed_vote_matches_reference_where_regions_miss_anchors(monkeypatch):
+    img, training = pipeline_clean_input(2, 4.0)
+    cfg = PipelineConfig(n_regions=400)  # smaller regions than the default 256 at 128x128
+    scores = []
+    monkeypatch.setattr(propagation, "propagate",
+                        lambda *args: scores.append(propagate(*args)) or scores[-1])
+    cleaned = clean_labels(img, training, cfg, seed=4)
+    labeled = training.labels.ravel() != UNLABELED
+    (y,) = scores
+    assert y.shape == (training.labels.size, cfg.rounds)
+    assert (y[labeled] == 0.0).any()  # a labelled pixel's region had no anchor in a round
+    monkeypatch.undo()
+    expected = reference_clean_labels(img, training, cfg, seed=4)
+    assert cleaned.labels.tobytes() == expected.labels.tobytes()

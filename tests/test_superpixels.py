@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import sarchange as sc
 from sarchange.errors import ParameterError
 from sarchange import superpixels
 from sarchange.raster import Raster
@@ -206,6 +207,66 @@ def test_absorb_orphans_matches_multi_pass_reference():
         np.testing.assert_array_equal(superpixels._absorb_orphans(ids), expected)
         n_split += int((expected != ids).any())
     assert n_split > 100  # the maps exercise the merge, not just the scan
+
+
+def reference_box_absorb_orphans(ids):
+    """The earlier one-pass absorber, kept verbatim as the reference: each
+    fragment is dilated over the whole grown box of its region."""
+    h, w = ids.shape
+    ids = ids.copy()
+    links = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    links[::2, ::2] = True
+    links[::2, 1::2] = ids[:, :-1] == ids[:, 1:]
+    links[1::2, ::2] = ids[:-1] == ids[1:]
+    comp, n_comp = ndimage.label(links, _CROSS)
+    region_of = np.empty(n_comp + 1, dtype=ids.dtype)
+    region_of[comp[::2, ::2]] = ids
+    split = np.flatnonzero(np.bincount(region_of[1:]) > 1)
+    objects = ndimage.find_objects(ids + 1)
+    boxes = {rid: [objects[rid][0].start, objects[rid][0].stop,
+                   objects[rid][1].start, objects[rid][1].stop] for rid in split}
+    counts = np.bincount(ids.ravel())
+    for rid in split:
+        r0, r1, c0, c1 = boxes[rid]
+        r0, r1, c0, c1 = max(r0 - 1, 0), min(r1 + 1, h), max(c0 - 1, 0), min(c1 + 1, w)
+        sub = ids[r0:r1, c0:c1]
+        comp, n_comp = ndimage.label(sub == rid, _CROSS)
+        sizes = np.bincount(comp.ravel())[1:]
+        keep = int(np.argmax(sizes)) + 1
+        for ci in range(1, n_comp + 1):
+            if ci == keep:
+                continue
+            cmask = comp == ci
+            grown = ndimage.binary_dilation(cmask, structure=_CROSS)
+            neighbour_ids = np.unique(sub[grown & ~cmask])
+            target = neighbour_ids[int(np.argmax(counts[neighbour_ids]))]
+            sub[cmask] = target
+            counts[target] += sizes[ci - 1]
+            counts[rid] -= sizes[ci - 1]
+            if target in boxes:
+                t0, t1, u0, u1 = boxes[target]
+                boxes[target] = [min(t0, r0), max(t1, r1), min(u0, c0), max(u1, c1)]
+    return ids
+
+
+def test_absorb_orphans_matches_region_box_reference_on_speckle(monkeypatch):
+    """Unsmoothed speckle splits regions into many fragments, some of them
+    at the image border."""
+    i1, i2, _ = sc.gen_pair(sc.default_scene(seed=4))
+    di = sc.log_ratio_di(i1, i2).band(0)
+    real_absorb = superpixels._absorb_orphans
+    fragments = []
+
+    def checked(ids):
+        got = real_absorb(ids)
+        np.testing.assert_array_equal(got, reference_box_absorb_orphans(ids))
+        fragments.append(int((got != ids).sum()))
+        return got
+
+    monkeypatch.setattr(superpixels, "_absorb_orphans", checked)
+    for crop in (di[:48, :48], di[40:88, 70:118]):
+        segment_superpixels(Raster.from_array(crop))
+    assert len(fragments) == 2 and min(fragments) > 100
 
 
 def test_absorb_orphans_labels_only_region_boxes_when_nothing_is_split(monkeypatch):
