@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .config import PipelineConfig, check
+from .config import POSITIVE_INT, PipelineConfig, check
 from .difference import _column_stats, _min_max
 from .errors import ParameterError, ShapeError
 from .raster import Raster
@@ -166,7 +166,20 @@ def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
                 pixels[:, dy, dx] = planes[:, top + dy : bottom + dy, dx : dx + w]
         prod = np.matmul(kmat, cols, out=prod_buf[: m * padded].reshape(m, padded))
         np.maximum(prod[:, :n].T, 0.0, out=out[top:bottom].reshape(n, m))
+    # Free the scratch before Raster's finiteness check allocates its
+    # n * m mask, so the two do not stack on top of the output.
+    del planes, cols_buf, prod_buf, cols, pixels, prod
     return Raster(out)
+
+
+def _centred_tiles(x: np.ndarray, mean: np.ndarray):
+    """Yield ``(rows, x[rows] - mean)`` for tiles of ``_TILE_PIXELS`` rows of
+    ``x``; every tile is written into one reused scratch array."""
+    n, c = x.shape
+    scratch = np.empty(min(n, _TILE_PIXELS) * c)
+    for top in range(0, n, _TILE_PIXELS):
+        rows = slice(top, min(top + _TILE_PIXELS, n))
+        yield rows, np.subtract(x[rows], mean, out=scratch[: (rows.stop - top) * c].reshape(-1, c))
 
 
 def pca_reduce(f: Raster, keep: int) -> Raster:
@@ -177,16 +190,23 @@ def pca_reduce(f: Raster, keep: int) -> Raster:
     largest-magnitude loading is positive.  Directions whose eigenvalue
     falls below 1e-12 of the total variance are dropped rather than
     padded, so the output may have fewer than ``keep`` channels.
+
+    No centred copy of the input is made: the covariance sums each tile's
+    centred ``t.T @ t`` (Chan, Golub & LeVeque, 1979), and the projection
+    centres and projects tile by tile into the output, so beyond the
+    output only a tile of ``_TILE_PIXELS`` rows is allocated.
     """
-    if keep < 1:
-        raise ParameterError(f"keep must be >= 1, got {keep}")
+    check("keep", keep, POSITIVE_INT)
     n = f.height * f.width
     c = f.channels
     if n <= c:
         raise ParameterError(f"need more pixels ({n}) than channels ({c}) for PCA")
     x = f.data.reshape(n, c)
-    centred = x - x.mean(axis=0)
-    cov = centred.T @ centred / (n - 1)
+    mean = x.mean(axis=0)
+    cov = np.zeros((c, c))
+    for _, t in _centred_tiles(x, mean):
+        cov += t.T @ t
+    cov /= n - 1
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals, kind="stable")[::-1]
     evals = np.maximum(evals[order], 0.0)
@@ -201,7 +221,10 @@ def pca_reduce(f: Raster, keep: int) -> Raster:
         pivot = int(np.argmax(np.abs(basis[:, j])))
         if basis[pivot, j] < 0:
             basis[:, j] = -basis[:, j]
-    return Raster((centred @ basis).reshape(f.height, f.width, n_keep))
+    out = np.empty((n, n_keep))
+    for rows, t in _centred_tiles(x, mean):
+        np.matmul(t, basis, out=out[rows])
+    return Raster(out.reshape(f.height, f.width, n_keep))
 
 
 def zscore_channels(data: np.ndarray) -> np.ndarray:

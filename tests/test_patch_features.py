@@ -340,6 +340,71 @@ def test_pca_reduce_sign_fix_is_deterministic():
         assert col.std() > 0
 
 
+def reference_pca_reduce(f, keep):
+    """The earlier one-shot body, kept verbatim as the reference: it centres
+    a copy of the whole input and takes the covariance in one product."""
+    if keep < 1:
+        raise ParameterError(f"keep must be >= 1, got {keep}")
+    n = f.height * f.width
+    c = f.channels
+    if n <= c:
+        raise ParameterError(f"need more pixels ({n}) than channels ({c}) for PCA")
+    x = f.data.reshape(n, c)
+    centred = x - x.mean(axis=0)
+    cov = centred.T @ centred / (n - 1)
+    evals, evecs = np.linalg.eigh(cov)
+    order = np.argsort(evals, kind="stable")[::-1]
+    evals = np.maximum(evals[order], 0.0)
+    evecs = evecs[:, order]
+    total = evals.sum()
+    significant = evals > 1e-12 * total if total > 0 else np.zeros(c, dtype=bool)
+    n_keep = min(keep, int(np.count_nonzero(significant)))
+    if n_keep == 0:
+        raise ParameterError("input has no variance; nothing to retain")
+    basis = evecs[:, :n_keep].copy()
+    for j in range(n_keep):
+        pivot = int(np.argmax(np.abs(basis[:, j])))
+        if basis[pivot, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return Raster((centred @ basis).reshape(f.height, f.width, n_keep))
+
+
+@pytest.mark.parametrize("h, w", [
+    (37, 29),                     # fewer pixels than a tile
+    (64, _TILE_PIXELS // 64),     # exactly one tile
+    (3, (2 * _TILE_PIXELS + 1) // 3),  # two tiles and one pixel
+])
+@pytest.mark.parametrize("case", ["keep < c", "constant channel", "keep > rank"])
+def test_pca_reduce_tiles_match_the_one_shot_reference(h, w, case):
+    """Summing the covariance tile by tile moves scores by rounding only:
+    the same channels, the same component signs, scores within 1e-12 of
+    their largest magnitude."""
+    rng = np.random.default_rng([h, w])
+    n = h * w
+    if case == "keep > rank":  # rank 2 in 5 channels; keep asks for all 5
+        values, keep, channels = rng.standard_normal((n, 2)) @ rng.standard_normal((2, 5)), 5, 2
+    else:  # conv-layer-like: 12 rectified mixtures
+        values = np.maximum(rng.standard_normal((n, 12)) @ rng.standard_normal((12, 12)), 0.0)
+        keep, channels = 3, 3
+        if case == "constant channel":
+            values = np.concatenate([values[:, :2], np.full((n, 1), 2.5)], axis=1)
+            keep, channels = 3, 2
+    f = Raster(values.reshape(h, w, -1))
+    out, ref = pca_reduce(f, keep).data, reference_pca_reduce(f, keep).data
+    assert out.shape == ref.shape == (h, w, channels)
+    out, ref = out.reshape(n, channels), ref.reshape(n, channels)
+    top = np.argmax(np.abs(ref), axis=0)
+    assert np.array_equal(np.sign(out[top, range(channels)]), np.sign(ref[top, range(channels)]))
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("keep", [2.5, True, "2", 0])
+def test_pca_reduce_rejects_a_keep_that_is_not_a_positive_integer(keep):
+    values = np.random.default_rng(12).standard_normal((6, 6, 3))
+    with pytest.raises(ParameterError, match="keep must be an integer >= 1"):
+        pca_reduce(Raster(values), keep)
+
+
 def test_stack_features_single_layer_vector_len():
     rng = np.random.default_rng(7)
     img = Raster.from_array(rng.random((12, 12)))
@@ -402,30 +467,33 @@ def test_stack_features_deterministic_per_seed():
     np.testing.assert_array_equal(a.data, b.data)
 
 
-def test_stack_features_memory_is_bounded_by_two_layer_outputs_and_one_tile():
+def test_stack_features_memory_is_bounded_by_one_layer_output_and_one_tile():
     """Peak traced memory of the default stack on a 256x256x3 input.
 
-    With n pixels, m = 30 kernels of k = 5 over c = 3 channels and depth 4:
-    - a layer's output is n * m float64 (15.7 MB), and ``pca_reduce`` centres
-      a copy of it, so two of them are alive at once;
-    - the im2col tile holds _TILE_PIXELS windows of c * k * k float64 (2.5 MB);
-      the m * _TILE_PIXELS product block (1 MB) lives only in the convolution,
-      when no centred copy is alive;
-    - the slack is every layer's (n, 3) reduction, n * 3 * depth float64
-      (6.3 MB), plus 1 MB for the kernels, the padded layer input and the
-      per-channel statistics;
-    - the prepared input, the raw channels averaged and z-scored (n * c
-      float64, 1.6 MB), does not move the peak: layer 2 replaces it as the
-      current input, so it is alive only through layer 1, when no
-      reduction exists yet, while the peak comes at layer 4, next to three.
-    The bound is 41.2 MB; an im2col copy of the whole image (n * c * k * k
-    float64, 39 MB) next to one layer output breaks it.
+    With n pixels, m = 30 kernels of k = 5 over c = 3 channels and depth 4,
+    the bound is 27.5 MB:
+    - one layer's output, n * m float64 (15.7 MB); ``pca_reduce`` centres
+      it a tile at a time, so no centred copy is alive next to it;
+    - the im2col tile, _TILE_PIXELS windows of c * k * k float64 (2.5 MB);
+    - every layer's (n, 3) reduction, n * 3 * depth float64 (6.3 MB);
+    - n * m bytes (2 MB) for the boolean mask of ``Raster``'s finiteness
+      check on a layer output, which ``conv_layer`` makes only after
+      freeing its scratch;
+    - 1 MB for the kernels and the per-channel statistics.
+    The peak comes while layer 4 convolves: the output, the tile, the
+    m * _TILE_PIXELS product block (1 MB) and the padded input planes
+    (1.6 MB) next to three reductions.  The prepared input, the raw
+    channels averaged and z-scored (n * c float64, 1.6 MB), does not move
+    it: layer 2 replaces it as the current input, so it is alive only
+    through layer 1, when no reduction exists yet.  A one-shot centred copy
+    in ``pca_reduce`` (15.7 MB more) breaks the bound, as does an im2col
+    copy of the whole image (n * c * k * k float64, 39 MB).
     """
     n, m, c, k, depth = 256 * 256, 30, 3, 5, 4
     cfg = PipelineConfig()
     assert (cfg.kernels_per_layer, cfg.kernel_size, cfg.depth) == (m, k, depth)
     img = Raster(np.random.default_rng(16).standard_normal((256, 256, c)))
-    bound = 8 * (2 * n * m + _TILE_PIXELS * c * k * k + n * 3 * depth) + 2**20
+    bound = 8 * (n * m + _TILE_PIXELS * c * k * k + n * 3 * depth) + n * m + 2**20
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]

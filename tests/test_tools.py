@@ -33,8 +33,16 @@ def test_output_digests_cover_a_workload_and_write_nothing_into_perfbench(
     assert set(digests) == {"synth/1"} | {
         f"ablation-128/1/{k}/{row}" for k in range(3) for row in ("1", "3", "4", "6")
     }
-    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values()), digests
-    assert len(set(digests.values())) == 13
+    runs = [d for key, d in digests.items() if key != "synth/1"]
+    assert all(set(d) == set(output_digests.ARTIFACTS) for d in runs), digests
+    assert set(digests["synth/1"]) == {
+        f"scene/{name}" for name in ("t1.f32", "t1.f32.json", "t2.f32", "t2.f32.json",
+                                     "gt.pgm", "scene.json")
+    } | {f"run/{name}" for name in ("change_map.pgm", "scores.f32", "scores.f32.json",
+                                    "metrics.json", "roc.csv")}
+    every = [h for d in digests.values() for h in d.values()]
+    assert all(re.fullmatch("[0-9a-f]{64}", h) for h in every), digests
+    assert len({d["scores.f32"] for d in runs}) == 12  # each run is hashed on its own
     assert output_digests.parse_seeds("1-3") == [1, 2, 3]
     assert output_digests.parse_seeds("7") == [7]
     assert _tree(PERFBENCH) == before

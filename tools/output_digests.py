@@ -8,19 +8,22 @@ For every perfbench workload, seed, scene and ablation row, writes the
 benchmark's scene pair with perfbench's own generator and seeding, runs
 ``run_pipeline`` of the package under ``--src`` on it once, and prints
 one JSON object that maps ``workload/seed/scene/row`` to the sha256 of
-that run's ``change_map.pgm``, ``scores.f32`` and ``metrics.json``, or to
-``"failed"``.  For every seed it also adds ``synth/<seed>``: the sha256
-of every file that the package's own ``write_scene(default_scene(seed))``
-writes and of every file but ``timing.json`` that a default
-``run_pipeline`` on that scene writes, so the package's writers are
+each of that run's ``change_map.pgm``, ``scores.f32`` and
+``metrics.json``, by file name, or to ``"failed"``.  For every seed it
+also adds ``synth/<seed>``: the sha256 of every file that the package's
+own ``write_scene(default_scene(seed))`` writes, under ``scene/<name>``,
+and of every file but ``timing.json`` that a default ``run_pipeline`` on
+that scene writes, under ``run/<name>``, so the package's writers are
 covered too.  Two checkouts give byte-identical outputs when their maps
-are equal.  The workloads, rows and
-seeding are imported from ``perfbench/`` and only read, so the inputs are
-exactly the benchmark's, BLAS is pinned to one thread as there, and
-nothing is written under ``perfbench/``.  Scenes and run outputs go to
-``.digests_work/<key>/`` at the root of this checkout, where the key is a
-digest of the resolved ``--src``: runs on different checkouts can go on
-at the same time, and each run first empties only its own directory.
+are equal; when they are not, the per-file digests tell which artifacts
+moved, for instance how many change maps stayed the same.  The
+workloads, rows and seeding are imported from ``perfbench/`` and only
+read, so the inputs are exactly the benchmark's, BLAS is pinned to one
+thread as there, and nothing is written under ``perfbench/``.  Scenes
+and run outputs go to ``.digests_work/<key>/`` at the root of this
+checkout, where the key is a digest of the resolved ``--src``: runs on
+different checkouts can go on at the same time, and each run first
+empties only its own directory.
 """
 
 import sys
@@ -53,10 +56,16 @@ def parse_seeds(spec: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def synth_digest(pipeline, synth, seed: int, work: Path) -> str:
-    """Digest of the files of ``synth.write_scene(synth.default_scene(seed))``
-    and of a default ``pipeline.run_pipeline`` on them, each file's name
-    hashed before its bytes; ``"failed"`` when either raises."""
+def file_digests(paths: list[Path], base: Path) -> dict:
+    """The sha256 of each file in ``paths``, keyed by its path relative to ``base``."""
+    return {p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths}
+
+
+def synth_digests(pipeline, synth, seed: int, work: Path) -> dict | str:
+    """Digests of the files of ``synth.write_scene(synth.default_scene(seed))``
+    and of a default ``pipeline.run_pipeline`` on them, keyed ``scene/<name>``
+    and ``run/<name>``; ``"failed"`` when either raises."""
     try:
         t1, t2, gt = synth.write_scene(synth.default_scene(seed), work / "scene")
         pipeline.run_pipeline(pipeline.PipelineConfig(t1=t1, t2=t2, gt=gt, out_dir=work / "run"))
@@ -65,10 +74,7 @@ def synth_digest(pipeline, synth, seed: int, work: Path) -> str:
     files = sorted((work / "scene").iterdir()) + sorted(
         p for p in (work / "run").iterdir() if p.name != "timing.json"
     )
-    h = hashlib.sha256()
-    for path in files:
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
+    return file_digests(files, work)
 
 
 def output_digests(pipeline, synth, seeds: list[int], workloads: list[str], work: Path) -> dict:
@@ -76,7 +82,7 @@ def output_digests(pipeline, synth, seeds: list[int], workloads: list[str], work
     imported ``sarchange.pipeline`` module, and every seed's ``synth/<seed>``
     scene with it and ``synth``, under ``work``; return the map of keys to
     artifact digests."""
-    out = {f"synth/{seed}": synth_digest(pipeline, synth, seed, work / "synth" / str(seed))
+    out = {f"synth/{seed}": synth_digests(pipeline, synth, seed, work / "synth" / str(seed))
            for seed in seeds}
     for name in workloads:
         wl = perfbench.WORKLOADS[name]
@@ -88,13 +94,9 @@ def output_digests(pipeline, synth, seeds: list[int], workloads: list[str], work
                 runner.round(k, base / "runs", runner.untraced)
                 for run in runner.runs[-len(wl.rows):]:
                     run_dir = base / "runs" / f"scene{k}" / f"row{run.row}"
-                    digest = "failed"
-                    if run.quality is not None:
-                        h = hashlib.sha256()
-                        for artifact in ARTIFACTS:
-                            h.update((run_dir / artifact).read_bytes())
-                        digest = h.hexdigest()
-                    out[f"{name}/{seed}/{k}/{run.row}"] = digest
+                    out[f"{name}/{seed}/{k}/{run.row}"] = (
+                        "failed" if run.quality is None
+                        else file_digests([run_dir / a for a in ARTIFACTS], run_dir))
     return out
 
 
