@@ -93,7 +93,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     Writes ``change_map.pgm`` (0/255), ``scores.f32`` (+ JSON sidecar) and
     ``timing.json`` always; ``metrics.json`` and ``roc.csv`` only when a
-    ground-truth path is configured.  Deterministic: identical
+    ground-truth path is configured, both from the scores as written, so
+    they can be reproduced from ``scores.f32``.  Deterministic: identical
     configurations produce byte-identical change map, scores and metrics.
     """
     out_dir = make_out_dir(cfg.out_dir)
@@ -132,10 +133,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     def _train():
         x, y, scaler = build_samples(features, training)
-        return train_svm(x, y, cfg.svm_c, scaler)
+        return scaler.unscale(train_svm(x, y, cfg.svm_c))
 
     model = timer.run("train", _train)
     change, scores = timer.run("predict", predict_map, model, features)
+    scores = Raster(scores.data.astype(np.float32))  # the values scores.f32 holds
 
     report = None
     curve = None

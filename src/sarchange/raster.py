@@ -46,7 +46,9 @@ class Raster:
         h, w, c = self.data.shape
         if h < 1 or w < 1 or c < 1:
             raise ShapeError(f"raster dimensions must be positive, got {self.data.shape}")
-        if not np.isfinite(self.data).all():
+        # NaN propagates through min and max, and +/-inf shows in one of them:
+        # no mask of the data is made.
+        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise FormatError("raster contains non-finite values")
 
     @classmethod

@@ -30,6 +30,10 @@ first.  (The smoothed slope C clip((t + h) / 2h, 0, 1) is a feasible
 dual point too, but it certifies far later: with C large against the
 optimum, or with many rows on the margin, its small errors add up.)
 The solver draws no random numbers, so training is deterministic.
+
+Training runs on the standardised rows of :func:`build_samples`;
+:meth:`FeatureScaler.unscale` folds the standardisation into the
+weights, so :func:`predict_map` scores raw features in one product.
 """
 
 from __future__ import annotations
@@ -48,7 +52,14 @@ MAX_NEWTON_STEPS = 200  # over all stages; the benchmark's training sets take 20
 _STAGE_TOL = 1e-12  # Newton decrement, relative to the objective, that ends a stage
 _ARMIJO = 0.25  # share of the predicted decrease a step must achieve
 _MAX_HALVINGS = 40
-_SCORE_ROWS = 4096  # rows standardised and scored at once by predict_map
+
+
+@dataclass
+class SvmModel:
+    """The linear score ``x . weights + bias`` of a feature vector x."""
+
+    weights: np.ndarray  # (d,)
+    bias: float
 
 
 @dataclass
@@ -64,28 +75,19 @@ class FeatureScaler:
     kept: np.ndarray  # (d_kept,) indices into the original feature vector
     n_features: int   # width of the vectors the scaler was fitted on
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != self.n_features:
-            raise ShapeError(
-                f"scaler was fitted on {self.n_features}-dim vectors, got {x.shape[1]}"
-            )
-        return (x[:, self.kept] - self.mean) / self.std
-
-    @classmethod
-    def identity(cls, dims: int) -> "FeatureScaler":
-        return cls(mean=np.zeros(dims), std=np.ones(dims), kept=np.arange(dims),
-                   n_features=dims)
-
-
-@dataclass
-class SvmModel:
-    weights: np.ndarray  # (d_kept,)
-    bias: float
-    scaler: FeatureScaler
-
-    def decision(self, x: np.ndarray) -> np.ndarray:
-        """Raw scores w . x + b for standardised-on-the-fly rows of x."""
-        return self.scaler.transform(x) @ self.weights + self.bias
+    def unscale(self, model: SvmModel) -> SvmModel:
+        """``model`` of standardised rows as the same function of raw ones:
+        weights w / std at the kept dimensions, 0 at the dropped ones, and
+        bias b - sum(w * mean / std).  Exact in real arithmetic; a score
+        loses about |mean| / std ulps where a column's offset is large
+        against its spread, which the pipeline's features, z-scored over
+        all pixels, do not have."""
+        if model.weights.shape != self.kept.shape:
+            raise ShapeError("model weights and scaler dimensions disagree")
+        scaled = model.weights / self.std
+        weights = np.zeros(self.n_features)
+        weights[self.kept] = scaled
+        return SvmModel(weights=weights, bias=model.bias - float(scaled @ self.mean))
 
 
 def build_samples(
@@ -121,12 +123,7 @@ def _smoothed_objective(v: np.ndarray, t: np.ndarray, h: float, c: float) -> flo
     return 0.5 * float(v @ v) + c * float(loss.sum())
 
 
-def train_svm(
-    x: np.ndarray,
-    y: np.ndarray,
-    c: float = PipelineConfig.svm_c,
-    scaler: FeatureScaler | None = None,
-) -> SvmModel:
+def train_svm(x: np.ndarray, y: np.ndarray, c: float = PipelineConfig.svm_c) -> SvmModel:
     """Fit the linear classifier to a certified optimum; deterministic.
 
     Minimises the folded objective P of the module docstring: Newton
@@ -139,11 +136,10 @@ def train_svm(
     ``x`` are expected standardised as :func:`build_samples` returns
     them (zero mean, unit spread per column, constant columns dropped);
     on raw rows with features far apart in scale, a large ``c`` can run
-    out of steps.  ``scaler`` is stored on the model so predictions can
-    standardise raw feature vectors the same way the training rows were;
-    pass the scaler returned by :func:`build_samples`, or leave None for
-    identity.  A single class needs no special case: on standardised rows
-    its optimum is w = 0 and b = +/-min(1, C n), that class everywhere.
+    out of steps.  The model scores rows of ``x``;
+    :meth:`FeatureScaler.unscale` maps it to feature units.  A single
+    class needs no special case: on standardised rows its optimum is
+    w = 0 and b = +/-min(1, C n), that class everywhere.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -200,22 +196,18 @@ def train_svm(
         primal = 0.5 * float(exact @ exact) + c * float(np.maximum(0.0, 1.0 - z @ exact).sum())
         dual = float(alpha.sum()) - 0.5 * float(u @ u)
         if primal - dual <= GAP_TOL * primal:
-            return SvmModel(
-                weights=exact[:-1],
-                bias=float(exact[-1]),
-                scaler=scaler if scaler is not None else FeatureScaler.identity(d),
-            )
+            return SvmModel(weights=exact[:-1], bias=float(exact[-1]))
         h *= 0.1
 
 
 def predict_map(model: SvmModel, fs: Raster) -> tuple[LabelField, Raster]:
-    """Score every pixel; changed exactly where the score is positive."""
-    if model.weights.shape != model.scaler.kept.shape:
-        raise ShapeError("model weights and scaler dimensions disagree")
-    x = fs.data.reshape(-1, fs.channels)
-    scores = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _SCORE_ROWS):  # bounds decision's copies
-        scores[start : start + _SCORE_ROWS] = model.decision(x[start : start + _SCORE_ROWS])
+    """Score every pixel's feature vector x as ``x . weights + bias``, with
+    one weight per channel of ``fs``; changed exactly where the score is
+    positive."""
+    if model.weights.shape != (fs.channels,):
+        raise ShapeError(f"{model.weights.size} weights for {fs.channels} feature channels")
+    scores = fs.data.reshape(-1, fs.channels) @ model.weights
+    scores += model.bias
     scores = scores.reshape(fs.height, fs.width)
     labels = np.where(scores > 0.0, CHANGED, UNCHANGED).astype(np.int8)
     return LabelField(labels=labels), Raster.from_array(scores)

@@ -153,26 +153,17 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
-        base_d = d.get("base", {})
-        base = BaseField(
-            low=base_d.get("low", 0.25),
-            high=base_d.get("high", 0.55),
-            regions=tuple(
-                (_shape_from_dict(r), r["value"])
-                for r in base_d.get("regions", [])
-            ),
-        )
-        return cls(
-            width=d["width"],
-            height=d["height"],
-            base=base,
-            changes=tuple(
-                (_shape_from_dict(c), c["multiplier"])
-                for c in d.get("changes", [])
-            ),
-            looks=d.get("looks", 4.0),
-            seed=d.get("seed", 0),
-        )
+        """The scene of :meth:`to_dict`'s form; omitted keys take the defaults."""
+        kwargs = {k: d[k] for k in ("width", "height", "looks", "seed") if k in d}
+        if "base" in d:
+            base = d["base"]
+            kwargs["base"] = BaseField(
+                **{k: base[k] for k in ("low", "high") if k in base},
+                regions=tuple((_shape_from_dict(r), r["value"]) for r in base.get("regions", [])),
+            )
+        if "changes" in d:
+            kwargs["changes"] = tuple((_shape_from_dict(c), c["multiplier"]) for c in d["changes"])
+        return cls(**kwargs)
 
 
 def load_scene(path: str | Path) -> SceneSpec:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.stats import rankdata
 
 from sarchange import cli, pipeline
 from sarchange.cli import main
@@ -99,6 +100,20 @@ def test_run_pipeline_deterministic_outputs(scene_files, tmp_path):
                   for f in ("change_map.pgm", "scores.f32", "metrics.json"))
         )
     assert outputs[0] == outputs[1]
+
+
+def test_metrics_are_those_of_the_scores_as_written(scene_files, tmp_path):
+    t1, t2, gtp = scene_files
+    # At seed 3, float64 scores that round to equal float32 values split
+    # changed from unchanged pixels: their AUC is 2.6e-6 off this one.
+    result = run_pipeline(PipelineConfig(t1=t1, t2=t2, gt=gtp, out_dir=tmp_path / "out", seed=3))
+    written = load_raster(result.scores_path)
+    np.testing.assert_array_equal(result.scores.data, written.data)
+    scores = written.band(0).ravel()
+    positive = load_raster(gtp).band(0).ravel() > 0.5
+    n_pos, n_neg = positive.sum(), (~positive).sum()
+    rank_auc = (rankdata(scores)[positive].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+    assert abs(json.loads(result.metrics_path.read_text())["auc"] - rank_auc) <= 1e-12
 
 
 def test_stage_error_carries_stage_name(tmp_path):

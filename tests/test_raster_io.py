@@ -126,6 +126,11 @@ def test_non_finite_f32_rejected(tmp_path):
 def test_raster_rejects_non_finite_construction():
     with pytest.raises(FormatError):
         Raster.from_array(np.array([[np.inf]]))
+    for value in (np.nan, -np.inf):
+        data = np.zeros((3, 4, 5))
+        data[1, 2, 3] = value
+        with pytest.raises(FormatError, match="non-finite"):
+            Raster(data)
     with pytest.raises(ShapeError):
         Raster(np.zeros((2, 2)))  # missing channel axis
 

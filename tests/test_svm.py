@@ -22,6 +22,12 @@ from sarchange.svm import (
 )
 
 
+def reference_decision(model: SvmModel, scaler: FeatureScaler, x: np.ndarray) -> np.ndarray:
+    """The earlier scoring, kept as the reference: standardise the rows of
+    ``x`` with ``scaler``, then score them with the model of standardised rows."""
+    return (x[:, scaler.kept] - scaler.mean) / scaler.std @ model.weights + model.bias
+
+
 def hinge_objective(w, b, x, y, c):
     """The classic primal: 0.5 ||w||^2 plus C times the summed hinge losses."""
     margins = y * (x @ w + b)
@@ -43,7 +49,6 @@ def reference_train_svm(
     c: float = 1.0,
     epochs: int = 200,
     seed: int = 0,
-    scaler: FeatureScaler | None = None,
     tol: float = 1e-8,
 ) -> SvmModel:
     """The earlier dual coordinate descent (Hsieh et al., ICML 2008), kept
@@ -78,11 +83,7 @@ def reference_train_svm(
                 largest_step = max(largest_step, abs(step))
         if largest_step < tol:
             break
-    return SvmModel(
-        weights=w_aug[:-1],
-        bias=float(w_aug[-1]),
-        scaler=scaler if scaler is not None else FeatureScaler.identity(d),
-    )
+    return SvmModel(weights=w_aug[:-1], bias=float(w_aug[-1]))
 
 
 def folded_objective(model, x, y, c):
@@ -139,10 +140,10 @@ def test_single_class_trains_to_the_constant_optimum(n, c, label):
     labels = np.full((1, n), label, dtype=np.int8)
     x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
     assert (y == (1.0 if label == CHANGED else -1.0)).all()
-    model = train_svm(x, y, c=c, scaler=scaler)
+    model = train_svm(x, y, c=c)
     assert np.abs(model.weights).max() <= 1e-12
     assert model.bias == pytest.approx(y[0] * min(1.0, c * n), rel=1e-9)
-    predicted, _ = predict_map(model, stack_from(features))
+    predicted, _ = predict_map(scaler.unscale(model), stack_from(features))
     assert (predicted.labels == label).all()
 
 
@@ -281,7 +282,7 @@ def test_rows_standardised_by_build_samples_certify(c):
     labels = np.where(UNSCALED_Y > 0, CHANGED, UNCHANGED)[np.newaxis]
     x, y, scaler = build_samples(Raster(UNSCALED_ROWS[np.newaxis]), LabelField(labels=labels))
     assert scaler.kept.tolist() == [1]  # the constant column is dropped
-    model = train_svm(x, y, c=c, scaler=scaler)
+    model = train_svm(x, y, c=c)
     assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
 
 
@@ -312,31 +313,23 @@ def test_degenerate_training_sets_give_a_finite_model_or_a_typed_error(case):
 
 def test_predict_map_constant_negative_model():
     features = np.random.default_rng(12).random((3, 4, 2))
-    model = SvmModel(
-        weights=np.zeros(2), bias=-1.0,
-        scaler=__import__("sarchange.svm", fromlist=["FeatureScaler"]).FeatureScaler.identity(2),
-    )
+    model = SvmModel(weights=np.zeros(2), bias=-1.0)
     labels, scores = predict_map(model, stack_from(features))
     assert (labels.labels == UNCHANGED).all()
     np.testing.assert_array_equal(scores.band(0), -1.0)
 
 
 def test_predict_map_sign_flip_antisymmetry():
-    from sarchange.svm import FeatureScaler
-
     rng = np.random.default_rng(13)
     features = rng.standard_normal((5, 5, 3))
-    model = SvmModel(weights=rng.standard_normal(3), bias=0.3,
-                     scaler=FeatureScaler.identity(3))
-    flipped = SvmModel(weights=-model.weights, bias=-model.bias,
-                       scaler=FeatureScaler.identity(3))
+    model = SvmModel(weights=rng.standard_normal(3), bias=0.3)
+    flipped = SvmModel(weights=-model.weights, bias=-model.bias)
     la, sa = predict_map(model, stack_from(features))
     lb, sb = predict_map(flipped, stack_from(features))
     nonzero = sa.band(0) != 0.0
     assert (la.labels[nonzero] != lb.labels[nonzero]).all()
     # exactly-zero scores land on unchanged under both signs
-    zero_model = SvmModel(weights=np.zeros(3), bias=0.0,
-                          scaler=FeatureScaler.identity(3))
+    zero_model = SvmModel(weights=np.zeros(3), bias=0.0)
     lz, _ = predict_map(zero_model, stack_from(features))
     assert (lz.labels == UNCHANGED).all()
 
@@ -350,26 +343,42 @@ def test_predict_map_separable_training_pixels_recovered():
     np.testing.assert_array_equal(labels.labels, expected)
 
 
-def test_predict_map_scores_in_slices_equal_one_decision_bit_for_bit():
-    """8704 rows: two full 4096-row slices and a 512-row rest."""
-    assert 68 * 128 % svm._SCORE_ROWS != 0
+def test_unscaled_model_scores_raw_features_as_the_reference_decision():
+    """8704 pixels; column 2 is constant and dropped, column 4 is offset and scaled."""
     rng = np.random.default_rng(15)
-    features = rng.standard_normal((68, 128, 5)) * [1.0, 3.0, 0.5, 2.0, 7.0]
-    scaler = FeatureScaler(mean=rng.standard_normal(4), std=rng.uniform(0.5, 2.0, 4),
-                           kept=np.array([0, 1, 3, 4]), n_features=5)
-    model = SvmModel(weights=rng.standard_normal(4), bias=0.2, scaler=scaler)
-    labels, scores = predict_map(model, stack_from(features))
-    expected = model.decision(features.reshape(-1, 5)).reshape(68, 128)
-    assert scores.band(0).tobytes() == expected.tobytes()
-    np.testing.assert_array_equal(labels.labels == CHANGED, expected > 0.0)
+    features = rng.standard_normal((68, 128, 5))
+    features[:, :, 2] = 7.0
+    features[:, :, 4] = 40.0 + 9.0 * features[:, :, 4]
+    signal = features[:, :, 0] + 0.1 * features[:, :, 4] + rng.normal(0.0, 0.8, (68, 128))
+    labels = np.where(signal > 4.0, CHANGED, UNCHANGED).astype(np.int8)
+    labels[rng.random((68, 128)) < 0.5] = UNLABELED
+    x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
+    assert scaler.kept.tolist() == [0, 1, 3, 4]
+    model = train_svm(x, y)
+    unscaled = scaler.unscale(model)
+    assert unscaled.weights.shape == (5,) and unscaled.weights[2] == 0.0
+    predicted, scores = predict_map(unscaled, stack_from(features))
+    expected = reference_decision(model, scaler, features.reshape(-1, 5)).reshape(68, 128)
+    assert np.abs(scores.band(0) - expected).max() <= 1e-12 * np.abs(expected).max()
+    clear = np.abs(expected) > 1e-9
+    np.testing.assert_array_equal((predicted.labels == CHANGED)[clear], expected[clear] > 0.0)
 
 
 def test_predict_map_dimension_guard():
-    from sarchange.svm import FeatureScaler
-
-    model = SvmModel(weights=np.zeros(5), bias=0.0,
-                     scaler=FeatureScaler(mean=np.zeros(5), std=np.ones(5),
-                                          kept=np.arange(5), n_features=5))
     features = np.zeros((2, 2, 3))
+    for n_weights in (2, 4):
+        model = SvmModel(weights=np.zeros(n_weights), bias=0.0)
+        with pytest.raises(ShapeError, match=f"{n_weights} weights for 3 feature channels"):
+            predict_map(model, stack_from(features))
+
+
+def test_a_model_of_standardised_rows_is_refused_where_a_column_was_dropped():
+    features = np.random.default_rng(16).random((4, 4, 3))
+    features[:, :, 1] = 2.0
+    labels = np.tile(np.array([CHANGED, UNCHANGED], dtype=np.int8), (4, 2))
+    x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
+    model = train_svm(x, y)
     with pytest.raises(ShapeError):
         predict_map(model, stack_from(features))
+    with pytest.raises(ShapeError, match="scaler dimensions"):
+        scaler.unscale(SvmModel(weights=np.zeros(3), bias=0.0))

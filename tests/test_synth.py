@@ -220,6 +220,14 @@ def test_load_scene_rejects_a_float_field_that_is_not_a_finite_number(tmp_path, 
         load_scene(path)
 
 
+def test_omitted_scene_keys_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"width": 16, "height": 16}))
+    assert load_scene(path) == SceneSpec(16, 16)
+    path.write_text(json.dumps({"width": 16, "height": 16, "base": {"high": 0.7}}))
+    assert load_scene(path) == SceneSpec(16, 16, base=BaseField(high=0.7))
+
+
 def test_load_scene_takes_integers_as_numbers(tmp_path):
     d = default_scene().to_dict()
     d["looks"], d["changes"][1]["row"], d["changes"][0]["multiplier"] = 4, 66, 3

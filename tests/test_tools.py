@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under ``tools/``."""
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -72,3 +73,35 @@ def test_output_digests_runs_on_two_checkouts_use_their_own_work_directories(
     assert used == [key(parent)]
     assert not (key(parent) / "stale").exists()  # its own directory is emptied
     assert (key(change) / "stale").exists()  # the other checkout's is left alone
+
+
+def test_compare_digests_reports_moved_failed_and_missing_keys(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import compare_digests
+
+    run = {"change_map.pgm": "a", "scores.f32": "b", "metrics.json": "c"}
+    parent = {"w/1/0/1": run, "w/1/0/3": run, "w/1/0/4": run, "w/1/0/6": "failed",
+              "synth/1": {"run/roc.csv": "d"}}
+    change = {"w/1/0/1": {**run, "metrics.json": "x"}, "w/1/0/3": run,
+              "w/1/0/4": "failed", "w/1/0/6": run, "synth/1": {"run/roc.csv": "d"},
+              "synth/2": {"run/roc.csv": "e"}}
+    paths = []
+    for name, digests in (("parent", parent), ("change", change)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(digests))
+    assert compare_digests.main([str(p) for p in paths]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "change_map.pgm: 0 of 2 keys moved",
+        "metrics.json: 1 of 2 keys moved: w/1/0/1",
+        "run/roc.csv: 0 of 1 keys moved",
+        "scores.f32: 0 of 2 keys moved",
+        "failed in parent: 1: w/1/0/6",
+        "failed in change: 1: w/1/0/4",
+        "only in change: 1: synth/2",
+    ]
+    assert compare_digests.main([str(paths[0]), str(paths[0])]) == 1  # a failed run
+    paths[0].write_text(json.dumps({"w/1/0/1": run}))
+    assert compare_digests.main([str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "scores.f32: 0 of 1 keys moved", "failed in parent: 0", "failed in change: 0",
+    ]

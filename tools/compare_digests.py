@@ -1,0 +1,59 @@
+"""Compare two digest maps of ``tools/output_digests.py``, artifact by artifact.
+
+Usage, with the maps of a parent checkout and of a change:
+
+    python3 tools/compare_digests.py PARENT.json CHANGE.json
+
+Prints, for each artifact name in either map, how many of the keys that
+ran in both maps moved, that is, have different digests of it, and
+which keys those are.  Then it prints the keys that failed in each map
+and the keys that only one map has.  Exits 0 when every key ran in both
+maps with the same digests, and 1 otherwise.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+
+def _listing(label: str, keys: list[str]) -> str:
+    return f"{label}: {', '.join(keys)}" if keys else label
+
+
+def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
+    """Report lines for two digest maps, and whether they are equal with no
+    failed run."""
+    ran = sorted(k for k in parent.keys() & change.keys()
+                 if "failed" not in (parent[k], change[k]))
+    names = sorted({name for k in ran for name in parent[k].keys() | change[k].keys()})
+    lines = []
+    equal = True
+    for name in names:
+        keys = [k for k in ran if name in parent[k] or name in change[k]]
+        moved = [k for k in keys if parent[k].get(name) != change[k].get(name)]
+        lines.append(_listing(f"{name}: {len(moved)} of {len(keys)} keys moved", moved))
+        equal = equal and not moved
+    for side, digests, other in (("parent", parent, change), ("change", change, parent)):
+        failed = sorted(k for k, d in digests.items() if d == "failed")
+        only = sorted(digests.keys() - other.keys())
+        lines.append(_listing(f"failed in {side}: {len(failed)}", failed))
+        if only:
+            lines.append(_listing(f"only in {side}: {len(only)}", only))
+        equal = equal and not failed and not only
+    return lines, equal
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="digest map of the parent checkout")
+    parser.add_argument("change", type=Path, help="digest map of the change")
+    args = parser.parse_args(argv)
+    lines, equal = compare(json.loads(args.parent.read_text()),
+                           json.loads(args.change.read_text()))
+    print("\n".join(lines))
+    return 0 if equal else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
