@@ -1,4 +1,5 @@
-"""Difference-image generation for co-registered acquisition pairs."""
+"""Difference-image generation for co-registered acquisition pairs, and the
+package's one column-standardisation rule, :func:`zscore_channels`."""
 
 from __future__ import annotations
 
@@ -38,6 +39,17 @@ def _column_stats(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dev = col - mean[j]
         std[j] = np.sqrt((np.cumsum(np.square(dev, out=dev))[-1] + 0.0) / n)
     return mean, std
+
+
+def zscore_channels(data: np.ndarray) -> np.ndarray:
+    """Zero mean and unit variance per channel, the last axis of ``data``
+    (``(n, c)`` or ``(h, w, c)``); flat channels become zero."""
+    flat = data.reshape(-1, data.shape[-1])
+    mean, std = _column_stats(flat)
+    safe = np.where(std > 1e-12, std, 1.0)
+    out = (flat - mean) / safe
+    out[:, std <= 1e-12] = 0.0
+    return out.reshape(data.shape)
 
 
 def log_ratio_di(i1: Raster, i2: Raster) -> Raster:

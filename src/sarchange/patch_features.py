@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .config import POSITIVE_INT, PipelineConfig, check
-from .difference import _column_stats, _min_max
+from .difference import _min_max, zscore_channels
 from .errors import ParameterError, ShapeError
 from .raster import Raster
 from .seeds import derive_seed
@@ -225,16 +225,6 @@ def pca_reduce(f: Raster, keep: int) -> Raster:
     for rows, t in _centred_tiles(x, mean):
         np.matmul(t, basis, out=out[rows])
     return Raster(out.reshape(f.height, f.width, n_keep))
-
-
-def zscore_channels(data: np.ndarray) -> np.ndarray:
-    """Zero-mean, unit-variance per channel; flat channels become zero."""
-    flat = data.reshape(-1, data.shape[2])
-    mean, std = _column_stats(flat)
-    safe = np.where(std > 1e-12, std, 1.0)
-    out = (flat - mean) / safe
-    out[:, std <= 1e-12] = 0.0
-    return out.reshape(data.shape)
 
 
 def check_shape(cfg: PipelineConfig, height: int, width: int) -> None:

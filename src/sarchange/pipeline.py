@@ -24,10 +24,10 @@ from scipy import ndimage
 
 from . import metrics as metrics_mod
 from .config import PipelineConfig
-from .difference import log_ratio_di
+from .difference import log_ratio_di, zscore_channels
 from .errors import ParameterError, PipelineStageError, ShapeError
 from .labels import CHANGED, UNCHANGED, LabelField
-from .patch_features import check_shape, stack_features, zscore_channels
+from .patch_features import check_shape, stack_features
 from .preclassify import preclassify_di, sample_training
 from .propagation import clean_labels
 from .raster import Raster, load_raster, make_out_dir, save_raster
@@ -131,11 +131,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     features = timer.run("features", _features)
 
-    def _train():
-        x, y, scaler = build_samples(features, training)
-        return scaler.unscale(train_svm(x, y, cfg.svm_c))
-
-    model = timer.run("train", _train)
+    model = timer.run("train", lambda: train_svm(*build_samples(features, training), cfg.svm_c))
     change, scores = timer.run("predict", predict_map, model, features)
     scores = Raster(scores.data.astype(np.float32))  # the values scores.f32 holds
 

@@ -6,7 +6,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import check
-from .difference import _column_stats
+from .difference import zscore_channels
 from .errors import ConvergenceError, ParameterError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
@@ -111,9 +111,7 @@ def preclassify_di(di: Raster, w: int, seed: int = 0) -> LabelField:
     pts = np.stack([band.ravel(), local_mean.ravel()], axis=1)
     # Standardise the two feature dimensions so the raw value's larger spread
     # does not drown out the smoothed neighbourhood mean in the cluster metric.
-    mean, spread = _column_stats(pts)
-    pts = (pts - mean) / np.where(spread > 1e-12, spread, 1.0)
-    ids = kmeans_cluster(pts, seed=seed)
+    ids = kmeans_cluster(zscore_channels(pts), seed=seed)
 
     values = band.ravel()
     labels = np.full(values.shape, UNCHANGED, dtype=np.int8)

@@ -118,12 +118,6 @@ def _solve(t: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
     return np.linalg.solve(t, rhs)
 
 
-def majority_vote(changed_votes: np.ndarray, rounds: int) -> np.ndarray:
-    """Label CHANGED where strictly more than half the votes say so; ties
-    fall to UNCHANGED."""
-    return np.where(2 * changed_votes > rounds, CHANGED, UNCHANGED).astype(np.int8)
-
-
 def clean_labels(
     img: Raster, pseudo: LabelField, cfg: PipelineConfig, seed: int = 0
 ) -> LabelField:
@@ -136,7 +130,8 @@ def clean_labels(
     CHANGED where its score is above zero.  A region with no anchor in a
     round scores exactly zero there, so its pixels vote unchanged.  The
     output label of every originally labeled pixel is the majority vote
-    across rounds; pixels unlabeled in ``pseudo`` stay unlabeled.  A
+    across rounds, CHANGED only where strictly more than half the rounds
+    say so; pixels unlabeled in ``pseudo`` stay unlabeled.  A
     round whose anchor set misses a class is redrawn (at most 10 retries,
     so a ``pseudo`` of one class keeps the last draw).  Reads ``alpha``,
     ``n_regions``, ``rounds``, ``labeled_fraction`` and ``compactness``
@@ -164,5 +159,5 @@ def clean_labels(
     changed_votes = np.count_nonzero(y > 0.0, axis=1)
 
     cleaned = np.full(flat_labels.shape, UNLABELED, dtype=np.int8)
-    cleaned[labeled_idx] = majority_vote(changed_votes, cfg.rounds)
+    cleaned[labeled_idx] = np.where(2 * changed_votes > cfg.rounds, CHANGED, UNCHANGED)
     return LabelField(labels=cleaned.reshape(pseudo.labels.shape))

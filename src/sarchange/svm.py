@@ -31,9 +31,13 @@ dual point too, but it certifies far later: with C large against the
 optimum, or with many rows on the margin, its small errors add up.)
 The solver draws no random numbers, so training is deterministic.
 
-Training runs on the standardised rows of :func:`build_samples`;
-:meth:`FeatureScaler.unscale` folds the standardisation into the
-weights, so :func:`predict_map` scores raw features in one product.
+Training runs on the rows of :func:`build_samples` as the feature
+stack holds them, z-scored over all pixels by
+:func:`~sarchange.difference.zscore_channels`; raw features go through
+it first.  The model scores those same features, so :func:`predict_map`
+needs one product.  A flat column is zero in every row and gets weight
+exactly 0: the Newton steps leave it there, and the partition solve,
+whose least-squares step leaves rounding, sets it.
 """
 
 from __future__ import annotations
@@ -62,42 +66,13 @@ class SvmModel:
     bias: float
 
 
-@dataclass
-class FeatureScaler:
-    """Per-dimension standardisation fitted on the labeled pixels.
+def build_samples(fs: Raster, labels: LabelField) -> tuple[np.ndarray, np.ndarray]:
+    """Design matrix and +/-1 targets from the labeled pixels.
 
-    Dimensions with (near) zero spread are dropped entirely; ``kept``
-    records which of the ``n_features`` original dimensions survive.
-    """
-
-    mean: np.ndarray  # (d_kept,)
-    std: np.ndarray   # (d_kept,), strictly positive
-    kept: np.ndarray  # (d_kept,) indices into the original feature vector
-    n_features: int   # width of the vectors the scaler was fitted on
-
-    def unscale(self, model: SvmModel) -> SvmModel:
-        """``model`` of standardised rows as the same function of raw ones:
-        weights w / std at the kept dimensions, 0 at the dropped ones, and
-        bias b - sum(w * mean / std).  Exact in real arithmetic; a score
-        loses about |mean| / std ulps where a column's offset is large
-        against its spread, which the pipeline's features, z-scored over
-        all pixels, do not have."""
-        if model.weights.shape != self.kept.shape:
-            raise ShapeError("model weights and scaler dimensions disagree")
-        scaled = model.weights / self.std
-        weights = np.zeros(self.n_features)
-        weights[self.kept] = scaled
-        return SvmModel(weights=weights, bias=model.bias - float(scaled @ self.mean))
-
-
-def build_samples(
-    fs: Raster, labels: LabelField
-) -> tuple[np.ndarray, np.ndarray, FeatureScaler]:
-    """Design matrix, +/-1 targets and fitted scaler from the labeled pixels.
-
-    One row per labeled pixel; changed maps to +1, unchanged to -1.
-    Features are standardised per dimension using statistics of the
-    labeled pixels only.
+    One row per labeled pixel, its features as ``fs`` holds them; changed
+    maps to +1, unchanged to -1.  :func:`train_svm` expects ``fs``
+    z-scored as :func:`~sarchange.difference.zscore_channels` gives it,
+    as the pipeline's feature stack is; raw features go through it first.
     """
     if (fs.height, fs.width) != (labels.height, labels.width):
         raise ShapeError("feature raster and label field dimensions disagree")
@@ -105,17 +80,8 @@ def build_samples(
     mask = flat_labels != UNLABELED
     if not mask.any():
         raise DegenerateTrainingError("no labeled pixels to train on")
-    x_full = fs.data.reshape(-1, fs.channels)[mask]
-    y = np.where(flat_labels[mask] == CHANGED, 1.0, -1.0)
-    mean = x_full.mean(axis=0)
-    std = x_full.std(axis=0)
-    kept = np.flatnonzero(std > 1e-12)
-    if kept.size == 0:
-        raise DegenerateTrainingError("every feature dimension is constant")
-    scaler = FeatureScaler(mean=mean[kept], std=std[kept], kept=kept,
-                          n_features=fs.channels)
-    x = (x_full[:, kept] - scaler.mean) / scaler.std
-    return x, y, scaler
+    return (fs.data.reshape(-1, fs.channels)[mask],
+            np.where(flat_labels[mask] == CHANGED, 1.0, -1.0))
 
 
 def _smoothed_objective(v: np.ndarray, t: np.ndarray, h: float, c: float) -> float:
@@ -133,13 +99,14 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = PipelineConfig.svm_c) -> 
     ``GAP_TOL``, so its objective exceeds the optimum by at most that
     fraction.  Raises :class:`ConvergenceError` when
     ``MAX_NEWTON_STEPS`` Newton steps do not reach it.  The rows of
-    ``x`` are expected standardised as :func:`build_samples` returns
-    them (zero mean, unit spread per column, constant columns dropped);
-    on raw rows with features far apart in scale, a large ``c`` can run
-    out of steps.  The model scores rows of ``x``;
-    :meth:`FeatureScaler.unscale` maps it to feature units.  A single
-    class needs no special case: on standardised rows its optimum is
-    w = 0 and b = +/-min(1, C n), that class everywhere.
+    ``x`` are expected z-scored as
+    :func:`~sarchange.difference.zscore_channels` gives them (zero mean
+    and unit spread per column over all pixels, flat columns zero); raw
+    rows go through it first, since with features far apart in scale a
+    large ``c`` can run out of steps.  A flat column gets weight exactly
+    0.  A single class needs no special case: on rows of zero column
+    mean its optimum is w = 0 and b = +/-min(1, C n), that class
+    everywhere.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -152,6 +119,7 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = PipelineConfig.svm_c) -> 
         raise DegenerateTrainingError("no training rows")
     n, d = x.shape
     z = y[:, np.newaxis] * np.hstack([x, np.ones((n, 1))])  # y_i v . a_i = z_i . v
+    unused = np.append(~x.any(axis=0), False)  # zero in every row: optimal weight 0
     eye = np.eye(d + 1)
     v = np.zeros(d + 1)
     t = np.ones(n)  # 1 - z_i . v
@@ -188,6 +156,7 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = PipelineConfig.svm_c) -> 
         pull = c * z[violating].sum(axis=0)
         z_margin = z[margin]
         exact = pull + np.linalg.lstsq(z_margin, 1.0 - z_margin @ pull, rcond=None)[0]
+        exact[unused] = 0.0  # the least-squares solve leaves rounding there
         alpha = np.where(violating, c, 0.0)
         alpha[margin] = np.clip(
             np.linalg.lstsq(z_margin.T, exact - pull, rcond=None)[0], 0.0, c

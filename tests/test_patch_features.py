@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from sarchange.config import PipelineConfig
+from sarchange.difference import zscore_channels
 from sarchange.errors import ParameterError, ShapeError
 from sarchange.patch_features import (
     _TILE_PIXELS,
@@ -17,7 +18,6 @@ from sarchange.patch_features import (
     pca_reduce,
     select_kernels,
     stack_features,
-    zscore_channels,
 )
 from sarchange.raster import Raster
 from sarchange.seeds import derive_seed

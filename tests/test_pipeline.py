@@ -14,7 +14,7 @@ from scipy.stats import rankdata
 from sarchange import cli, pipeline
 from sarchange.cli import main
 from sarchange.config import _FIELD_RULES
-from sarchange.difference import log_ratio_di
+from sarchange.difference import log_ratio_di, zscore_channels
 from sarchange.errors import ParameterError, PipelineStageError, ShapeError
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from sarchange.patch_features import (
@@ -22,7 +22,6 @@ from sarchange.patch_features import (
     pca_reduce,
     select_kernels,
     stack_features,
-    zscore_channels,
 )
 from sarchange.pipeline import (
     ABLATION_ROWS,
@@ -329,6 +328,20 @@ def test_identical_pair_gives_an_all_unchanged_map(tmp_path, row):
     paths = [tmp_path / "t1.f32", tmp_path / "t2.f32"]
     for path in paths:
         save_raster(image, path)
+    cfg = PipelineConfig(t1=paths[0], t2=paths[1], out_dir=tmp_path / "o", seed=1,
+                         **ABLATION_ROWS[row])
+    result = run_pipeline(cfg)
+    assert (result.change.labels == UNCHANGED).all()
+    assert (load_raster(result.change_map_path).band(0) == 0.0).all()
+
+
+@pytest.mark.parametrize("row", ["1", "4"])
+@pytest.mark.parametrize("levels", [(0.5, 0.5), (0.5, 2.0)])
+def test_a_flat_pair_without_the_convolution_gives_an_all_unchanged_map(tmp_path, row, levels):
+    # Every feature column is flat, so z-scored to zero: the model is its bias alone.
+    paths = [tmp_path / "t1.f32", tmp_path / "t2.f32"]
+    for level, path in zip(levels, paths):
+        save_raster(Raster.from_array(np.full((64, 64), level)), path)
     cfg = PipelineConfig(t1=paths[0], t2=paths[1], out_dir=tmp_path / "o", seed=1,
                          **ABLATION_ROWS[row])
     result = run_pipeline(cfg)

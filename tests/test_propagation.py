@@ -20,7 +20,6 @@ from sarchange.preclassify import sample_training
 from sarchange.propagation import (
     build_transition,
     clean_labels,
-    majority_vote,
     propagate,
 )
 from sarchange.raster import Raster
@@ -138,7 +137,7 @@ def reference_clean_labels(img, pseudo, cfg, seed=0):
     y = y.reshape(flat_labels.size, cfg.rounds, 2)[labeled_idx]
     changed_votes = np.count_nonzero(y[..., 1] > y[..., 0], axis=1)
     cleaned = np.full(flat_labels.shape, UNLABELED, dtype=np.int8)
-    cleaned[labeled_idx] = majority_vote(changed_votes, cfg.rounds)
+    cleaned[labeled_idx] = np.where(2 * changed_votes > cfg.rounds, CHANGED, UNCHANGED)
     return LabelField(labels=cleaned.reshape(pseudo.labels.shape))
 
 
@@ -456,12 +455,16 @@ def test_propagate_matches_reference_where_a_size_group_spans_several_chunks(mon
     assert chunks == 3 * expected
 
 
-def test_majority_vote_tie_goes_to_unchanged():
-    votes = np.array([0, 1, 2, 3, 4])
-    np.testing.assert_array_equal(
-        majority_vote(votes, 4),
-        np.array([UNCHANGED, UNCHANGED, UNCHANGED, CHANGED, CHANGED], dtype=np.int8),
-    )
+def test_clean_labels_tie_goes_to_unchanged(monkeypatch):
+    # Rows 0-1 of the image score positive in 2 of 4 rounds, rows 2-3 in 3 of 4.
+    positive = np.repeat([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, 1.0]], 8, axis=0)
+    monkeypatch.setattr(propagation, "propagate", lambda img, rm, y0, alpha: positive)
+    labels = np.tile(np.array([CHANGED, UNCHANGED], dtype=np.int8), (4, 2))
+    cfg = PipelineConfig(rounds=4, n_regions=2)
+    cleaned = clean_labels(Raster.from_array(np.arange(16.0).reshape(4, 4)),
+                           LabelField(labels=labels), cfg, seed=0)
+    np.testing.assert_array_equal(cleaned.labels[:2], UNCHANGED)
+    np.testing.assert_array_equal(cleaned.labels[2:], CHANGED)
 
 
 def test_clean_labels_identity_when_nothing_demoted():

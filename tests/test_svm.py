@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sarchange import svm
+from sarchange.difference import zscore_channels
 from sarchange.errors import (
     ChangeDetectionError,
     ConvergenceError,
@@ -14,18 +15,11 @@ from sarchange.errors import (
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from sarchange.raster import Raster
 from sarchange.svm import (
-    FeatureScaler,
     SvmModel,
     build_samples,
     predict_map,
     train_svm,
 )
-
-
-def reference_decision(model: SvmModel, scaler: FeatureScaler, x: np.ndarray) -> np.ndarray:
-    """The earlier scoring, kept as the reference: standardise the rows of
-    ``x`` with ``scaler``, then score them with the model of standardised rows."""
-    return (x[:, scaler.kept] - scaler.mean) / scaler.std @ model.weights + model.bias
 
 
 def hinge_objective(w, b, x, y, c):
@@ -105,45 +99,31 @@ def stack_from(features):
     return Raster(features)
 
 
-def test_build_samples_arity_and_standardisation():
+def test_build_samples_returns_the_labeled_rows_as_the_raster_holds_them():
     rng = np.random.default_rng(1)
     features = rng.random((4, 4, 5))
     labels = np.full((4, 4), UNLABELED, dtype=np.int8)
     labels[0, 0] = CHANGED
     labels[1, 2] = UNCHANGED
     labels[3, 3] = UNCHANGED
-    x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
-    assert x.shape == (3, 5)
-    assert sorted(y.tolist()) == [-1.0, -1.0, 1.0]
-    np.testing.assert_array_less(np.abs(x.mean(axis=0)), 1e-9)
-    np.testing.assert_array_less(np.abs(x.std(axis=0) - 1.0), 1e-6)
-
-
-def test_build_samples_drops_constant_dimensions():
-    rng = np.random.default_rng(2)
-    features = rng.random((3, 3, 4))
-    features[:, :, 2] = 7.0
-    labels = np.array(
-        [[CHANGED, UNCHANGED, UNLABELED]] * 3, dtype=np.int8
-    )
-    x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
-    assert x.shape[1] == 3
-    np.testing.assert_array_equal(scaler.kept, [0, 1, 3])
+    x, y = build_samples(stack_from(features), LabelField(labels=labels))
+    np.testing.assert_array_equal(x, features[[0, 1, 3], [0, 2, 3]])
+    np.testing.assert_array_equal(y, [1.0, -1.0, -1.0])
 
 
 @pytest.mark.parametrize("n, c", [(7864, 1.0), (50, 0.01), (3, 1.0), (1000, 1000.0), (2, 1e-3)])
 @pytest.mark.parametrize("label", [CHANGED, UNCHANGED])
 def test_single_class_trains_to_the_constant_optimum(n, c, label):
-    # With one class on standardised rows the optimum is w = 0 and
+    # With one class on rows of zero column mean the optimum is w = 0 and
     # b = +/-min(1, C n): every pixel gets the class present.
-    features = np.random.default_rng(n).random((1, n, 3))
+    features = zscore_channels(np.random.default_rng(n).random((1, n, 3)))
     labels = np.full((1, n), label, dtype=np.int8)
-    x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
+    x, y = build_samples(stack_from(features), LabelField(labels=labels))
     assert (y == (1.0 if label == CHANGED else -1.0)).all()
     model = train_svm(x, y, c=c)
     assert np.abs(model.weights).max() <= 1e-12
     assert model.bias == pytest.approx(y[0] * min(1.0, c * n), rel=1e-9)
-    predicted, _ = predict_map(scaler.unscale(model), stack_from(features))
+    predicted, _ = predict_map(model, stack_from(features))
     assert (predicted.labels == label).all()
 
 
@@ -278,12 +258,27 @@ UNSCALED_Y = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
-def test_rows_standardised_by_build_samples_certify(c):
-    labels = np.where(UNSCALED_Y > 0, CHANGED, UNCHANGED)[np.newaxis]
-    x, y, scaler = build_samples(Raster(UNSCALED_ROWS[np.newaxis]), LabelField(labels=labels))
-    assert scaler.kept.tolist() == [1]  # the constant column is dropped
-    model = train_svm(x, y, c=c)
+def test_rows_zscored_by_zscore_channels_certify(c):
+    x = zscore_channels(UNSCALED_ROWS)
+    assert (x[:, 0] == 0.0).all()  # the constant column is zeroed
+    model = train_svm(x, UNSCALED_Y, c=c)
     assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
+    assert model.weights[0] == 0.0
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_flat_column_gets_weight_exactly_zero(seed, c):
+    rng = np.random.default_rng(seed)
+    n, d = 300 * (seed + 1), 2 + seed % 5
+    flat = seed % d
+    raw = rng.standard_normal((n, d))
+    raw[:, flat] = 7.0 - seed
+    y = np.where(raw[:, (flat + 1) % d] + rng.normal(0.0, 0.8, n) > 0.3, 1.0, -1.0)
+    x = zscore_channels(raw)
+    model = train_svm(x, y, c=c)
+    assert model.weights[flat] == 0.0
+    assert np.count_nonzero(model.weights) == d - 1
 
 
 @st.composite
@@ -343,42 +338,9 @@ def test_predict_map_separable_training_pixels_recovered():
     np.testing.assert_array_equal(labels.labels, expected)
 
 
-def test_unscaled_model_scores_raw_features_as_the_reference_decision():
-    """8704 pixels; column 2 is constant and dropped, column 4 is offset and scaled."""
-    rng = np.random.default_rng(15)
-    features = rng.standard_normal((68, 128, 5))
-    features[:, :, 2] = 7.0
-    features[:, :, 4] = 40.0 + 9.0 * features[:, :, 4]
-    signal = features[:, :, 0] + 0.1 * features[:, :, 4] + rng.normal(0.0, 0.8, (68, 128))
-    labels = np.where(signal > 4.0, CHANGED, UNCHANGED).astype(np.int8)
-    labels[rng.random((68, 128)) < 0.5] = UNLABELED
-    x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
-    assert scaler.kept.tolist() == [0, 1, 3, 4]
-    model = train_svm(x, y)
-    unscaled = scaler.unscale(model)
-    assert unscaled.weights.shape == (5,) and unscaled.weights[2] == 0.0
-    predicted, scores = predict_map(unscaled, stack_from(features))
-    expected = reference_decision(model, scaler, features.reshape(-1, 5)).reshape(68, 128)
-    assert np.abs(scores.band(0) - expected).max() <= 1e-12 * np.abs(expected).max()
-    clear = np.abs(expected) > 1e-9
-    np.testing.assert_array_equal((predicted.labels == CHANGED)[clear], expected[clear] > 0.0)
-
-
 def test_predict_map_dimension_guard():
     features = np.zeros((2, 2, 3))
     for n_weights in (2, 4):
         model = SvmModel(weights=np.zeros(n_weights), bias=0.0)
         with pytest.raises(ShapeError, match=f"{n_weights} weights for 3 feature channels"):
             predict_map(model, stack_from(features))
-
-
-def test_a_model_of_standardised_rows_is_refused_where_a_column_was_dropped():
-    features = np.random.default_rng(16).random((4, 4, 3))
-    features[:, :, 1] = 2.0
-    labels = np.tile(np.array([CHANGED, UNCHANGED], dtype=np.int8), (4, 2))
-    x, y, scaler = build_samples(stack_from(features), LabelField(labels=labels))
-    model = train_svm(x, y)
-    with pytest.raises(ShapeError):
-        predict_map(model, stack_from(features))
-    with pytest.raises(ShapeError, match="scaler dimensions"):
-        scaler.unscale(SvmModel(weights=np.zeros(3), bias=0.0))

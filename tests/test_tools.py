@@ -35,7 +35,9 @@ def test_output_digests_cover_a_workload_and_write_nothing_into_perfbench(
         f"ablation-128/1/{k}/{row}" for k in range(3) for row in ("1", "3", "4", "6")
     }
     runs = [d for key, d in digests.items() if key != "synth/1"]
-    assert all(set(d) == set(output_digests.ARTIFACTS) for d in runs), digests
+    assert all(set(d) == {*output_digests.ARTIFACTS, "quality"} for d in runs), digests
+    for d in runs:  # perfbench's scores of the run
+        assert set(d.pop("quality")) == {"pcc", "kc", "auc"}
     assert set(digests["synth/1"]) == {
         f"scene/{name}" for name in ("t1.f32", "t1.f32.json", "t2.f32", "t2.f32.json",
                                      "gt.pgm", "scene.json")
@@ -79,7 +81,8 @@ def test_compare_digests_reports_moved_failed_and_missing_keys(tmp_path, monkeyp
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import compare_digests
 
-    run = {"change_map.pgm": "a", "scores.f32": "b", "metrics.json": "c"}
+    run = {"change_map.pgm": "a", "scores.f32": "b", "metrics.json": "c",
+           "quality": {"pcc": 0.5, "kc": 0.25, "auc": 0.75}}
     parent = {"w/1/0/1": run, "w/1/0/3": run, "w/1/0/4": run, "w/1/0/6": "failed",
               "synth/1": {"run/roc.csv": "d"}}
     change = {"w/1/0/1": {**run, "metrics.json": "x"}, "w/1/0/3": run,
@@ -98,10 +101,53 @@ def test_compare_digests_reports_moved_failed_and_missing_keys(tmp_path, monkeyp
         "failed in parent: 1: w/1/0/6",
         "failed in change: 1: w/1/0/4",
         "only in change: 1: synth/2",
+        "quality w row 1, 1 keys: auc +0.000000 (0 worse, 0 better); "
+        "kc +0.000000 (0 worse, 0 better); pcc +0.000000 (0 worse, 0 better)",
+        "quality w row 3, 1 keys: auc +0.000000 (0 worse, 0 better); "
+        "kc +0.000000 (0 worse, 0 better); pcc +0.000000 (0 worse, 0 better)",
     ]
     assert compare_digests.main([str(paths[0]), str(paths[0])]) == 1  # a failed run
     paths[0].write_text(json.dumps({"w/1/0/1": run}))
     assert compare_digests.main([str(paths[0]), str(paths[0])]) == 0
-    assert capsys.readouterr().out.splitlines()[-3:] == [
+    assert capsys.readouterr().out.splitlines()[-4:-1] == [
         "scores.f32: 0 of 1 keys moved", "failed in parent: 0", "failed in change: 0",
     ]
+
+
+def test_compare_digests_reports_quality_deltas_outside_its_exit_rule(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import compare_digests
+
+    def run(pcc, kc, auc):
+        return {"change_map.pgm": "a", "quality": {"pcc": pcc, "kc": kc, "auc": auc}}
+
+    parent = {"w/1/0/6": run(0.9, 0.5, 0.75), "w/2/0/6": run(0.9, 0.5, 0.75),
+              "w/1/0/1": run(0.5, 0.25, 0.5), "v/1/0/6": run(0.5, 0.5, 0.5),
+              "synth/1": {"run/roc.csv": "d"}}
+    change = {"w/1/0/6": run(0.95, 0.25, 0.75), "w/2/0/6": run(0.9, 0.625, 0.875),
+              "w/1/0/1": run(0.5, 0.25, 0.5), "v/1/0/6": run(0.5, 0.5, 0.5),
+              "synth/1": {"run/roc.csv": "d"}}
+    paths = []
+    for name, digests in (("parent", parent), ("change", change)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(digests))
+    assert compare_digests.main([str(p) for p in paths]) == 0  # only quality moved
+    assert capsys.readouterr().out.splitlines() == [
+        "change_map.pgm: 0 of 4 keys moved",
+        "run/roc.csv: 0 of 1 keys moved",
+        "failed in parent: 0",
+        "failed in change: 0",
+        "quality v row 6, 1 keys: auc +0.000000 (0 worse, 0 better); "
+        "kc +0.000000 (0 worse, 0 better); pcc +0.000000 (0 worse, 0 better)",
+        "quality w row 1, 1 keys: auc +0.000000 (0 worse, 0 better); "
+        "kc +0.000000 (0 worse, 0 better); pcc +0.000000 (0 worse, 0 better)",
+        "quality w row 6, 2 keys: auc +0.062500 (0 worse, 1 better); "
+        "kc -0.062500 (1 worse, 1 better); pcc +0.025000 (0 worse, 1 better)",
+    ]
+    # A map written before quality was recorded compares on its digests alone.
+    paths[0].write_text(json.dumps({k: {n: h for n, h in d.items() if n != "quality"}
+                                    for k, d in parent.items()}))
+    assert compare_digests.main([str(p) for p in paths]) == 0
+    assert not any(line.startswith("quality") for line in capsys.readouterr().out.splitlines())

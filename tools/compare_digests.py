@@ -7,14 +7,20 @@ Usage, with the maps of a parent checkout and of a change:
 Prints, for each artifact name in either map, how many of the keys that
 ran in both maps moved, that is, have different digests of it, and
 which keys those are.  Then it prints the keys that failed in each map
-and the keys that only one map has.  Exits 0 when every key ran in both
-maps with the same digests, and 1 otherwise.
+and the keys that only one map has.  Last, for each workload and row,
+the mean change of each ``quality`` metric (PCC, KC, AUC) over the keys
+that ran in both maps with quality recorded, and how many of those keys
+got worse and better.  Exits 0 when every key ran in both maps with the
+same digests, and 1 otherwise; quality does not enter that rule.
 """
 
 import argparse
 import json
 import sys
+from collections import defaultdict
 from pathlib import Path
+
+QUALITY = "quality"
 
 
 def _listing(label: str, keys: list[str]) -> str:
@@ -26,7 +32,7 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
     failed run."""
     ran = sorted(k for k in parent.keys() & change.keys()
                  if "failed" not in (parent[k], change[k]))
-    names = sorted({name for k in ran for name in parent[k].keys() | change[k].keys()})
+    names = sorted({name for k in ran for name in parent[k].keys() | change[k].keys()} - {QUALITY})
     lines = []
     equal = True
     for name in names:
@@ -41,7 +47,29 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
         if only:
             lines.append(_listing(f"only in {side}: {len(only)}", only))
         equal = equal and not failed and not only
-    return lines, equal
+    return lines + quality_deltas(parent, change, ran), equal
+
+
+def quality_deltas(parent: dict, change: dict, ran: list[str]) -> list[str]:
+    """One line per workload and row: each quality metric's mean change
+    from ``parent`` to ``change`` over the ``ran`` keys, with the number
+    of keys where it fell and where it rose."""
+    groups = defaultdict(list)
+    for k in ran:
+        if QUALITY in parent[k] and QUALITY in change[k]:
+            workload, _, _, row = k.split("/")
+            groups[workload, row].append((parent[k][QUALITY], change[k][QUALITY]))
+    lines = []
+    for (workload, row), pairs in sorted(groups.items()):
+        parts = []
+        for metric in sorted(pairs[0][0]):
+            deltas = [c[metric] - p[metric] for p, c in pairs]
+            worse = sum(d < 0 for d in deltas)
+            better = sum(d > 0 for d in deltas)
+            parts.append(f"{metric} {sum(deltas) / len(deltas):+.6f} "
+                         f"({worse} worse, {better} better)")
+        lines.append(f"quality {workload} row {row}, {len(pairs)} keys: " + "; ".join(parts))
+    return lines
 
 
 def main(argv=None) -> int:

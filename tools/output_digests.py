@@ -9,7 +9,8 @@ benchmark's scene pair with perfbench's own generator and seeding, runs
 ``run_pipeline`` of the package under ``--src`` on it once, and prints
 one JSON object that maps ``workload/seed/scene/row`` to the sha256 of
 each of that run's ``change_map.pgm``, ``scores.f32`` and
-``metrics.json``, by file name, or to ``"failed"``.  For every seed it
+``metrics.json``, by file name, plus the run's PCC, KC and AUC as
+perfbench scores them, under ``quality``, or to ``"failed"``.  For every seed it
 also adds ``synth/<seed>``: the sha256 of every file that the package's
 own ``write_scene(default_scene(seed))`` writes, under ``scene/<name>``,
 and of every file but ``timing.json`` that a default ``run_pipeline`` on
@@ -81,7 +82,7 @@ def output_digests(pipeline, synth, seeds: list[int], workloads: list[str], work
     """Run every (workload, seed, scene, row) once with ``pipeline``, the
     imported ``sarchange.pipeline`` module, and every seed's ``synth/<seed>``
     scene with it and ``synth``, under ``work``; return the map of keys to
-    artifact digests."""
+    artifact digests and, for workload runs, quality."""
     out = {f"synth/{seed}": synth_digests(pipeline, synth, seed, work / "synth" / str(seed))
            for seed in seeds}
     for name in workloads:
@@ -96,7 +97,8 @@ def output_digests(pipeline, synth, seeds: list[int], workloads: list[str], work
                     run_dir = base / "runs" / f"scene{k}" / f"row{run.row}"
                     out[f"{name}/{seed}/{k}/{run.row}"] = (
                         "failed" if run.quality is None
-                        else file_digests([run_dir / a for a in ARTIFACTS], run_dir))
+                        else {**file_digests([run_dir / a for a in ARTIFACTS], run_dir),
+                              "quality": run.quality})
     return out
 
 
