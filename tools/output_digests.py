@@ -10,12 +10,12 @@ benchmark's scene pair with perfbench's own generator and seeding, runs
 one JSON object that maps ``workload/seed/scene/row`` to the sha256 of
 each of that run's ``change_map.pgm``, ``scores.f32`` and
 ``metrics.json``, by file name, plus the run's PCC, KC and AUC as
-perfbench scores them, under ``quality``, or to ``"failed"``.  For every seed it
-also adds ``synth/<seed>``: the sha256 of every file that the package's
-own ``write_scene(default_scene(seed))`` writes, under ``scene/<name>``,
-and of every file but ``timing.json`` that a default ``run_pipeline`` on
-that scene writes, under ``run/<name>``, so the package's writers are
-covered too.  Two checkouts give byte-identical outputs when their maps
+perfbench scores them, under ``quality``, or to ``"failed"``.  For
+every seed it also adds ``synth/<seed>``: the sha256 of every file that
+the package's own ``write_scene(default_scene(seed))`` writes, under
+``scene/<name>``, and of every file but ``timing.json`` that a default
+``run_pipeline`` on that scene writes, under ``run/<name>``, so the
+package's writers are covered too.  Two checkouts give byte-identical outputs when their maps
 are equal; when they are not, the per-file digests tell which artifacts
 moved, for instance how many change maps stayed the same.  The
 workloads, rows and seeding are imported from ``perfbench/`` and only
