@@ -52,6 +52,30 @@ def zscore_channels(data: np.ndarray) -> np.ndarray:
     return out.reshape(data.shape)
 
 
+def box_mean(data: np.ndarray, size: int) -> np.ndarray:
+    """Mean over a ``size``-by-``size`` window of the first two axes of
+    ``data``, reflected at the borders (``d c b a | a b c d | d c b a``).
+
+    Bit for bit ``scipy.ndimage.uniform_filter(data, mode="reflect")``
+    with size 1 on any trailing axis.  Axis 0 goes first, then axis 1;
+    along each line a window sum ``s`` adds the first ``size`` values in
+    order from 0.0, then steps ``s += x[i + size - 1] - x[i - 1]``, and
+    each output is ``s / size``.  One cumulative sum over the padded
+    line's steps takes them in that order.  Size 1 copies ``data``, as
+    scipy skips such an axis.
+    """
+    out = np.asarray(data, dtype=np.float64)
+    if size == 1:
+        return out.copy()
+    for axis in (0, 1):
+        line = np.moveaxis(out, axis, 0)
+        pad = [(size // 2, size - 1 - size // 2)] + [(0, 0)] * (line.ndim - 1)
+        x = np.pad(line, pad, mode="symmetric")
+        steps = np.concatenate([np.zeros_like(x[:1]), x[:size], x[size:] - x[:-size]])
+        out = np.moveaxis(np.cumsum(steps, axis=0)[size:] / size, 0, axis)
+    return np.ascontiguousarray(out)
+
+
 def log_ratio_di(i1: Raster, i2: Raster) -> Raster:
     """Absolute log-ratio of two intensity images, min-max rescaled to [0, 1].
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .config import POSITIVE_INT, PipelineConfig, check
-from .difference import _min_max, zscore_channels
+from .difference import _min_max, box_mean, zscore_channels
 from .errors import ParameterError, ShapeError
 from .raster import Raster
 from .seeds import derive_seed
@@ -253,8 +252,7 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
     """
     check_shape(cfg, channels.height, channels.width)
     k = cfg.kernel_size
-    current = Raster(zscore_channels(ndimage.uniform_filter(
-        channels.data, size=(k, k, 1), mode="reflect")))
+    current = Raster(zscore_channels(box_mean(channels.data, k)))
     reduced: list[Raster] = []
     for d in range(1, cfg.depth + 1):
         if d > 1:

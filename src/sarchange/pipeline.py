@@ -20,11 +20,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import metrics as metrics_mod
 from .config import PipelineConfig
-from .difference import log_ratio_di, zscore_channels
+from .difference import box_mean, log_ratio_di, zscore_channels
 from .errors import ParameterError, PipelineStageError, ShapeError
 from .labels import CHANGED, UNCHANGED, LabelField
 from .patch_features import check_shape, stack_features
@@ -115,9 +114,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.clean:
         # Segment the contextually smoothed difference image: regions that
         # follow raw speckle texture scramble the propagation domains.
-        smoothed_di = Raster.from_array(
-            ndimage.uniform_filter(di.band(0), size=cfg.patch_size, mode="reflect")
-        )
+        smoothed_di = Raster.from_array(box_mean(di.band(0), cfg.patch_size))
         training = timer.run(
             "clean", clean_labels, smoothed_di, training, cfg,
             derive_seed(cfg.seed, STAGE_CLEAN),

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .config import check
-from .difference import zscore_channels
+from .difference import box_mean, zscore_channels
 from .errors import ConvergenceError, ParameterError
 from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .raster import Raster
@@ -107,7 +106,7 @@ def preclassify_di(di: Raster, w: int, seed: int = 0) -> LabelField:
     if di.channels != 1:
         raise ParameterError("preclassification expects a single-channel difference image")
     band = di.band(0)
-    local_mean = ndimage.uniform_filter(band, size=w, mode="reflect")
+    local_mean = box_mean(band, w)
     pts = np.stack([band.ravel(), local_mean.ravel()], axis=1)
     # Standardise the two feature dimensions so the raw value's larger spread
     # does not drown out the smoothed neighbourhood mean in the cluster metric.

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
-from sarchange.difference import LOG_RATIO_EPS, _column_stats, log_ratio_di
+from sarchange.difference import LOG_RATIO_EPS, _column_stats, box_mean, log_ratio_di
 from sarchange.errors import ShapeError
 from sarchange.raster import Raster
 
@@ -105,3 +106,20 @@ def test_column_stats_run_on_strided_views():
     mean, std = _column_stats(flat)
     _same_bits(mean, flat.mean(axis=0))
     _same_bits(std, flat.std(axis=0))
+
+
+@pytest.mark.parametrize("channels", [None, 1, 3])
+def test_box_mean_has_the_bits_of_scipy_uniform_filter(channels):
+    # Every size from 1 to 101 on the smallest and largest side and on two
+    # random ones, so windows up to 101 times wider than the image reflect
+    # more than once; the values span ten decades, so rounding shows.
+    rng = np.random.default_rng(channels or 0)
+    for size in range(1, 102):
+        for h, w in [(1, 1), (40, 40), (1, 40), *rng.integers(1, 41, size=(2, 2))]:
+            shape = (h, w) if channels is None else (h, w, channels)
+            data = 10.0 ** rng.uniform(-5, 5, size=shape)
+            before = data.copy()
+            footprint = size if channels is None else (size, size, 1)
+            expected = ndimage.uniform_filter(data, size=footprint, mode="reflect")
+            _same_bits(box_mean(data, size), expected)
+            np.testing.assert_array_equal(data, before)
