@@ -1,11 +1,11 @@
-"""Compact, 4-connected homogeneous-region segmentation.
+"""Compact homogeneous-region segmentation.
 
 A small SLIC-style segmenter: cluster centres start on a regular grid,
 pixels are assigned within a 2S-by-2S window around each centre using a
-combined intensity + spatial distance, centres are updated to the mean
-of their members, and after a fixed number of sweeps any disconnected
-fragment is absorbed into the largest adjacent region so every region
-ends up 4-connected.  The procedure is deterministic.
+combined intensity + spatial distance, and centres are updated to the
+mean of their members.  After a fixed number of sweeps each non-empty
+centre's pixels form one region, connected or not; region ids are
+renumbered to be contiguous.  The procedure is deterministic.
 
 Each sweep assigns all pixels in a few whole-array passes, one grid row
 of centres at a time.  A pixel goes to the centre j of least distance d
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .config import PipelineConfig, check
 from .errors import ParameterError
@@ -30,8 +29,6 @@ from .raster import Raster
 INTENSITY_SCALE = 100.0
 
 N_SWEEPS = 10
-
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass
@@ -77,58 +74,6 @@ def _grid_centres(h: int, w: int, n_regions: int) -> tuple[np.ndarray, np.ndarra
     rows = (np.arange(n_rows) + 0.5) * h / n_rows - 0.5
     cols = (np.arange(n_cols) + 0.5) * w / n_cols - 0.5
     return np.meshgrid(rows, cols, indexing="ij")
-
-
-def _absorb_orphans(ids: np.ndarray) -> np.ndarray:
-    """Merge every non-largest 4-connected fragment into its largest neighbour.
-
-    Merging a connected fragment into an adjacent region never splits any
-    region, so one pass over the regions split on entry leaves none.  One
-    labeling of a doubled grid, whose in-between cells link 4-neighbours
-    of equal id, counts every region's fragments.  A split region is then
-    labeled inside its bounding box grown by one pixel, which holds every
-    4-path between its pixels and every pixel next to them; a region's
-    box also grows to take in the box of each region that merges a
-    fragment into it.  Each fragment looks for its neighbours inside its
-    own bounding box grown by one pixel.
-    """
-    h, w = ids.shape
-    ids = ids.copy()
-    links = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    links[::2, ::2] = True
-    links[::2, 1::2] = ids[:, :-1] == ids[:, 1:]
-    links[1::2, ::2] = ids[:-1] == ids[1:]
-    comp, n_comp = ndimage.label(links, _CROSS)
-    region_of = np.empty(n_comp + 1, dtype=ids.dtype)
-    region_of[comp[::2, ::2]] = ids
-    split = np.flatnonzero(np.bincount(region_of[1:]) > 1)
-    objects = ndimage.find_objects(ids + 1)
-    boxes = {rid: [objects[rid][0].start, objects[rid][0].stop,
-                   objects[rid][1].start, objects[rid][1].stop] for rid in split}
-    counts = np.bincount(ids.ravel())
-    for rid in split:
-        r0, r1, c0, c1 = boxes[rid]
-        r0, r1, c0, c1 = max(r0 - 1, 0), min(r1 + 1, h), max(c0 - 1, 0), min(c1 + 1, w)
-        sub = ids[r0:r1, c0:c1]
-        comp, n_comp = ndimage.label(sub == rid, _CROSS)
-        sizes = np.bincount(comp.ravel())[1:]
-        keep = int(np.argmax(sizes)) + 1
-        for ci, (rows, cols) in enumerate(ndimage.find_objects(comp), start=1):
-            if ci == keep:
-                continue
-            near = (slice(max(rows.start - 1, 0), rows.stop + 1),
-                    slice(max(cols.start - 1, 0), cols.stop + 1))
-            cmask = comp[near] == ci
-            grown = ndimage.binary_dilation(cmask, structure=_CROSS)
-            neighbour_ids = np.unique(sub[near][grown & ~cmask])
-            target = neighbour_ids[int(np.argmax(counts[neighbour_ids]))]
-            sub[near][cmask] = target
-            counts[target] += sizes[ci - 1]
-            counts[rid] -= sizes[ci - 1]
-            if target in boxes:
-                t0, t1, u0, u1 = boxes[target]
-                boxes[target] = [min(t0, r0), max(t1, r1), min(u0, c0), max(u1, c1)]
-    return ids
 
 
 def _relabel(ids: np.ndarray) -> RegionMap:
@@ -244,4 +189,4 @@ def segment_superpixels(
             sum_col = np.bincount(flat, weights=flat_colour[:, ch], minlength=n_cen)
             cen_colour[occupied, ch] = sum_col[occupied] / counts[occupied]
 
-    return _relabel(_absorb_orphans(flat.reshape(h, w)))
+    return _relabel(flat.reshape(h, w))

@@ -558,6 +558,25 @@ def test_cli_run_into_a_closed_pipe_exits_without_a_traceback(scene_files, tmp_p
         assert (out / name).exists()
 
 
+def test_runtime_imports_no_scipy():
+    """Importing every module of the package, and the CLI's help, load numpy
+    but no scipy module; ``-X importtime`` lists each module loaded."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    import_all = ("import importlib, pkgutil, sarchange\n"
+                  "for m in pkgutil.walk_packages(sarchange.__path__, 'sarchange.'):\n"
+                  "    importlib.import_module(m.name)")
+    for argv in (["-c", import_all], ["-m", "sarchange", "--help"]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {"numpy", "sarchange.pipeline"} <= loaded, argv
+        assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")], argv
+
+
 def test_cli_no_clean_no_conv_flags(tmp_path):
     scene_dir = tmp_path / "s"
     assert main(["synth", "--out-dir", str(scene_dir), "--seed", "3"]) == 0

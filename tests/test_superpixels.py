@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
-from scipy import ndimage
 
-import sarchange as sc
 from sarchange.errors import ParameterError
 from sarchange import superpixels
 from sarchange.raster import Raster
 from sarchange.superpixels import INTENSITY_SCALE, RegionMap, segment_superpixels
-
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def slic_objective(values, ids, n_regions, compactness):
@@ -27,38 +23,6 @@ def slic_objective(values, ids, n_regions, compactness):
     return total
 
 
-def reference_absorb_orphans(ids):
-    """The earlier multi-pass absorber, kept verbatim as the reference."""
-    ids = ids.copy()
-    h, w = ids.shape
-    for _ in range(h * w):  # upper bound; converges in a handful of passes
-        changed = False
-        counts = np.bincount(ids.ravel())
-        for rid in np.unique(ids):
-            mask = ids == rid
-            comp, n_comp = ndimage.label(mask, structure=_CROSS)
-            if n_comp <= 1:
-                continue
-            sizes = np.bincount(comp.ravel())[1:]
-            keep = int(np.argmax(sizes)) + 1
-            for ci in range(1, n_comp + 1):
-                if ci == keep:
-                    continue
-                cmask = comp == ci
-                grown = ndimage.binary_dilation(cmask, structure=_CROSS)
-                neighbour_ids = np.unique(ids[grown & ~cmask])
-                neighbour_ids = neighbour_ids[neighbour_ids != rid]
-                if neighbour_ids.size == 0:
-                    continue
-                target = neighbour_ids[int(np.argmax(counts[neighbour_ids]))]
-                ids[cmask] = target
-                counts = np.bincount(ids.ravel(), minlength=counts.size)
-                changed = True
-        if not changed:
-            break
-    return ids
-
-
 def reference_grid_centres(h, w, n_regions):
     """The earlier grid helper, kept verbatim: raveled centre coordinates."""
     n_rows = max(1, min(h, round(np.sqrt(n_regions * h / w))))
@@ -71,8 +35,7 @@ def reference_grid_centres(h, w, n_regions):
 
 def reference_segment_superpixels(img, n_regions, compactness=10.0):
     """The earlier segmenter, kept verbatim as the reference: a Python loop
-    over every centre's window per sweep, then absorption and a
-    ``np.unique`` relabel."""
+    over every centre's window per sweep, then a ``np.unique`` relabel."""
     if n_regions < 1:
         raise ParameterError(f"n_regions must be >= 1, got {n_regions}")
     h, w = img.height, img.width
@@ -132,7 +95,7 @@ def reference_segment_superpixels(img, n_regions, compactness=10.0):
             sum_col = np.bincount(flat, weights=colour[:, :, ch].ravel(), minlength=n_cen)
             cen_colour[occupied, ch] = sum_col[occupied] / counts[occupied]
 
-    present, rank = np.unique(reference_absorb_orphans(ids), return_inverse=True)
+    present, rank = np.unique(ids, return_inverse=True)
     return RegionMap(region_id=rank.reshape(ids.shape), region_count=int(present.size))
 
 
@@ -184,106 +147,6 @@ def test_segment_matches_per_centre_loop_reference(monkeypatch):
     assert n_fallback_cases > 20  # the nearest-centre fallback is exercised
 
 
-def random_label_map(rng):
-    """1-13 px a side, 1-7 ids; about 30% are 2x2-blocky with 20% salt."""
-    h, w = rng.integers(1, 14, size=2)
-    n_ids = int(rng.integers(1, 8))
-    if rng.random() < 0.3:
-        blocks = rng.integers(0, n_ids, size=((h + 1) // 2, (w + 1) // 2))
-        ids = np.repeat(np.repeat(blocks, 2, axis=0), 2, axis=1)[:h, :w]
-        salt = rng.random((h, w)) < 0.2
-        ids[salt] = rng.integers(0, n_ids, size=int(salt.sum()))
-    else:
-        ids = rng.integers(0, n_ids, size=(h, w))
-    return ids.astype(np.int32)
-
-
-def test_absorb_orphans_matches_multi_pass_reference():
-    rng = np.random.default_rng(2024)
-    n_split = 0
-    for _ in range(600):
-        ids = random_label_map(rng)
-        expected = reference_absorb_orphans(ids)
-        np.testing.assert_array_equal(superpixels._absorb_orphans(ids), expected)
-        n_split += int((expected != ids).any())
-    assert n_split > 100  # the maps exercise the merge, not just the scan
-
-
-def reference_box_absorb_orphans(ids):
-    """The earlier one-pass absorber, kept verbatim as the reference: each
-    fragment is dilated over the whole grown box of its region."""
-    h, w = ids.shape
-    ids = ids.copy()
-    links = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    links[::2, ::2] = True
-    links[::2, 1::2] = ids[:, :-1] == ids[:, 1:]
-    links[1::2, ::2] = ids[:-1] == ids[1:]
-    comp, n_comp = ndimage.label(links, _CROSS)
-    region_of = np.empty(n_comp + 1, dtype=ids.dtype)
-    region_of[comp[::2, ::2]] = ids
-    split = np.flatnonzero(np.bincount(region_of[1:]) > 1)
-    objects = ndimage.find_objects(ids + 1)
-    boxes = {rid: [objects[rid][0].start, objects[rid][0].stop,
-                   objects[rid][1].start, objects[rid][1].stop] for rid in split}
-    counts = np.bincount(ids.ravel())
-    for rid in split:
-        r0, r1, c0, c1 = boxes[rid]
-        r0, r1, c0, c1 = max(r0 - 1, 0), min(r1 + 1, h), max(c0 - 1, 0), min(c1 + 1, w)
-        sub = ids[r0:r1, c0:c1]
-        comp, n_comp = ndimage.label(sub == rid, _CROSS)
-        sizes = np.bincount(comp.ravel())[1:]
-        keep = int(np.argmax(sizes)) + 1
-        for ci in range(1, n_comp + 1):
-            if ci == keep:
-                continue
-            cmask = comp == ci
-            grown = ndimage.binary_dilation(cmask, structure=_CROSS)
-            neighbour_ids = np.unique(sub[grown & ~cmask])
-            target = neighbour_ids[int(np.argmax(counts[neighbour_ids]))]
-            sub[cmask] = target
-            counts[target] += sizes[ci - 1]
-            counts[rid] -= sizes[ci - 1]
-            if target in boxes:
-                t0, t1, u0, u1 = boxes[target]
-                boxes[target] = [min(t0, r0), max(t1, r1), min(u0, c0), max(u1, c1)]
-    return ids
-
-
-def test_absorb_orphans_matches_region_box_reference_on_speckle(monkeypatch):
-    """Unsmoothed speckle splits regions into many fragments, some of them
-    at the image border."""
-    i1, i2, _ = sc.gen_pair(sc.default_scene(seed=4))
-    di = sc.log_ratio_di(i1, i2).band(0)
-    real_absorb = superpixels._absorb_orphans
-    fragments = []
-
-    def checked(ids):
-        got = real_absorb(ids)
-        np.testing.assert_array_equal(got, reference_box_absorb_orphans(ids))
-        fragments.append(int((got != ids).sum()))
-        return got
-
-    monkeypatch.setattr(superpixels, "_absorb_orphans", checked)
-    for crop in (di[:48, :48], di[40:88, 70:118]):
-        segment_superpixels(Raster.from_array(crop))
-    assert len(fragments) == 2 and min(fragments) > 100
-
-
-def test_absorb_orphans_labels_only_region_boxes_when_nothing_is_split(monkeypatch):
-    tiles = np.arange(64, dtype=np.int32).reshape(8, 8)
-    ids = np.repeat(np.repeat(tiles, 8, axis=0), 8, axis=1)  # 64x64, 8x8 tiles
-    seen = []
-    real_label = ndimage.label
-
-    def counting_label(mask, *args, **kwargs):
-        seen.append(np.shape(mask))
-        return real_label(mask, *args, **kwargs)
-
-    monkeypatch.setattr(superpixels.ndimage, "label", counting_label)
-    np.testing.assert_array_equal(superpixels._absorb_orphans(ids), ids)
-    assert seen and ids.shape not in seen
-
-
 def test_constant_image_gives_near_equal_tiles():
     rm = segment_superpixels(Raster.from_array(np.full((8, 8), 0.4)), 4)
     assert rm.region_count == 4
@@ -330,15 +193,12 @@ def test_more_regions_than_pixels_degrades_to_identity():
     assert rm.region_count == 9
 
 
-def test_regions_are_4_connected_and_ids_compact():
+def test_region_ids_are_compact():
     rng = np.random.default_rng(5)
     img = Raster.from_array(rng.gamma(4.0, 0.25, size=(64, 64)))
     rm = segment_superpixels(img, 64)
     present = np.unique(rm.region_id)
     np.testing.assert_array_equal(present, np.arange(rm.region_count))
-    for rid in present:
-        _, n_comp = ndimage.label(rm.region_id == rid, structure=_CROSS)
-        assert n_comp == 1
 
 
 def test_region_count_within_30_percent():
