@@ -1,5 +1,6 @@
-"""Difference-image generation for co-registered acquisition pairs, and the
-package's one column-standardisation rule, :func:`zscore_channels`."""
+"""Difference-image generation for co-registered acquisition pairs, the
+package's one column-standardisation rule, :func:`zscore_channels`, and
+its one box filter, :func:`box_mean`."""
 
 from __future__ import annotations
 
