@@ -6,6 +6,10 @@ from its input and uses them as cross-correlation kernels.  In
 min-max-normalised activation exceeds a threshold (salient structure);
 in "random" mode they are drawn uniformly, which serves as the baseline.
 Layer outputs are reduced to three channels each, z-scored, and stacked.
+
+No layer's (pixels, kernels) output is ever stored: each layer is
+convolved in blocks of whole rows, twice, once for the mean and
+covariance of its PCA and once for the projection.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import ParameterError, ShapeError
 from .raster import Raster
 from .seeds import derive_seed
 
-_TILE_PIXELS = 4096  # pixels per block of windows convolved at once
+_TILE_PIXELS = 2048  # pixels per block of rows convolved or reduced at once
 _PIXEL_STEP = 8  # a block's pixel columns are padded to a multiple of this
 
 
@@ -117,24 +121,35 @@ def select_kernels(
     return KernelSet(kernels=kernels, centers=centers, mode=mode, fallback=fallback)
 
 
-def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
-    """Cross-correlate ``f`` with every kernel and clamp negatives to zero.
+def _padded(n: int) -> int:
+    """``n`` rounded up to a multiple of ``_PIXEL_STEP``."""
+    return -(-n // _PIXEL_STEP) * _PIXEL_STEP
 
-    Symmetric-reflection padding keeps the spatial dimensions; channel
-    counts of image and kernels must agree.  Output has one channel per
-    kernel, pixel-major: shape (height, width, kernels).
 
-    Blocks of whole rows, about ``_TILE_PIXELS`` pixels each (a wider row
-    is one block) and within one row of each other in height, are
-    multiplied as ``kernels @ columns``: one im2col row per (channel, dy,
-    dx), in the kernels' flattened order, cut from shifted slices of the
-    padded planes, and one column per pixel, padded with zeros to a
-    multiple of ``_PIXEL_STEP``.  With two or more kernels this has the
-    bits of the pixel-major product ``windows @ kernels.T`` (OpenBLAS
-    rounds a remainder of fewer than ``_PIXEL_STEP`` columns differently),
-    except in blocks of at most 1200 outputs over 32 or more terms, which
-    OpenBLAS sends to a small-matrix kernel.  One kernel makes both
-    products GEMVs, whose bits may differ.
+def _row_blocks(h: int, w: int) -> tuple[list[tuple[int, int]], int]:
+    """The blocks of whole rows that an h-by-w image is read in, as
+    ``(top, bottom)`` bounds, and the height of the tallest.
+
+    A block has about ``_TILE_PIXELS`` pixels (a wider row is one block),
+    and heights differ by at most one row.
+    """
+    blocks = min(h, -(-h * w // _TILE_PIXELS))
+    bounds = [(h * i // blocks, h * (i + 1) // blocks) for i in range(blocks)]
+    return bounds, -(-h // blocks)
+
+
+def _conv_blocks(f: Raster, kernels: KernelSet):
+    """Yield ``(top, bottom, block)`` for the row blocks of ``f``: ``block``
+    is the rectified response of every kernel at the block's pixels, shape
+    (kernels, pixels), a view of scratch that the next block overwrites
+    and that the caller may write to.
+
+    A block is multiplied as ``kernels @ columns``: one im2col row per
+    (channel, dy, dx), in the kernels' flattened order, cut from shifted
+    slices of the block's rows padded as :func:`_padded_planes` pads the
+    image, and one column per pixel, padded with zeros to a multiple of
+    ``_PIXEL_STEP``.  Raises :class:`ShapeError`, on the first block, for
+    non-square kernels or a channel mismatch.
     """
     m, k, k2, kc = kernels.kernels.shape
     if k != k2:
@@ -144,45 +159,97 @@ def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
             f"kernel channels ({kc}) disagree with image channels ({f.channels})"
         )
     h, w = f.height, f.width
-    planes = _padded_planes(f.data, k)
+    half = k // 2
+    # The padded planes of _padded_planes are cut one block of rows at a
+    # time: the image row of each padded row, and each padded column
+    # outside the image with the one inside that it reflects.
+    rows = np.pad(np.arange(h), half, mode="symmetric")
+    edges = np.r_[:half, half + w : w + 2 * half]
+    edge_sources = half + np.pad(np.arange(w), half, mode="symmetric")[edges]
     kmat = kernels.kernels.transpose(0, 3, 1, 2).reshape(m, kc * k * k)
-    blocks = min(h, -(-h * w // _TILE_PIXELS))
-    tallest = -(-h // blocks)
-    most = -(-tallest * w // _PIXEL_STEP) * _PIXEL_STEP  # padded columns of a block
-    # The output is allocated before the two reused scratch blocks, so it
-    # does not land above them in the heap.  Padding columns stay finite.
-    out = np.empty((h, w, m))
-    cols_buf = np.zeros(kc * k * k * most)
+    bounds, tallest = _row_blocks(h, w)
+    most = _padded(tallest * w)
+    cols_buf = np.zeros(kc * k * k * most)  # padding columns stay finite
     prod_buf = np.empty(m * most)
-    for i in range(blocks):
-        top, bottom = h * i // blocks, h * (i + 1) // blocks
+    band_buf = np.empty((kc, tallest + 2 * half, w + 2 * half))
+    for top, bottom in bounds:
         n = (bottom - top) * w
-        padded = -(-n // _PIXEL_STEP) * _PIXEL_STEP
+        padded = _padded(n)
         cols = cols_buf[: kc * k * k * padded].reshape(-1, padded)
         pixels = cols[:, :n].reshape(kc, k, k, bottom - top, w)
-        for dy in range(k):
-            for dx in range(k):
-                pixels[:, dy, dx] = planes[:, top + dy : bottom + dy, dx : dx + w]
-        prod = np.matmul(kmat, cols, out=prod_buf[: m * padded].reshape(m, padded))
-        np.maximum(prod[:, :n].T, 0.0, out=out[top:bottom].reshape(n, m))
-    # Free the scratch before Raster's finiteness check allocates its
-    # n * m mask, so the two do not stack on top of the output.
-    del planes, cols_buf, prod_buf, cols, pixels, prod
+        band = band_buf[:, : bottom - top + 2 * half]
+        band[:, :, half : half + w] = f.data[rows[top : bottom + 2 * half]].transpose(2, 0, 1)
+        band[:, :, edges] = band[:, :, edge_sources]
+        pixels[...] = sliding_window_view(band, (bottom - top, w), axis=(1, 2))
+        prod = np.matmul(kmat, cols, out=prod_buf[: m * padded].reshape(m, padded))[:, :n]
+        yield top, bottom, np.maximum(prod, 0.0, out=prod)
+
+
+def _raster_blocks(f: Raster):
+    """Yield ``(top, bottom, block)`` for the row blocks of ``f``: ``block``
+    holds the block's pixels as (channels, pixels), copied into scratch
+    laid out as :func:`_conv_blocks`' blocks are, so that arithmetic on
+    either gives the same bits.  The next block overwrites it."""
+    h, w, c = f.data.shape
+    bounds, tallest = _row_blocks(h, w)
+    buf = np.empty(c * _padded(tallest * w))
+    for top, bottom in bounds:
+        n = (bottom - top) * w
+        block = buf[: c * _padded(n)].reshape(c, -1)[:, :n]
+        block[...] = f.data[top:bottom].reshape(n, c).T
+        yield top, bottom, block
+
+
+def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
+    """Cross-correlate ``f`` with every kernel and clamp negatives to zero.
+
+    Symmetric-reflection padding keeps the spatial dimensions; channel
+    counts of image and kernels must agree.  Output has one channel per
+    kernel, pixel-major: shape (height, width, kernels).
+
+    The output is assembled from the blocks of whole rows that
+    :func:`pca_reduce` streams, about ``_TILE_PIXELS`` pixels each, each a
+    ``kernels @ columns`` product over an im2col block whose pixel
+    columns are padded to a multiple of ``_PIXEL_STEP``.  With two or more
+    kernels this has the bits of the pixel-major product ``windows @
+    kernels.T`` (OpenBLAS rounds a remainder of fewer than ``_PIXEL_STEP``
+    columns differently), except in blocks of at most 1200 outputs over 32
+    or more terms, which OpenBLAS sends to a small-matrix kernel.  One
+    kernel makes both products GEMVs, whose bits may differ.
+    """
+    m = kernels.kernels.shape[0]
+    # Allocated before the block scratch, so it does not land above it in the heap.
+    out = np.empty((f.height, f.width, m))
+    for top, bottom, block in _conv_blocks(f, kernels):
+        out[top:bottom].reshape(-1, m)[...] = block.T
     return Raster(out)
 
 
-def _centred_tiles(x: np.ndarray, mean: np.ndarray):
-    """Yield ``(rows, x[rows] - mean)`` for tiles of ``_TILE_PIXELS`` rows of
-    ``x``; every tile is written into one reused scratch array."""
-    n, c = x.shape
-    scratch = np.empty(min(n, _TILE_PIXELS) * c)
-    for top in range(0, n, _TILE_PIXELS):
-        rows = slice(top, min(top + _TILE_PIXELS, n))
-        yield rows, np.subtract(x[rows], mean, out=scratch[: (rows.stop - top) * c].reshape(-1, c))
+def _mean_and_scatter(blocks, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and the centred scatter matrix of the pixels of ``blocks``
+    over ``c`` channels.  Each block's own mean and centred scatter are
+    merged into the running ones by the pairwise update of Chan, Golub &
+    LeVeque (1979), so no sum of squares far from the mean cancels.  The
+    blocks are centred in place."""
+    count, mean, scatter = 0, np.zeros(c), np.zeros((c, c))
+    for _, _, block in blocks:
+        size = block.shape[1]
+        block_mean = block.mean(axis=1)
+        centred = np.subtract(block, block_mean[:, None], out=block)
+        delta = block_mean - mean
+        count += size
+        mean += delta * (size / count)
+        scatter += centred @ centred.T
+        scatter += np.outer(delta, delta) * ((count - size) * size / count)
+    return mean, scatter
 
 
-def pca_reduce(f: Raster, keep: int) -> Raster:
+def pca_reduce(f: Raster, keep: int, kernels: KernelSet | None = None) -> Raster:
     """Project pixels onto the top principal directions of their channels.
+
+    With ``kernels``, the channels are those of ``conv_layer(f, kernels)``,
+    which is never built, and the result has the bits of ``pca_reduce(
+    conv_layer(f, kernels), keep)``.
 
     Pixels are the samples; channels the variables.  Components come out
     in descending explained-variance order, each sign-fixed so its
@@ -190,22 +257,23 @@ def pca_reduce(f: Raster, keep: int) -> Raster:
     falls below 1e-12 of the total variance are dropped rather than
     padded, so the output may have fewer than ``keep`` channels.
 
-    No centred copy of the input is made: the covariance sums each tile's
-    centred ``t.T @ t`` (Chan, Golub & LeVeque, 1979), and the projection
-    centres and projects tile by tile into the output, so beyond the
-    output only a tile of ``_TILE_PIXELS`` rows is allocated.
+    The channels are read twice, in the row blocks of :func:`conv_layer`
+    (convolved again each time when ``kernels`` is given): once for the
+    mean and covariance, merged block by block, and once to centre each
+    block and project it into the output.  Beyond the output, only one
+    block's scratch is allocated.
     """
     check("keep", keep, POSITIVE_INT)
     n = f.height * f.width
-    c = f.channels
+    c = f.channels if kernels is None else kernels.kernels.shape[0]
     if n <= c:
         raise ParameterError(f"need more pixels ({n}) than channels ({c}) for PCA")
-    x = f.data.reshape(n, c)
-    mean = x.mean(axis=0)
-    cov = np.zeros((c, c))
-    for _, t in _centred_tiles(x, mean):
-        cov += t.T @ t
-    cov /= n - 1
+
+    def blocks():
+        return _raster_blocks(f) if kernels is None else _conv_blocks(f, kernels)
+
+    mean, scatter = _mean_and_scatter(blocks(), c)
+    cov = scatter / (n - 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals, kind="stable")[::-1]
     evals = np.maximum(evals[order], 0.0)
@@ -221,8 +289,10 @@ def pca_reduce(f: Raster, keep: int) -> Raster:
         if basis[pivot, j] < 0:
             basis[:, j] = -basis[:, j]
     out = np.empty((n, n_keep))
-    for rows, t in _centred_tiles(x, mean):
-        np.matmul(t, basis, out=out[rows])
+    w = f.width
+    for top, bottom, block in blocks():
+        centred = np.subtract(block, mean[:, None], out=block)
+        np.matmul(centred.T, basis, out=out[top * w : bottom * w])
     return Raster(out.reshape(f.height, f.width, n_keep))
 
 
@@ -245,7 +315,9 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
     own scale, and z-scored, so background variance cannot drown the
     change evidence; every later layer convolves the previous layer's
     output reduced to 3 principal channels.  These reductions are
-    z-scored and concatenated in layer order.  Kernel selection at layer
+    z-scored and concatenated in layer order, written into one array as
+    they come; each layer's convolution streams through its PCA
+    (:func:`pca_reduce` with ``kernels``).  Kernel selection at layer
     d uses the child seed ``(seed, d)`` and reads ``kernel_mode``,
     ``kernels_per_layer``, ``kernel_size`` and ``threshold`` from ``cfg``;
     :func:`check_shape` runs first.
@@ -253,13 +325,14 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
     check_shape(cfg, channels.height, channels.width)
     k = cfg.kernel_size
     current = Raster(zscore_channels(box_mean(channels.data, k)))
-    reduced: list[Raster] = []
+    out = np.empty((channels.height, channels.width, 3 * cfg.depth))
+    used = 0
     for d in range(1, cfg.depth + 1):
-        if d > 1:
-            current = reduced[-1]
         kernels = select_kernels(
             current, cfg.kernel_mode, cfg.kernels_per_layer, k,
             cfg.threshold, derive_seed(seed, d),
         )
-        reduced.append(pca_reduce(conv_layer(current, kernels), 3))
-    return Raster(np.concatenate([zscore_channels(r.data) for r in reduced], axis=2))
+        current = pca_reduce(current, 3, kernels)
+        out[:, :, used : used + current.channels] = zscore_channels(current.data)
+        used += current.channels
+    return Raster(out[:, :, :used])

@@ -130,6 +130,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     model = timer.run("train", lambda: train_svm(*build_samples(features, training), cfg.svm_c))
     change, scores = timer.run("predict", predict_map, model, features)
+    del features  # so the metrics stage's temporaries do not stack on top of it
     scores = Raster(scores.data.astype(np.float32))  # the values scores.f32 holds
 
     report = None

@@ -259,14 +259,14 @@ def one_shot_conv(values, kernels):
 
 
 @pytest.mark.parametrize("h, w, c, k", [
-    (131, 64, 3, 5),   # three blocks of 43, 44 and 44 rows
+    (131, 64, 3, 5),   # five blocks, of 26 rows and one of 27
     (131, 64, 1, 1),
     (3, 4500, 1, 3),   # rows wider than the tile: one row per block; k = the extent
     (3, 4500, 3, 1),
     (1, 5000, 3, 1),   # a single row
-    (9, 600, 3, 9),    # two blocks; k = the extent
+    (9, 600, 3, 9),    # three blocks; k = the extent
     (9, 600, 1, 9),
-    (4097, 1, 3, 1),   # a one-pixel-wide column of two blocks
+    (4097, 1, 3, 1),   # a one-pixel-wide column of three blocks
 ])
 def test_conv_layer_tiles_equal_the_one_shot_product_bit_for_bit(h, w, c, k):
     """Row tiling and the kernels-by-pixels product change no bit of a layer
@@ -289,6 +289,8 @@ def test_conv_layer_rejects_channel_mismatch():
     )
     with pytest.raises(ShapeError):
         conv_layer(Raster.from_array(np.zeros((4, 4))), ks)
+    with pytest.raises(ShapeError):
+        pca_reduce(Raster.from_array(np.zeros((4, 4))), 3, ks)
 
 
 def exact_covariance_data(variances, n=400, seed=0):
@@ -374,11 +376,13 @@ def reference_pca_reduce(f, keep):
     (64, _TILE_PIXELS // 64),     # exactly one tile
     (3, (2 * _TILE_PIXELS + 1) // 3),  # two tiles and one pixel
 ])
-@pytest.mark.parametrize("case", ["keep < c", "constant channel", "keep > rank"])
+@pytest.mark.parametrize("case", ["keep < c", "constant channel", "keep > rank", "offset"])
 def test_pca_reduce_tiles_match_the_one_shot_reference(h, w, case):
-    """Summing the covariance tile by tile moves scores by rounding only:
+    """Merging the covariance block by block moves scores by rounding only:
     the same channels, the same component signs, scores within 1e-12 of
-    their largest magnitude."""
+    their largest magnitude.  The offset case adds 1e3 to every channel,
+    so a covariance taken from uncentred sums would cancel most of its
+    digits."""
     rng = np.random.default_rng([h, w])
     n = h * w
     if case == "keep > rank":  # rank 2 in 5 channels; keep asks for all 5
@@ -389,6 +393,8 @@ def test_pca_reduce_tiles_match_the_one_shot_reference(h, w, case):
         if case == "constant channel":
             values = np.concatenate([values[:, :2], np.full((n, 1), 2.5)], axis=1)
             keep, channels = 3, 2
+        if case == "offset":
+            values += 1e3
     f = Raster(values.reshape(h, w, -1))
     out, ref = pca_reduce(f, keep).data, reference_pca_reduce(f, keep).data
     assert out.shape == ref.shape == (h, w, channels)
@@ -396,6 +402,31 @@ def test_pca_reduce_tiles_match_the_one_shot_reference(h, w, case):
     top = np.argmax(np.abs(ref), axis=0)
     assert np.array_equal(np.sign(out[top, range(channels)]), np.sign(ref[top, range(channels)]))
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("h, w", [
+    (37, 29),                  # fewer pixels than a block, 1073: not a multiple of 8
+    (64, _TILE_PIXELS // 64),  # exactly one block
+    (131, 64),                 # five blocks, of 26 rows and one of 27
+    (13, 331),                 # blocks of 1324, 1324 and 1655 pixels, none a multiple of 8
+    (3, 4500),                 # rows wider than a block: one row per block
+    (4097, 1),                 # a one-pixel-wide column of three blocks
+])
+@pytest.mark.parametrize("c, k", [(1, 3), (3, 1), (3, 5)])
+def test_pca_reduce_of_kernels_has_the_bits_of_reducing_the_layer_output(h, w, c, k):
+    """Streaming a layer through its PCA gives the bits of reducing the
+    assembled layer: both read the same blocks of rows in the same
+    (channels, pixels) layout."""
+    rng = np.random.default_rng([h, w, c, k])
+    f = Raster(rng.standard_normal((h, w, c)))
+    for m, keep in [(2, 3), (5, 3), (PipelineConfig.kernels_per_layer, 3),
+                    (PipelineConfig.kernels_per_layer, 40)]:
+        kernels = rng.standard_normal((m, k, k, c))
+        ks = KernelSet(kernels=kernels, centers=np.zeros((m, 2), dtype=int), mode="random")
+        streamed = pca_reduce(f, keep, ks)
+        assembled = pca_reduce(conv_layer(f, ks), keep)
+        assert streamed.data.shape == assembled.data.shape
+        assert streamed.data.tobytes() == assembled.data.tobytes(), (m, keep)
 
 
 @pytest.mark.parametrize("keep", [2.5, True, "2", 0])
@@ -467,33 +498,31 @@ def test_stack_features_deterministic_per_seed():
     np.testing.assert_array_equal(a.data, b.data)
 
 
-def test_stack_features_memory_is_bounded_by_one_layer_output_and_one_tile():
+def test_stack_features_memory_has_no_layer_output_term():
     """Peak traced memory of the default stack on a 256x256x3 input.
 
     With n pixels, m = 30 kernels of k = 5 over c = 3 channels and depth 4,
-    the bound is 27.5 MB:
-    - one layer's output, n * m float64 (15.7 MB); ``pca_reduce`` centres
-      it a tile at a time, so no centred copy is alive next to it;
-    - the im2col tile, _TILE_PIXELS windows of c * k * k float64 (2.5 MB);
-    - every layer's (n, 3) reduction, n * 3 * depth float64 (6.3 MB);
-    - n * m bytes (2 MB) for the boolean mask of ``Raster``'s finiteness
-      check on a layer output, which ``conv_layer`` makes only after
-      freeing its scratch;
-    - 1 MB for the kernels and the per-channel statistics.
-    The peak comes while layer 4 convolves: the output, the tile, the
-    m * _TILE_PIXELS product block (1 MB) and the padded input planes
-    (1.6 MB) next to three reductions.  The prepared input, the raw
-    channels averaged and z-scored (n * c float64, 1.6 MB), does not move
-    it: layer 2 replaces it as the current input, so it is alive only
-    through layer 1, when no reduction exists yet.  A one-shot centred copy
-    in ``pca_reduce`` (15.7 MB more) breaks the bound, as does an im2col
-    copy of the whole image (n * c * k * k float64, 39 MB).
+    the bound is 12.2 MB and has no n * m term:
+    - the stack's output, n * 3 * depth float64 (6.3 MB), allocated once;
+    - two (n, 3) float64 arrays (3.1 MB): a layer's input, which is the
+      prepared input (the raw channels averaged and z-scored) at layer 1
+      and the previous reduction later, and the reduction being projected;
+    - one block of ``_TILE_PIXELS`` pixels: its im2col columns, c * k * k
+      float64 each (1.2 MB), and its m kernel responses (0.5 MB);
+    - 1 MB for the block's padded input rows (0.1 MB), the kernels and
+      the per-channel statistics.
+    The peak comes while a layer's PCA projects: everything above is alive
+    at once.  One (n, m) float64 array (15.7 MB), such as an assembled
+    layer output, breaks the bound (the stack that reduced the assembled
+    output peaked at 25.6 MB), as do padded planes of the whole input
+    (1.6 MB) and an im2col copy of the whole image (n * c * k * k float64,
+    39 MB).
     """
     n, m, c, k, depth = 256 * 256, 30, 3, 5, 4
     cfg = PipelineConfig()
     assert (cfg.kernels_per_layer, cfg.kernel_size, cfg.depth) == (m, k, depth)
     img = Raster(np.random.default_rng(16).standard_normal((256, 256, c)))
-    bound = 8 * (n * m + _TILE_PIXELS * c * k * k + n * 3 * depth) + n * m + 2**20
+    bound = 8 * (n * 3 * depth + 2 * n * 3 + _TILE_PIXELS * (c * k * k + m)) + 2**20
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
