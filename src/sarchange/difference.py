@@ -48,7 +48,8 @@ def zscore_channels(data: np.ndarray) -> np.ndarray:
     flat = data.reshape(-1, data.shape[-1])
     mean, std = _column_stats(flat)
     safe = np.where(std > 1e-12, std, 1.0)
-    out = (flat - mean) / safe
+    out = np.subtract(flat, mean)
+    out /= safe
     out[:, std <= 1e-12] = 0.0
     return out.reshape(data.shape)
 

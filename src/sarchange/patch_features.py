@@ -8,8 +8,12 @@ in "random" mode they are drawn uniformly, which serves as the baseline.
 Layer outputs are reduced to three channels each, z-scored, and stacked.
 
 No layer's (pixels, kernels) output is ever stored: each layer is
-convolved in blocks of whole rows, twice, once for the mean and
-covariance of its PCA and once for the projection.
+convolved in blocks of whole rows of about 2048 pixels, twice.  The
+first pass fits the mean and covariance of its PCA on a sample of
+evenly spaced row blocks, about 16384 pixels in all (at 256², every
+4th of 32 blocks of 8 rows; at 1024², every 64th of 512 blocks of 2
+rows; at 2048², every 256th row); the second convolves every block and
+projects it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .raster import Raster
 from .seeds import derive_seed
 
 _TILE_PIXELS = 2048  # pixels per block of rows convolved or reduced at once
+_FIT_PIXELS = 1 << 14  # about the pixels sampled to fit each layer's PCA
 _PIXEL_STEP = 8  # a block's pixel columns are padded to a multiple of this
 
 
@@ -126,29 +131,29 @@ def _padded(n: int) -> int:
     return -(-n // _PIXEL_STEP) * _PIXEL_STEP
 
 
-def _row_blocks(h: int, w: int) -> tuple[list[tuple[int, int]], int]:
+def _row_blocks(h: int, w: int) -> list[tuple[int, int]]:
     """The blocks of whole rows that an h-by-w image is read in, as
-    ``(top, bottom)`` bounds, and the height of the tallest.
+    ``(top, bottom)`` bounds.
 
     A block has about ``_TILE_PIXELS`` pixels (a wider row is one block),
     and heights differ by at most one row.
     """
     blocks = min(h, -(-h * w // _TILE_PIXELS))
-    bounds = [(h * i // blocks, h * (i + 1) // blocks) for i in range(blocks)]
-    return bounds, -(-h // blocks)
+    return [(h * i // blocks, h * (i + 1) // blocks) for i in range(blocks)]
 
 
-def _conv_blocks(f: Raster, kernels: KernelSet):
-    """Yield ``(top, bottom, block)`` for the row blocks of ``f``: ``block``
-    is the rectified response of every kernel at the block's pixels, shape
-    (kernels, pixels), a view of scratch that the next block overwrites
-    and that the caller may write to.
+def _conv_blocks(f: Raster, kernels: KernelSet, bounds: list[tuple[int, int]]):
+    """Yield ``(top, bottom, block)`` for the row blocks ``bounds`` of ``f``,
+    in order: ``block`` is the rectified response of every kernel at the
+    block's pixels, shape (kernels, pixels), a view of scratch that the
+    next block overwrites and that the caller may write to.
 
     A block is multiplied as ``kernels @ columns``: one im2col row per
     (channel, dy, dx), in the kernels' flattened order, cut from shifted
     slices of the block's rows padded as :func:`_padded_planes` pads the
     image, and one column per pixel, padded with zeros to a multiple of
-    ``_PIXEL_STEP``.  Raises :class:`ShapeError`, on the first block, for
+    ``_PIXEL_STEP``.  The views into the scratch are built once per
+    block height.  Raises :class:`ShapeError`, on the first block, for
     non-square kernels or a channel mismatch.
     """
     m, k, k2, kc = kernels.kernels.shape
@@ -167,32 +172,38 @@ def _conv_blocks(f: Raster, kernels: KernelSet):
     edges = np.r_[:half, half + w : w + 2 * half]
     edge_sources = half + np.pad(np.arange(w), half, mode="symmetric")[edges]
     kmat = kernels.kernels.transpose(0, 3, 1, 2).reshape(m, kc * k * k)
-    bounds, tallest = _row_blocks(h, w)
+    tallest = max(bottom - top for top, bottom in bounds)
     most = _padded(tallest * w)
     cols_buf = np.zeros(kc * k * k * most)  # padding columns stay finite
     prod_buf = np.empty(m * most)
     band_buf = np.empty((kc, tallest + 2 * half, w + 2 * half))
+    views = {}
     for top, bottom in bounds:
-        n = (bottom - top) * w
-        padded = _padded(n)
-        cols = cols_buf[: kc * k * k * padded].reshape(-1, padded)
-        pixels = cols[:, :n].reshape(kc, k, k, bottom - top, w)
-        band = band_buf[:, : bottom - top + 2 * half]
+        height = bottom - top
+        if height not in views:
+            n = height * w
+            padded = _padded(n)
+            cols = cols_buf[: kc * k * k * padded].reshape(-1, padded)
+            band = band_buf[:, : height + 2 * half]
+            prod = prod_buf[: m * padded].reshape(m, padded)
+            views[height] = (band, sliding_window_view(band, (height, w), axis=(1, 2)),
+                             cols, cols[:, :n].reshape(kc, k, k, height, w), prod, prod[:, :n])
+        band, windows, cols, pixels, prod, block = views[height]
         band[:, :, half : half + w] = f.data[rows[top : bottom + 2 * half]].transpose(2, 0, 1)
         band[:, :, edges] = band[:, :, edge_sources]
-        pixels[...] = sliding_window_view(band, (bottom - top, w), axis=(1, 2))
-        prod = np.matmul(kmat, cols, out=prod_buf[: m * padded].reshape(m, padded))[:, :n]
-        yield top, bottom, np.maximum(prod, 0.0, out=prod)
+        pixels[...] = windows
+        np.matmul(kmat, cols, out=prod)
+        yield top, bottom, np.maximum(block, 0.0, out=block)
 
 
-def _raster_blocks(f: Raster):
-    """Yield ``(top, bottom, block)`` for the row blocks of ``f``: ``block``
-    holds the block's pixels as (channels, pixels), copied into scratch
-    laid out as :func:`_conv_blocks`' blocks are, so that arithmetic on
-    either gives the same bits.  The next block overwrites it."""
-    h, w, c = f.data.shape
-    bounds, tallest = _row_blocks(h, w)
-    buf = np.empty(c * _padded(tallest * w))
+def _raster_blocks(f: Raster, bounds: list[tuple[int, int]]):
+    """Yield ``(top, bottom, block)`` for the row blocks ``bounds`` of ``f``,
+    in order: ``block`` holds the block's pixels as (channels, pixels),
+    copied into scratch laid out as :func:`_conv_blocks`' blocks are, so
+    that arithmetic on either gives the same bits.  The next block
+    overwrites it."""
+    w, c = f.width, f.channels
+    buf = np.empty(c * _padded(max(bottom - top for top, bottom in bounds) * w))
     for top, bottom in bounds:
         n = (bottom - top) * w
         block = buf[: c * _padded(n)].reshape(c, -1)[:, :n]
@@ -220,17 +231,17 @@ def conv_layer(f: Raster, kernels: KernelSet) -> Raster:
     m = kernels.kernels.shape[0]
     # Allocated before the block scratch, so it does not land above it in the heap.
     out = np.empty((f.height, f.width, m))
-    for top, bottom, block in _conv_blocks(f, kernels):
+    for top, bottom, block in _conv_blocks(f, kernels, _row_blocks(f.height, f.width)):
         out[top:bottom].reshape(-1, m)[...] = block.T
     return Raster(out)
 
 
-def _mean_and_scatter(blocks, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mean and the centred scatter matrix of the pixels of ``blocks``
-    over ``c`` channels.  Each block's own mean and centred scatter are
-    merged into the running ones by the pairwise update of Chan, Golub &
-    LeVeque (1979), so no sum of squares far from the mean cancels.  The
-    blocks are centred in place."""
+def _mean_and_scatter(blocks, c: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The count, the mean and the centred scatter matrix of the pixels of
+    ``blocks`` over ``c`` channels.  Each block's own mean and centred
+    scatter are merged into the running ones by the pairwise update of
+    Chan, Golub & LeVeque (1979), so no sum of squares far from the mean
+    cancels.  The blocks are centred in place."""
     count, mean, scatter = 0, np.zeros(c), np.zeros((c, c))
     for _, _, block in blocks:
         size = block.shape[1]
@@ -241,7 +252,27 @@ def _mean_and_scatter(blocks, c: int) -> tuple[np.ndarray, np.ndarray]:
         mean += delta * (size / count)
         scatter += centred @ centred.T
         scatter += np.outer(delta, delta) * ((count - size) * size / count)
-    return mean, scatter
+    return count, mean, scatter
+
+
+def _fit(blocks, c: int, keep: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The mean of the pixels of ``blocks`` over ``c`` channels, their top
+    principal directions as the columns of a (c, at most ``keep``) basis,
+    sign-fixed so each column's largest-magnitude loading is positive
+    (none when the pixels have no variance), and their total variance."""
+    count, mean, scatter = _mean_and_scatter(blocks, c)
+    evals, evecs = np.linalg.eigh(scatter / (count - 1))
+    order = np.argsort(evals, kind="stable")[::-1]
+    evals = np.maximum(evals[order], 0.0)
+    evecs = evecs[:, order]
+    total = evals.sum()
+    significant = evals > 1e-12 * total if total > 0 else np.zeros(c, dtype=bool)
+    basis = evecs[:, : min(keep, int(np.count_nonzero(significant)))].copy()
+    for j in range(basis.shape[1]):
+        pivot = int(np.argmax(np.abs(basis[:, j])))
+        if basis[pivot, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return mean, basis, total
 
 
 def pca_reduce(f: Raster, keep: int, kernels: KernelSet | None = None) -> Raster:
@@ -257,11 +288,20 @@ def pca_reduce(f: Raster, keep: int, kernels: KernelSet | None = None) -> Raster
     falls below 1e-12 of the total variance are dropped rather than
     padded, so the output may have fewer than ``keep`` channels.
 
-    The channels are read twice, in the row blocks of :func:`conv_layer`
-    (convolved again each time when ``kernels`` is given): once for the
-    mean and covariance, merged block by block, and once to centre each
-    block and project it into the output.  Beyond the output, only one
-    block's scratch is allocated.
+    The channels are read in the row blocks of :func:`conv_layer`
+    (convolved again on each read when ``kernels`` is given), twice.  The
+    first read fits the mean and covariance, merged block by block, on
+    every s-th block from the first, where s = ceil(n / ``_FIT_PIXELS``)
+    for n pixels: about ``_FIT_PIXELS`` pixels in stripes spread over the
+    image.  At 256² these are 8 blocks of 8 rows, 32 rows apart; at
+    1024², 8 blocks of 2 rows, 128 rows apart; at 2048², 8 single rows,
+    256 apart.  An image of at most ``_FIT_PIXELS`` pixels is read whole.
+    If the sampled pixels are constant, up to the rounding of their mean
+    (a total variance of at most 1e-24 of its squared norm), the fit
+    reads every block instead, before an input with no variance is
+    refused.  The second read centres every block and projects it into
+    the output.  Beyond the output, only one block's scratch is
+    allocated.
     """
     check("keep", keep, POSITIVE_INT)
     n = f.height * f.width
@@ -269,31 +309,24 @@ def pca_reduce(f: Raster, keep: int, kernels: KernelSet | None = None) -> Raster
     if n <= c:
         raise ParameterError(f"need more pixels ({n}) than channels ({c}) for PCA")
 
-    def blocks():
-        return _raster_blocks(f) if kernels is None else _conv_blocks(f, kernels)
+    def blocks(bounds):
+        return _raster_blocks(f, bounds) if kernels is None else _conv_blocks(f, kernels, bounds)
 
-    mean, scatter = _mean_and_scatter(blocks(), c)
-    cov = scatter / (n - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals, kind="stable")[::-1]
-    evals = np.maximum(evals[order], 0.0)
-    evecs = evecs[:, order]
-    total = evals.sum()
-    significant = evals > 1e-12 * total if total > 0 else np.zeros(c, dtype=bool)
-    n_keep = min(keep, int(np.count_nonzero(significant)))
-    if n_keep == 0:
+    bounds = _row_blocks(f.height, f.width)
+    stride = -(-n // _FIT_PIXELS)
+    mean, basis, total = _fit(blocks(bounds[::stride]), c, keep)
+    if stride > 1 and total <= 1e-24 * (mean @ mean):
+        # The stripes are constant up to the rounding of their mean; the
+        # variance, if any, lies between them.
+        mean, basis, _ = _fit(blocks(bounds), c, keep)
+    if basis.shape[1] == 0:
         raise ParameterError("input has no variance; nothing to retain")
-    basis = evecs[:, :n_keep].copy()
-    for j in range(n_keep):
-        pivot = int(np.argmax(np.abs(basis[:, j])))
-        if basis[pivot, j] < 0:
-            basis[:, j] = -basis[:, j]
-    out = np.empty((n, n_keep))
+    out = np.empty((n, basis.shape[1]))
     w = f.width
-    for top, bottom, block in blocks():
+    for top, bottom, block in blocks(bounds):
         centred = np.subtract(block, mean[:, None], out=block)
         np.matmul(centred.T, basis, out=out[top * w : bottom * w])
-    return Raster(out.reshape(f.height, f.width, n_keep))
+    return Raster(out.reshape(f.height, f.width, basis.shape[1]))
 
 
 def check_shape(cfg: PipelineConfig, height: int, width: int) -> None:

@@ -120,7 +120,7 @@ def _assign(
         # d = d_col + spatial_w * d_sp, each step rounded in that order
         d = dr2[b, :, None] + dc2[b, None, :]
         d *= spatial_w
-        d += sq.sum(axis=3)
+        d += sq[..., 0] if sq.shape[3] == 1 else sq.sum(axis=3)
         d, pix = d.ravel(), pix.ravel()
         np.fmin.at(best, pix, d)
         won = np.flatnonzero(d == best[pix])

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from sarchange.difference import LOG_RATIO_EPS, _column_stats, box_mean, log_ratio_di
+from sarchange.difference import (
+    LOG_RATIO_EPS,
+    _column_stats,
+    box_mean,
+    log_ratio_di,
+    zscore_channels,
+)
 from sarchange.errors import ShapeError
 from sarchange.raster import Raster
 
@@ -106,6 +112,24 @@ def test_column_stats_run_on_strided_views():
     mean, std = _column_stats(flat)
     _same_bits(mean, flat.mean(axis=0))
     _same_bits(std, flat.std(axis=0))
+
+
+@pytest.mark.parametrize("shape", [(65536, 3), (64, 48, 3), (500, 1), (20, 30, 2)])
+def test_zscore_channels_has_the_bits_of_the_two_temporary_formula(shape):
+    """Subtracting into the output and dividing in place gives the bits of
+    ``(flat - mean) / safe``; a flat column becomes zero, and the input
+    is left alone."""
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    data = rng.normal(size=shape) * np.logspace(0, 6, shape[-1]) + 3.0
+    data[..., -1] = 2.5  # a flat column
+    before = data.copy()
+    flat = data.reshape(-1, shape[-1])
+    mean, std = _column_stats(flat)
+    safe = np.where(std > 1e-12, std, 1.0)
+    expected = (flat - mean) / safe
+    expected[:, std <= 1e-12] = 0.0
+    _same_bits(zscore_channels(data), expected.reshape(shape))
+    np.testing.assert_array_equal(data, before)
 
 
 @pytest.mark.parametrize("channels", [None, 1, 3])

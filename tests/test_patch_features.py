@@ -11,6 +11,7 @@ from sarchange.config import PipelineConfig
 from sarchange.difference import zscore_channels
 from sarchange.errors import ParameterError, ShapeError
 from sarchange.patch_features import (
+    _FIT_PIXELS,
     _TILE_PIXELS,
     KernelSet,
     conv_layer,
@@ -411,12 +412,13 @@ def test_pca_reduce_tiles_match_the_one_shot_reference(h, w, case):
     (13, 331),                 # blocks of 1324, 1324 and 1655 pixels, none a multiple of 8
     (3, 4500),                 # rows wider than a block: one row per block
     (4097, 1),                 # a one-pixel-wide column of three blocks
+    (160, 128),                # above _FIT_PIXELS: the covariance reads every 2nd block
 ])
 @pytest.mark.parametrize("c, k", [(1, 3), (3, 1), (3, 5)])
 def test_pca_reduce_of_kernels_has_the_bits_of_reducing_the_layer_output(h, w, c, k):
     """Streaming a layer through its PCA gives the bits of reducing the
     assembled layer: both read the same blocks of rows in the same
-    (channels, pixels) layout."""
+    (channels, pixels) layout, and fit on the same sampled blocks."""
     rng = np.random.default_rng([h, w, c, k])
     f = Raster(rng.standard_normal((h, w, c)))
     for m, keep in [(2, 3), (5, 3), (PipelineConfig.kernels_per_layer, 3),
@@ -427,6 +429,87 @@ def test_pca_reduce_of_kernels_has_the_bits_of_reducing_the_layer_output(h, w, c
         assembled = pca_reduce(conv_layer(f, ks), keep)
         assert streamed.data.shape == assembled.data.shape
         assert streamed.data.tobytes() == assembled.data.tobytes(), (m, keep)
+
+
+def sampled_rows(h, w):
+    """The rows the covariance of an h-by-w input is fitted on: every s-th
+    block of about ``_TILE_PIXELS`` pixels, s = ceil(n / ``_FIT_PIXELS``)."""
+    n = h * w
+    blocks = min(h, -(-n // _TILE_PIXELS))
+    stride = -(-n // _FIT_PIXELS)
+    return np.concatenate([np.arange(h * i // blocks, h * (i + 1) // blocks)
+                           for i in range(0, blocks, stride)])
+
+
+def reference_sampled_pca(values, keep, rows):
+    """Principal directions fitted on the pixels of ``rows`` of ``values``
+    alone, in one shot, and the scores of every pixel on them."""
+    h, w, c = values.shape
+    sample = values[rows].reshape(-1, c)
+    mean = sample.mean(axis=0)
+    centred = sample - mean
+    evals, evecs = np.linalg.eigh(centred.T @ centred / (len(sample) - 1))
+    basis = evecs[:, np.argsort(evals, kind="stable")[::-1][:keep]]
+    basis *= np.where(basis[np.argmax(np.abs(basis), axis=0), range(keep)] < 0, -1.0, 1.0)
+    return ((values.reshape(-1, c) - mean) @ basis).reshape(h, w, keep)
+
+
+@pytest.mark.parametrize("h, w, stride", [
+    (160, 128, 2),   # 10 blocks of 16 rows: blocks 0, 2, 4, 6 and 8
+    (256, 256, 4),   # 32 blocks of 8 rows: blocks 0, 4, ..., 28
+    (3, 6000, 2),    # rows wider than a block: rows 0 and 2
+    (20000, 1, 2),   # a one-pixel-wide column of 10 blocks
+])
+@pytest.mark.parametrize("conv", [False, True])
+def test_pca_reduce_above_the_budget_fits_on_the_sampled_rows_only(h, w, stride, conv):
+    """Above ``_FIT_PIXELS`` pixels the mean and covariance come from every
+    s-th row block only, and every pixel is projected: the scores, and so
+    the basis, match a one-shot reference fitted on exactly those rows,
+    within 1e-12 of the largest score, and not one fitted on every row.
+    The input's spread grows down the rows, so the two fits differ."""
+    assert -(-h * w // _FIT_PIXELS) == stride
+    rng = np.random.default_rng([h, w, conv])
+    grow = np.linspace(1.0, 4.0, h)[:, None, None]
+    if conv:
+        f = Raster(rng.standard_normal((h, w, 2)) * grow)
+        m, k = 12, 3 if min(h, w) >= 3 else 1
+        kernels = rng.standard_normal((m, k, k, 2))
+        ks = KernelSet(kernels=kernels, centers=np.zeros((m, 2), dtype=int), mode="random")
+        out, values = pca_reduce(f, 3, ks).data, one_shot_conv(f.data, kernels)
+    else:
+        mix = rng.standard_normal((12, 12))
+        values = np.maximum(rng.standard_normal((h, w, 12)) * grow @ mix, 0.0) + 1e3
+        out = pca_reduce(Raster(values), 3).data
+    ref = reference_sampled_pca(values, 3, sampled_rows(h, w))
+    atol = 1e-12 * np.abs(ref).max()
+    np.testing.assert_allclose(out, ref, rtol=0, atol=atol)
+    every_row = reference_sampled_pca(values, 3, np.arange(h))
+    assert np.abs(out - every_row).max() > 1e3 * atol
+
+
+@pytest.mark.parametrize("conv", [False, True])
+def test_pca_reduce_reads_every_block_before_refusing_an_input_without_variance(conv):
+    """An input whose variance lies only between the sampled stripes is
+    reduced on a fit over every block, also when the stripes' convolved
+    values vary by the rounding of their mean alone; one with no variance
+    anywhere is still refused."""
+    h, w = 160, 128  # 10 blocks of 16 rows; the covariance samples blocks 0, 2, 4, 6, 8
+    assert list(np.unique(sampled_rows(h, w) // 16)) == [0, 2, 4, 6, 8]
+    rng = np.random.default_rng(17)
+    values = np.full((h, w, 2), 0.5)
+    values[16:32] += rng.standard_normal((16, w, 2))  # block 1 alone varies
+    if conv:
+        kernels = rng.standard_normal((6, 1, 1, 2))
+        ks = KernelSet(kernels=kernels, centers=np.zeros((6, 2), dtype=int), mode="random")
+        out = pca_reduce(Raster(values), 2, ks).data
+        values = one_shot_conv(values, kernels)
+    else:
+        ks = None
+        out = pca_reduce(Raster(values), 2).data
+    ref = reference_sampled_pca(values, 2, np.arange(h))
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    with pytest.raises(ParameterError, match="no variance"):
+        pca_reduce(Raster(np.zeros((h, w, 2))), 2, ks)
 
 
 @pytest.mark.parametrize("keep", [2.5, True, "2", 0])

@@ -101,10 +101,12 @@ def test_compare_digests_reports_moved_failed_and_missing_keys(tmp_path, monkeyp
         "failed in parent: 1: w/1/0/6",
         "failed in change: 1: w/1/0/4",
         "only in change: 1: synth/2",
-        "quality w row 1, 1 keys: auc +0.000000 (0 worse, 0 better); "
-        "kc +0.000000 (0 worse, 0 better); pcc +0.000000 (0 worse, 0 better)",
-        "quality w row 3, 1 keys: auc +0.000000 (0 worse, 0 better); "
-        "kc +0.000000 (0 worse, 0 better); pcc +0.000000 (0 worse, 0 better)",
+        "quality w row 1, 1 keys: auc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
+        "kc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
+        "pcc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better)",
+        "quality w row 3, 1 keys: auc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
+        "kc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
+        "pcc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better)",
     ]
     assert compare_digests.main([str(paths[0]), str(paths[0])]) == 1  # a failed run
     paths[0].write_text(json.dumps({"w/1/0/1": run}))
@@ -133,18 +135,24 @@ def test_compare_digests_reports_quality_deltas_outside_its_exit_rule(
     for name, digests in (("parent", parent), ("change", change)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(digests))
-    assert compare_digests.main([str(p) for p in paths]) == 0  # only quality moved
+    # Only quality moved.  Row 6's mean KC change, -0.0625, hides key
+    # w/1/0/6's -0.25: the per-key minimum shows it.
+    assert compare_digests.main([str(p) for p in paths]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "change_map.pgm: 0 of 4 keys moved",
         "run/roc.csv: 0 of 1 keys moved",
         "failed in parent: 0",
         "failed in change: 0",
-        "quality v row 6, 1 keys: auc +0.000000 (0 worse, 0 better); "
-        "kc +0.000000 (0 worse, 0 better); pcc +0.000000 (0 worse, 0 better)",
-        "quality w row 1, 1 keys: auc +0.000000 (0 worse, 0 better); "
-        "kc +0.000000 (0 worse, 0 better); pcc +0.000000 (0 worse, 0 better)",
-        "quality w row 6, 2 keys: auc +0.062500 (0 worse, 1 better); "
-        "kc -0.062500 (1 worse, 1 better); pcc +0.025000 (0 worse, 1 better)",
+        "quality v row 6, 1 keys: auc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
+        "kc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
+        "pcc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better)",
+        "quality w row 1, 1 keys: auc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
+        "kc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
+        "pcc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better)",
+        "quality w row 6, 2 keys: "
+        "auc +0.062500 (min +0.000000, max +0.125000; 0 worse, 1 better); "
+        "kc -0.062500 (min -0.250000, max +0.125000; 1 worse, 1 better); "
+        "pcc +0.025000 (min +0.000000, max +0.050000; 0 worse, 1 better)",
     ]
     # A map written before quality was recorded compares on its digests alone.
     paths[0].write_text(json.dumps({k: {n: h for n, h in d.items() if n != "quality"}

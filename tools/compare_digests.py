@@ -9,9 +9,11 @@ ran in both maps moved, that is, have different digests of it, and
 which keys those are.  Then it prints the keys that failed in each map
 and the keys that only one map has.  Last, for each workload and row,
 the mean change of each ``quality`` metric (PCC, KC, AUC) over the keys
-that ran in both maps with quality recorded, and how many of those keys
-got worse and better.  Exits 0 when every key ran in both maps with the
-same digests, and 1 otherwise; quality does not enter that rule.
+that ran in both maps with quality recorded, the smallest and largest
+change on one key, so the worst key shows next to the mean, and how
+many of those keys got worse and better.  Exits 0 when every key ran in
+both maps with the same digests, and 1 otherwise; quality does not
+enter that rule.
 """
 
 import argparse
@@ -52,8 +54,9 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
 
 def quality_deltas(parent: dict, change: dict, ran: list[str]) -> list[str]:
     """One line per workload and row: each quality metric's mean change
-    from ``parent`` to ``change`` over the ``ran`` keys, with the number
-    of keys where it fell and where it rose."""
+    from ``parent`` to ``change`` over the ``ran`` keys, its smallest and
+    largest change on one key, and the number of keys where it fell and
+    where it rose."""
     groups = defaultdict(list)
     for k in ran:
         if QUALITY in parent[k] and QUALITY in change[k]:
@@ -67,7 +70,8 @@ def quality_deltas(parent: dict, change: dict, ran: list[str]) -> list[str]:
             worse = sum(d < 0 for d in deltas)
             better = sum(d > 0 for d in deltas)
             parts.append(f"{metric} {sum(deltas) / len(deltas):+.6f} "
-                         f"({worse} worse, {better} better)")
+                         f"(min {min(deltas):+.6f}, max {max(deltas):+.6f}; "
+                         f"{worse} worse, {better} better)")
         lines.append(f"quality {workload} row {row}, {len(pairs)} keys: " + "; ".join(parts))
     return lines
 
