@@ -46,6 +46,18 @@ def test_normalize_activation_multichannel_uses_magnitude():
     assert act[0, 0] == 1.0 and act[1, 1] == 0.0
 
 
+def test_normalize_activation_of_one_channel_ignores_its_sign():
+    """One channel is normalised by its magnitude as many are, so a layer
+    whose PCA keeps one direction draws the same distinctive centres
+    whichever sign that direction was fixed to."""
+    x = np.random.default_rng(18).standard_normal((16, 16, 1))
+    pos, neg = Raster(x), Raster(-x)
+    np.testing.assert_array_equal(normalize_activation(pos).data, normalize_activation(neg).data)
+    a = select_kernels(pos, "distinctive", 10, 3, threshold=0.5, seed=3)
+    b = select_kernels(neg, "distinctive", 10, 3, threshold=0.5, seed=3)
+    np.testing.assert_array_equal(a.centers, b.centers)
+
+
 def reference_extract_patch(f, center, k):
     """The k-by-k window around ``center``, indices reflected edge-inclusively."""
 
@@ -492,7 +504,8 @@ def test_pca_reduce_reads_every_block_before_refusing_an_input_without_variance(
     """An input whose variance lies only between the sampled stripes is
     reduced on a fit over every block, also when the stripes' convolved
     values vary by the rounding of their mean alone; one with no variance
-    anywhere is still refused."""
+    anywhere is still refused, also when its convolved values vary by
+    that rounding alone, with the fit sampled (160x128) or whole (40x40)."""
     h, w = 160, 128  # 10 blocks of 16 rows; the covariance samples blocks 0, 2, 4, 6, 8
     assert list(np.unique(sampled_rows(h, w) // 16)) == [0, 2, 4, 6, 8]
     rng = np.random.default_rng(17)
@@ -510,6 +523,11 @@ def test_pca_reduce_reads_every_block_before_refusing_an_input_without_variance(
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     with pytest.raises(ParameterError, match="no variance"):
         pca_reduce(Raster(np.zeros((h, w, 2))), 2, ks)
+    ones = KernelSet(kernels=rng.standard_normal((6, 1, 1, 2)),
+                     centers=np.zeros((6, 2), dtype=int), mode="random")
+    for shape in [(h, w, 2), (40, 40, 2)]:
+        with pytest.raises(ParameterError, match="no variance"):
+            pca_reduce(Raster(np.full(shape, 0.5)), 2, ones)
 
 
 @pytest.mark.parametrize("keep", [2.5, True, "2", 0])
@@ -570,6 +588,20 @@ def test_stack_features_matches_stepwise_composition():
             [zscore_channels(r1.data), zscore_channels(r2.data)], axis=2
         )
         np.testing.assert_array_equal(fs.data, expected)
+
+
+@pytest.mark.parametrize("h, w", [(40, 40), (160, 128)])  # the PCA fits on every block; every 2nd
+def test_the_feature_stack_leaves_its_input_unchanged(h, w):
+    """Blocks are centred in place, so every entry point must read its input
+    into copies: each leaves the input raster's bytes as they were."""
+    f = Raster(np.random.default_rng([h, w]).standard_normal((h, w, 3)))
+    before = f.data.tobytes()
+    ks = select_kernels(f, "distinctive", 8, 3, seed=1)
+    pca_reduce(f, 2)
+    pca_reduce(f, 2, ks)
+    conv_layer(f, ks)
+    stack_features(f, PipelineConfig(depth=2, kernels_per_layer=8, kernel_size=3), seed=1)
+    assert f.data.tobytes() == before
 
 
 def test_stack_features_deterministic_per_seed():

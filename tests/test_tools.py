@@ -1,9 +1,13 @@
 """Smoke tests of the scripts under ``tools/``."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sarchange import pipeline, synth
 
@@ -159,3 +163,39 @@ def test_compare_digests_reports_quality_deltas_outside_its_exit_rule(
                                     for k, d in parent.items()}))
     assert compare_digests.main([str(p) for p in paths]) == 0
     assert not any(line.startswith("quality") for line in capsys.readouterr().out.splitlines())
+
+
+def _run_into_a_closed_pipe(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python -B args`` with its stdout on a pipe whose read end is
+    closed before the child starts, as ``| head`` leaves it once it is done."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-B", *args], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("equal", [True, False])
+def test_compare_digests_into_a_closed_pipe_keeps_its_exit_code(tmp_path, equal):
+    run = {"change_map.pgm": "a"}
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    paths[0].write_text(json.dumps({"w/1/0/6": run}))
+    paths[1].write_text(json.dumps({"w/1/0/6": run if equal else {"change_map.pgm": "b"}}))
+    proc = _run_into_a_closed_pipe([str(ROOT / "tools" / "compare_digests.py"), *map(str, paths)])
+    assert (proc.returncode, proc.stderr) == (0 if equal else 1, "")
+
+
+def test_output_digests_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    script = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "tools")!r})
+import output_digests
+output_digests.WORK = output_digests.Path({str(tmp_path / "work")!r})
+output_digests.import_modules = lambda src: (None, None)
+output_digests.output_digests = lambda pipeline, synth, seeds, workloads, work: {{"k": "failed"}}
+sys.exit(output_digests.main(["--src", {str(tmp_path)!r}, "--seeds", "1"]))
+"""
+    proc = _run_into_a_closed_pipe(["-c", script])
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -13,11 +13,13 @@ that ran in both maps with quality recorded, the smallest and largest
 change on one key, so the worst key shows next to the mean, and how
 many of those keys got worse and better.  Exits 0 when every key ran in
 both maps with the same digests, and 1 otherwise; quality does not
-enter that rule.
+enter that rule, nor does a reader that closes the pipe early, as
+``| head`` does.
 """
 
 import argparse
 import json
+import os
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -83,7 +85,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     lines, equal = compare(json.loads(args.parent.read_text()),
                            json.loads(args.change.read_text()))
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader has gone: point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if equal else 1
 
 

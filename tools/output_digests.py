@@ -24,7 +24,8 @@ thread as there, and nothing is written under ``perfbench/``.  Scenes
 and run outputs go to ``.digests_work/<key>/`` at the root of this
 checkout, where the key is a digest of the resolved ``--src``: runs on
 different checkouts can go on at the same time, and each run first
-empties only its own directory.
+empties only its own directory.  When the reader closes the pipe before
+the map is written, as ``| head`` does, it exits 1 without a traceback.
 """
 
 import sys
@@ -35,6 +36,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
+import os  # noqa: E402
 import shutil  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -124,7 +126,13 @@ def main(argv=None) -> int:
     work = work_dir(args.src)
     shutil.rmtree(work, ignore_errors=True)
     digests = output_digests(pipeline, synth, args.seeds, list(perfbench.WORKLOADS), work)
-    print(json.dumps(digests, indent=1, sort_keys=True))
+    try:
+        print(json.dumps(digests, indent=1, sort_keys=True))
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader has gone: point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
