@@ -5,10 +5,10 @@ from its input and uses them as cross-correlation kernels.  In
 "distinctive" mode the patch centres are drawn from pixels whose
 min-max-normalised activation exceeds a threshold (salient structure);
 in "random" mode they are drawn uniformly, which serves as the baseline.
-Layer outputs are reduced to three channels each, z-scored, and stacked.
-Kernels and convolution reflect the input at its borders by one index,
-:func:`_reflected`; a layer without variance is refused by one rule, in
-:func:`_fit`.
+Layer outputs are reduced to three channels each, z-scored, and stacked,
+the z-scored inputs last.  Kernels and convolution reflect the input at
+its borders by one index, :func:`_reflected`; a layer without variance
+is refused by one rule, in :func:`_fit`.
 
 No layer's (pixels, kernels) output is ever stored: each layer is
 convolved in blocks of whole rows of about 2048 pixels, twice.  The
@@ -335,24 +335,26 @@ def check_shape(cfg: PipelineConfig, height: int, width: int) -> None:
 
 
 def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Raster:
-    """Run ``cfg.depth`` patch-convolution layers and stack their features.
+    """Run ``cfg.depth`` patch-convolution layers over ``channels`` and
+    return the feature raster: their features, then the z-scored inputs.
 
     Layer 1 convolves the raw ``channels`` averaged over the kernel
     footprint, which lifts the kernels' signal-to-speckle ratio at their
     own scale, and z-scored, so background variance cannot drown the
     change evidence; every later layer convolves the previous layer's
     output reduced to 3 principal channels.  These reductions are
-    z-scored and concatenated in layer order, written into one array as
-    they come; each layer's convolution streams through its PCA
-    (:func:`pca_reduce` with ``kernels``).  Kernel selection at layer
-    d uses the child seed ``(seed, d)`` and reads ``kernel_mode``,
-    ``kernels_per_layer``, ``kernel_size`` and ``threshold`` from ``cfg``;
-    :func:`check_shape` runs first.
+    z-scored and written in layer order, as they come, into one
+    C-contiguous array that the z-scored ``channels`` end; each layer's
+    convolution streams through its PCA (:func:`pca_reduce` with
+    ``kernels``).  Kernel selection at layer d uses the child seed
+    ``(seed, d)`` and reads ``kernel_mode``, ``kernels_per_layer``,
+    ``kernel_size`` and ``threshold`` from ``cfg``; :func:`check_shape`
+    runs first.
     """
     check_shape(cfg, channels.height, channels.width)
     k = cfg.kernel_size
     current = Raster(zscore_channels(box_mean(channels.data, k)))
-    out = np.empty((channels.height, channels.width, 3 * cfg.depth))
+    out = np.empty((channels.height, channels.width, 3 * cfg.depth + channels.channels))
     used = 0
     for d in range(1, cfg.depth + 1):
         kernels = select_kernels(
@@ -362,4 +364,5 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
         current = pca_reduce(current, 3, kernels)
         out[:, :, used : used + current.channels] = zscore_channels(current.data)
         used += current.channels
-    return Raster(out[:, :, :used])
+    out[:, :, used : used + channels.channels] = zscore_channels(channels.data)
+    return Raster(np.ascontiguousarray(out[:, :, : used + channels.channels]))

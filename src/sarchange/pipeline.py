@@ -122,9 +122,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     def _features():
         channels = Raster(np.stack([i1.band(0), i2.band(0), di.band(0)], axis=2))
-        seed = derive_seed(cfg.seed, STAGE_FEATURES)
-        layers = [stack_features(channels, cfg, seed).data] if cfg.conv else []
-        return Raster(np.concatenate(layers + [zscore_channels(channels.data)], axis=2))
+        if cfg.conv:
+            return stack_features(channels, cfg, derive_seed(cfg.seed, STAGE_FEATURES))
+        return Raster(zscore_channels(channels.data))
 
     features = timer.run("features", _features)
 

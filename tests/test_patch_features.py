@@ -542,7 +542,7 @@ def test_stack_features_single_layer_vector_len():
     img = Raster.from_array(rng.random((12, 12)))
     cfg = PipelineConfig(depth=1, kernels_per_layer=8, kernel_size=3)
     fs = stack_features(img, cfg, seed=11)
-    assert fs.channels == 3
+    assert fs.channels == 3 + 1
 
 
 def test_stack_features_vector_len_arithmetic():
@@ -550,7 +550,7 @@ def test_stack_features_vector_len_arithmetic():
     img = Raster(rng.random((12, 12, 2)))
     cfg = PipelineConfig(depth=3, kernels_per_layer=8, kernel_size=3)
     fs = stack_features(img, cfg, seed=11)
-    assert fs.channels == 3 * 3  # three per layer; the input channels are not appended
+    assert fs.channels == 3 * 3 + 2  # three per layer, then the two input channels
     assert (fs.height, fs.width) == (12, 12)
 
 
@@ -559,7 +559,7 @@ def test_stack_features_channels_are_zscored():
     img = Raster.from_array(rng.random((16, 16)))
     cfg = PipelineConfig(depth=2, kernels_per_layer=6, kernel_size=3)
     fs = stack_features(img, cfg, seed=2)
-    assert fs.channels == 3 * 2
+    assert fs.channels == 3 * 2 + 1
     flat = fs.data.reshape(-1, fs.channels)
     np.testing.assert_array_less(np.abs(flat.mean(axis=0)), 1e-9)
     np.testing.assert_array_less(np.abs(flat.std(axis=0) - 1.0), 1e-6)
@@ -585,9 +585,22 @@ def test_stack_features_matches_stepwise_composition():
         f2 = conv_layer(r1, k2)
         r2 = pca_reduce(f2, 3)
         expected = np.concatenate(
-            [zscore_channels(r1.data), zscore_channels(r2.data)], axis=2
+            [zscore_channels(r1.data), zscore_channels(r2.data), zscore_channels(img.data)],
+            axis=2,
         )
         np.testing.assert_array_equal(fs.data, expected)
+
+
+def test_a_stack_of_short_layers_is_contiguous_and_ends_with_the_zscored_inputs():
+    """With fewer than 3 kernels a layer keeps fewer than 3 channels, so the
+    raster is cut to the channels written: it is still C-contiguous, and the
+    z-scored input channels come right after the 2 * depth layer channels."""
+    img = Raster(np.random.default_rng(17).random((32, 32, 3)))
+    cfg = PipelineConfig(depth=2, kernels_per_layer=2, kernel_size=3)
+    fs = stack_features(img, cfg, seed=1)
+    assert fs.channels == 2 * cfg.depth + 3
+    assert fs.data.flags.c_contiguous
+    np.testing.assert_array_equal(fs.data[:, :, 2 * cfg.depth :], zscore_channels(img.data))
 
 
 @pytest.mark.parametrize("h, w", [(40, 40), (160, 128)])  # the PCA fits on every block; every 2nd
@@ -617,8 +630,9 @@ def test_stack_features_memory_has_no_layer_output_term():
     """Peak traced memory of the default stack on a 256x256x3 input.
 
     With n pixels, m = 30 kernels of k = 5 over c = 3 channels and depth 4,
-    the bound is 12.2 MB and has no n * m term:
-    - the stack's output, n * 3 * depth float64 (6.3 MB), allocated once;
+    the bound is 13.8 MB and has no n * m term:
+    - the stack's output, n * (3 * depth + c) float64 (7.9 MB), allocated
+      once: the layer channels and the z-scored input channels;
     - two (n, 3) float64 arrays (3.1 MB): a layer's input, which is the
       prepared input (the raw channels averaged and z-scored) at layer 1
       and the previous reduction later, and the reduction being projected;
@@ -637,7 +651,7 @@ def test_stack_features_memory_has_no_layer_output_term():
     cfg = PipelineConfig()
     assert (cfg.kernels_per_layer, cfg.kernel_size, cfg.depth) == (m, k, depth)
     img = Raster(np.random.default_rng(16).standard_normal((256, 256, c)))
-    bound = 8 * (n * 3 * depth + 2 * n * 3 + _TILE_PIXELS * (c * k * k + m)) + 2**20
+    bound = 8 * (n * (3 * depth + c) + 2 * n * 3 + _TILE_PIXELS * (c * k * k + m)) + 2**20
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]

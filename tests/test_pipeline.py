@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from sarchange.difference import log_ratio_di, zscore_channels
 from sarchange.errors import ParameterError, PipelineStageError, ShapeError
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from sarchange.patch_features import (
+    _TILE_PIXELS,
     conv_layer,
     pca_reduce,
     select_kernels,
@@ -195,9 +197,13 @@ def _reference_features(channels: np.ndarray, cfg: PipelineConfig, seed: int) ->
     return np.concatenate(reduced + [raw], axis=2)
 
 
-@pytest.mark.parametrize("conv", [True, False])
+@pytest.mark.parametrize(
+    "conv, overrides",
+    [(True, {}), (False, {}), (True, {"kernels_per_layer": 2})],  # 2: layers of 2 channels
+    ids=["True", "False", "True-short-layers"],
+)
 def test_feature_raster_equals_the_reference_assembly_bit_for_bit(
-    scene_files, tmp_path, monkeypatch, conv
+    scene_files, tmp_path, monkeypatch, conv, overrides
 ):
     seen = []
 
@@ -208,15 +214,69 @@ def test_feature_raster_equals_the_reference_assembly_bit_for_bit(
     monkeypatch.setattr(pipeline, "build_samples", recording)
     t1, t2, _ = scene_files
     cfg = PipelineConfig(t1=t1, t2=t2, out_dir=tmp_path / "o", seed=3, conv=conv,
-                         clean=False, depth=2)
+                         clean=False, depth=2, **overrides)
     run_pipeline(cfg)
     i1, i2 = load_raster(t1), load_raster(t2)
     channels = np.stack([i1.band(0), i2.band(0), log_ratio_di(i1, i2).band(0)], axis=2)
     expected = _reference_features(
         channels, cfg, derive_seed(cfg.seed, pipeline.STAGE_FEATURES)
     )
-    assert seen[0].shape == (64, 64, 3 * cfg.depth + 3 if conv else 3)
+    per_layer = min(3, cfg.kernels_per_layer)
+    assert seen[0].shape == (64, 64, per_layer * cfg.depth + 3 if conv else 3)
     np.testing.assert_array_equal(seen[0], expected)
+
+
+def test_the_feature_raster_is_written_once(tmp_path, monkeypatch):
+    """The classifier gets the very array that the stack returned, and the
+    ``features`` stage's traced peak at 256x256 stays under 16.4 MB.
+
+    With n pixels, m = 30 kernels of k = 5 over the c = 3 input channels
+    and depth 4, the bound, in float64, is:
+    - the feature raster, n * (3 * depth + c) (7.9 MB);
+    - the stacked (t1, t2, difference) channels, n * c (1.6 MB);
+    - a layer's input and its reduction, n * 3 each (3.1 MB);
+    - one activation temporary, n * 3 (1.6 MB);
+    - one block of ``_TILE_PIXELS`` pixels: its im2col columns and kernel
+      responses, c * k * k + m each (1.7 MB);
+    - 0.5 MB for the kernels and the per-channel statistics.
+    A join that copies the stack's output into the raster holds both at
+    once (264 B/px, 17.3 MB) and breaks the bound.
+    """
+    n, m, c, k, depth = 256 * 256, 30, 3, 5, 4
+    stacked, received, peaks = [], [], []
+
+    def stacking(*args, **kwargs):
+        stacked.append(stack_features(*args, **kwargs))
+        return stacked[-1]
+
+    def recording(features, training):
+        received.append(features.data)
+        return build_samples(features, training)
+
+    def tracing(self, stage, fn, *args, **kwargs):
+        if stage != "features":
+            return run(self, stage, fn, *args, **kwargs)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            result = run(self, stage, fn, *args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        finally:
+            tracemalloc.stop()
+        return result
+
+    run = pipeline._StageTimer.run
+    monkeypatch.setattr(pipeline, "stack_features", stacking)
+    monkeypatch.setattr(pipeline, "build_samples", recording)
+    monkeypatch.setattr(pipeline._StageTimer, "run", tracing)
+    spec = replace(default_scene(seed=1), width=256, height=256)
+    t1, t2, _ = write_scene(spec, tmp_path / "scene")
+    cfg = PipelineConfig(t1=t1, t2=t2, out_dir=tmp_path / "o", seed=1, clean=False)
+    assert (cfg.kernels_per_layer, cfg.kernel_size, cfg.depth) == (m, k, depth)
+    run_pipeline(cfg)
+    assert received[0] is stacked[0].data
+    bound = 8 * (n * (3 * depth + c) + n * c + 3 * n * 3 + _TILE_PIXELS * (c * k * k + m)) + 2**19
+    assert peaks[0] < bound, (peaks[0], bound)
 
 
 BAD_FIELD_VALUES = [
