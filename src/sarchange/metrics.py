@@ -115,7 +115,7 @@ def roc_auc(scores: Raster, gt: LabelField) -> tuple[list[tuple[float, float]], 
     if n_pos == 0 or n_neg == 0:
         raise ParameterError("ROC requires both classes in the reference")
 
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)  # ties share a group end, so their order is free
     s_sorted = s[order]
     pos_sorted = positive[order]
     # Last index of each group of equal scores.

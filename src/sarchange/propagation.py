@@ -13,7 +13,8 @@ converges to the fixpoint y = (1 - alpha) (I - alpha T)^-1 y(0) (Zhou et
 al., "Learning with Local and Global Consistency", NIPS 2003), which is
 solved exactly per region.  Regions of equal pixel count are built and
 solved together as stacked dense blocks, a bounded chunk at a time, with
-the bits each region gets when solved alone.
+the bits each region gets when solved alone; a region with no anchor
+has the fixpoint 0 and is neither built nor solved.
 Cleaning repeats this over several rounds, each time keeping a random
 subset of the labeled pixels as anchors and demoting the rest, then
 takes a majority vote over the per-round predictions.  A round's anchors
@@ -21,6 +22,13 @@ are one signed column, +1 CHANGED and -1 UNCHANGED: the fixpoint is
 linear, so in exact arithmetic its sign is that of the changed score
 minus the unchanged score of one-hot anchors.  All rounds share one
 solve as stacked right-hand sides.
+
+Only regions whose labeled pixels hold both classes need that solve.
+Every affinity is positive, W_ij >= e^(-n) in a region of n pixels,
+so T is entrywise positive and so is (I - alpha T)^-1 = sum_k (alpha T)^k.
+In a region whose labels hold one class, every pixel therefore scores
+with that class's sign in a round that kept an anchor there, and
+exactly 0 in a round that kept none; those scores are set directly.
 """
 
 from __future__ import annotations
@@ -88,6 +96,8 @@ def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.nd
     stacked build and one stacked solve per chunk, each chunk's blocks
     turned into ``I - alpha T`` in place and dropped before the next
     chunk's are built.  Every region gets the bits of a solve on its own.
+    A region whose rows of ``y0`` are all zero gets exact zeros, its
+    fixpoint, and no block is built for it.
     """
     if (img.height, img.width) != (rm.height, rm.width):
         raise ShapeError("image and region map dimensions disagree")
@@ -99,8 +109,10 @@ def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.nd
             f"got {y0.shape}"
         )
     values = img.data.reshape(-1, img.channels)
-    out = np.empty_like(y0)  # the size groups cover every pixel
+    anchored = (y0 != 0.0).any(axis=1)
+    out = np.zeros_like(y0)
     for group in rm.size_groups():
+        group = group[anchored[group].any(axis=1)]
         n = group.shape[1]
         step = max(1, min(_CHUNK_REGIONS, _CHUNK_ENTRIES // (n * n)))
         for first in range(0, group.shape[0], step):
@@ -128,7 +140,12 @@ def clean_labels(
     anchor column (+1 CHANGED, -1 UNCHANGED, 0 elsewhere) propagates
     within regions, all rounds in a single solve, and each round predicts
     CHANGED where its score is above zero.  A region with no anchor in a
-    round scores exactly zero there, so its pixels vote unchanged.  The
+    round scores exactly zero there, so its pixels vote unchanged.  Only
+    regions whose labeled pixels hold both classes are solved: the
+    inverse (I - alpha T)^-1 of a region's positive transition block is
+    entrywise positive (module docstring), so in a region of one class
+    every pixel scores with that class's sign, +1 or -1, in a round that
+    kept an anchor there, and 0 in a round that kept none.  The
     output label of every originally labeled pixel is the majority vote
     across rounds, CHANGED only where strictly more than half the rounds
     say so; pixels unlabeled in ``pseudo`` stay unlabeled.  A
@@ -143,6 +160,12 @@ def clean_labels(
         raise ParameterError("label cleaning needs at least one labeled pixel")
 
     rm = segment_superpixels(img, cfg.n_regions, cfg.compactness)
+    region = rm.region_id.ravel()
+    labeled_region = region[labeled_idx]
+    n_changed = np.bincount(labeled_region[flat_labels[labeled_idx] == CHANGED],
+                            minlength=rm.region_count)
+    n_labeled = np.bincount(labeled_region, minlength=rm.region_count)
+    mixed = ((n_changed > 0) & (n_changed < n_labeled))[labeled_region]
 
     n_keep = max(1, int(np.floor(cfg.labeled_fraction * labeled_idx.size + 0.5)))
     # Column rnd holds round rnd's signed anchors: +1 CHANGED, -1 UNCHANGED.
@@ -155,7 +178,12 @@ def clean_labels(
             if (kept_labels == CHANGED).any() and (kept_labels == UNCHANGED).any():
                 break
         y0[labeled_idx[keep], rnd] = np.where(kept_labels == CHANGED, 1.0, -1.0)
-    y = propagate(img, rm, y0, cfg.alpha)[labeled_idx]
+    # A one-class region's anchor sum in a round has its class's sign, or is 0.
+    signs = np.sign(np.stack([np.bincount(region, weights=col, minlength=rm.region_count)
+                              for col in y0.T], axis=1))
+    y0[labeled_idx[~mixed]] = 0.0
+    y = np.where(mixed[:, np.newaxis], propagate(img, rm, y0, cfg.alpha)[labeled_idx],
+                 signs[labeled_region])
     changed_votes = np.count_nonzero(y > 0.0, axis=1)
 
     cleaned = np.full(flat_labels.shape, UNLABELED, dtype=np.int8)

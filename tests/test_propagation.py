@@ -141,6 +141,33 @@ def reference_clean_labels(img, pseudo, cfg, seed=0):
     return LabelField(labels=cleaned.reshape(pseudo.labels.shape))
 
 
+def reference_signed_clean_labels(img, pseudo, cfg, seed=0):
+    """The earlier signed vote, as a reference that solves every region:
+    one signed anchor column per round, all anchors kept in ``y0``, and
+    every region built and solved by ``reference_propagate``.  It can
+    differ from the two-column vote where a region's changed and unchanged
+    scores tie in exact arithmetic, as in a flat region with balanced
+    anchors: rounding then decides the sign."""
+    flat_labels = pseudo.labels.ravel()
+    labeled_idx = np.flatnonzero(flat_labels != UNLABELED)
+    rm = segment_superpixels(img, cfg.n_regions, cfg.compactness)
+    n_keep = max(1, int(np.floor(cfg.labeled_fraction * labeled_idx.size + 0.5)))
+    y0 = np.zeros((flat_labels.size, cfg.rounds))
+    for rnd in range(cfg.rounds):
+        rng = np.random.default_rng(derive_seed(seed, 1 + rnd))
+        for _ in range(11):
+            keep = rng.choice(labeled_idx.size, size=n_keep, replace=False)
+            kept_labels = flat_labels[labeled_idx[keep]]
+            if (kept_labels == CHANGED).any() and (kept_labels == UNCHANGED).any():
+                break
+        y0[labeled_idx[keep], rnd] = np.where(kept_labels == CHANGED, 1.0, -1.0)
+    y = reference_propagate(img, rm, y0, cfg.alpha)[labeled_idx]
+    changed_votes = np.count_nonzero(y > 0.0, axis=1)
+    cleaned = np.full(flat_labels.shape, UNLABELED, dtype=np.int8)
+    cleaned[labeled_idx] = np.where(2 * changed_votes > cfg.rounds, CHANGED, UNCHANGED)
+    return LabelField(labels=cleaned.reshape(pseudo.labels.shape))
+
+
 def single_region(values):
     """A 1-row image whose pixels all belong to one region."""
     values = np.asarray(values, dtype=float)
@@ -200,10 +227,15 @@ def test_weights_never_cross_regions(monkeypatch):
         return block
 
     monkeypatch.setattr(propagation, "build_transition", recording)
-    # anchors in one region never leak into the other
-    out = propagate(img, rm, anchors([[CHANGED, CHANGED, UNLABELED, UNLABELED]]), alpha=0.7)
+    # column 0 anchors region 0 only, column 1 region 1 only: neither leaks
+    y0 = np.zeros((4, 2))
+    y0[[0, 1], 0] = 1.0
+    y0[3, 1] = 1.0
+    out = propagate(img, rm, y0, alpha=0.7)
     assert shapes == [(2, 2, 2)]  # both regions in one stack, one block each
-    np.testing.assert_array_equal(out[2:, :], 0.0)
+    np.testing.assert_array_equal(out[2:, 0], 0.0)
+    np.testing.assert_array_equal(out[:2, 1], 0.0)
+    assert (out[:2, 0] > 0.0).all() and (out[2:, 1] > 0.0).all()
 
 
 def test_transition_uniform_for_identical_pair():
@@ -425,10 +457,27 @@ def test_propagate_drops_each_block_before_building_the_next(monkeypatch):
         return block
 
     monkeypatch.setattr(propagation, "build_transition", tracking)
-    propagate(img, rm, np.zeros((144, 2)), alpha=0.7)
+    propagate(img, rm, np.ones((144, 2)), alpha=0.7)
     chunks = -(-rm.region_count // propagation._CHUNK_REGIONS)
     assert len(alive_at_build) == chunks > 1
     assert alive_at_build == [0] * chunks
+
+
+def test_propagate_builds_no_block_for_a_region_without_anchors(monkeypatch):
+    img = Raster.from_array(np.random.default_rng(6).random((4, 6)))
+    region_id = np.repeat(np.array([[0, 0, 1, 1, 2, 2]], dtype=np.int32), 4, axis=0)
+    rm = RegionMap(region_id=region_id, region_count=3)  # three regions of 8 px
+    y0 = np.zeros((24, 3))
+    y0[0, 0] = 1.0  # region 0, column 0
+    y0[5, 2] = -1.0  # region 2, column 2
+    shapes = []
+    monkeypatch.setattr(propagation, "build_transition",
+                        lambda values: shapes.append(values.shape) or build_transition(values))
+    out = propagate(img, rm, y0, alpha=0.7)
+    assert shapes == [(2, 8, 1)]  # regions 0 and 2 only
+    middle = out[(region_id == 1).ravel()]
+    assert (middle == 0.0).all() and not np.signbit(middle).any()  # exact +0.0
+    np.testing.assert_array_equal(out, reference_propagate(img, rm, y0, 0.7))
 
 
 def test_propagate_matches_reference_where_a_size_group_spans_several_chunks(monkeypatch):
@@ -579,6 +628,7 @@ def test_signed_vote_matches_reference_with_one_class_and_anchorless_regions(mon
     (y,) = scores
     zero_rounds = np.count_nonzero(y[labels.ravel() != UNLABELED] == 0.0, axis=1)
     assert (2 * zero_rounds >= cfg.rounds).any()  # some pixel's region lacks an anchor that often
+    assert not y.any()  # every region holds one class, so none is solved
     monkeypatch.undo()
     assert cleaned.labels.tobytes() == reference_clean_labels(img, pseudo, cfg, seed=3).labels.tobytes()
     assert (cleaned.labels == UNCHANGED).any()  # anchor-less regions still vote unchanged
@@ -598,3 +648,87 @@ def test_signed_vote_matches_reference_where_regions_miss_anchors(monkeypatch):
     monkeypatch.undo()
     expected = reference_clean_labels(img, training, cfg, seed=4)
     assert cleaned.labels.tobytes() == expected.labels.tobytes()
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=7),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.sampled_from(["both", "one", "one dissent"]),
+    st.booleans(),
+)
+def test_clean_labels_has_the_bits_of_solving_every_region(
+    seed, h, w, n_regions, rounds, fraction, alpha, classes, flat
+):
+    rng = np.random.default_rng(seed)
+    img = Raster.from_array(np.full((h, w), 0.4) if flat else rng.random((h, w)))
+    if classes == "both":
+        labels = rng.integers(UNCHANGED, CHANGED + 1, size=h * w)
+    else:
+        labels = np.full(h * w, rng.integers(UNCHANGED, CHANGED + 1))
+    unlabeled = rng.random(h * w) < rng.uniform(0.0, 0.6)
+    one = rng.integers(h * w)
+    unlabeled[one] = False
+    if classes == "one dissent":  # its region holds both classes, all others one
+        labels[one] = CHANGED + UNCHANGED - labels[one]
+    labels[unlabeled] = UNLABELED
+    pseudo = LabelField(labels=labels.reshape(h, w))
+    cfg = PipelineConfig(n_regions=n_regions, rounds=rounds, labeled_fraction=fraction,
+                         alpha=alpha)
+    expected = reference_signed_clean_labels(img, pseudo, cfg, seed=seed)
+    assert clean_labels(img, pseudo, cfg, seed=seed).labels.tobytes() == expected.labels.tobytes()
+
+
+@pytest.mark.parametrize("outliers", [1, 2])
+@pytest.mark.parametrize("label", [CHANGED, UNCHANGED])
+def test_single_class_region_at_the_affinity_bound_votes_as_the_full_solve(label, outliers):
+    """One region of 324 px: at one region per 64 px the centres are 8 px
+    apart and a centre's assignment window spans at most 18 x 18 px.  All
+    pixels but the outliers share one value.  One outlier puts the least
+    affinity at e^(-n^2 / (2 (n - 1))); two on either side at equal
+    distance put it at e^(-n), the bound of any region of n pixels."""
+    n = 18 * 18
+    values = np.full(n, 0.5)
+    values[:outliers] = [0.9, 0.1][:outliers]
+    img = Raster.from_array(values.reshape(18, 18))
+    assert segment_superpixels(img, 1).region_count == 1
+    t = build_transition(column(values))
+    exponent = {1: n * n / (2 * (n - 1)), 2: n}[outliers]
+    w = t / np.diagonal(t)  # W_ij = T_ij / T_jj, as W_jj = 1
+    assert w.min() == pytest.approx(math.exp(-exponent), rel=1e-9, abs=0.0)
+
+    sign = 1.0 if label == CHANGED else -1.0
+    y0 = np.full((n, 1), sign)
+    y0[:outliers] = 0.0  # unanchored outliers score through the least affinity
+    img_rm = single_region(values)
+    assert np.all(np.sign(propagate(*img_rm, y0, alpha=0.7)) == sign)
+
+    pseudo = LabelField(labels=np.full((18, 18), label, dtype=np.int8))
+    cfg = PipelineConfig(n_regions=1)
+    cleaned = clean_labels(img, pseudo, cfg, seed=5)
+    expected = reference_signed_clean_labels(img, pseudo, cfg, seed=5)
+    assert cleaned.labels.tobytes() == expected.labels.tobytes()
+    np.testing.assert_array_equal(cleaned.labels, label)
+
+
+def test_clean_labels_builds_only_the_regions_that_hold_both_classes(monkeypatch):
+    img, training = pipeline_clean_input(0, 4.0)
+    cfg = PipelineConfig()
+    rm = segment_superpixels(img, cfg.n_regions, cfg.compactness)
+    region, labels = rm.region_id.ravel(), training.labels.ravel()
+
+    def holds(cls):
+        return np.bincount(region[labels == cls], minlength=rm.region_count) > 0
+
+    mixed = holds(CHANGED) & holds(UNCHANGED)
+    assert 0 < mixed.sum() < (holds(CHANGED) | holds(UNCHANGED)).sum()
+    built = []
+    monkeypatch.setattr(propagation, "build_transition",
+                        lambda values: built.extend([values.shape[1]] * values.shape[0])
+                        or build_transition(values))
+    clean_labels(img, training, cfg, seed=2)
+    assert sorted(built) == sorted(np.bincount(region)[mixed])

@@ -199,3 +199,77 @@ sys.exit(output_digests.main(["--src", {str(tmp_path)!r}, "--seeds", "1"]))
 """
     proc = _run_into_a_closed_pipe(["-c", script])
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+_STUB_RUN = '''
+import json, sys
+from pathlib import Path
+
+checkout = Path(__file__).resolve().parent.parent
+log = checkout.parent / "log.txt"
+calls = log.read_text().split() if log.exists() else []
+log.write_text(" ".join(calls + [checkout.name]))
+assert sys.argv[1:] == ["--workload", "full-256", "--seed", "7", "--seconds", "0.5",
+                        "--trace", "0"], sys.argv
+n = calls.count(checkout.name)  # this side's earlier runs
+if n == int((checkout / "crash_at").read_text()):
+    sys.exit("no result")
+run_s = {"parent": [1.0, 1.2, 0.9], "change": [0.8, 1.25, 0.7]}[checkout.name][n]
+print("run_s", run_s)
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {
+    "run_s": {"value": run_s, "unit": "s"}, "pcc": {"value": 0.9, "unit": "1"}}}))
+'''
+
+
+def _stub_checkouts(tmp_path: Path, crash_at: dict) -> list[Path]:
+    """Checkouts named parent and change whose perfbench/run.py is a stub
+    that logs its side, and exits without a result on its ``crash_at``-th run."""
+    benchmark = {"end_to_end": [{"name": "run_s", "unit": "s", "better": "lower"},
+                                {"name": "mpix_per_s", "unit": "Mpx/s", "better": "higher"},
+                                {"name": "pcc", "unit": "1", "better": "higher"}]}
+    checkouts = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(_STUB_RUN)
+        (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        (root / "crash_at").write_text(str(crash_at.get(side, -1)))
+        checkouts.append(root)
+    return checkouts
+
+
+def _ab_bench(checkouts, out: Path) -> subprocess.CompletedProcess:
+    args = [*map(str, checkouts), "--workload", "full-256", "--pairs", "3",
+            "--seconds", "0.5", "--seed", "7", "--out", str(out)]
+    return subprocess.run([sys.executable, "-B", str(ROOT / "tools" / "ab_bench.py"), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_ab_bench_alternates_sides_and_counts_pairs_won(tmp_path):
+    checkouts = _stub_checkouts(tmp_path, {})
+    proc = _ab_bench(checkouts, tmp_path / "ab.json")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "log.txt").read_text() == "parent change change parent parent change"
+    assert proc.stdout.splitlines() == [
+        f"full-256, seed 7, 0.5 s, 3 pairs; raw runs in {tmp_path / 'ab.json'}",
+        "run_s [s, lower is better]: parent median 1 (min-max 0.9-1.2); "
+        "change median 0.8 (min-max 0.7-1.25); change better in 2 of 3 pairs, worse in 1",
+        "pcc [1, higher is better]: parent median 0.9 (min-max 0.9-0.9); "
+        "change median 0.9 (min-max 0.9-0.9); change better in 0 of 3 pairs, worse in 0",
+    ]
+    raw = json.loads((tmp_path / "ab.json").read_text())
+    assert [p["order"] for p in raw["pairs"]] == [["parent", "change"], ["change", "parent"],
+                                                  ["parent", "change"]]
+    assert [p["change"]["metrics"]["run_s"]["value"] for p in raw["pairs"]] == [0.8, 1.25, 0.7]
+
+
+def test_ab_bench_exits_1_on_a_run_without_a_correct_result(tmp_path):
+    checkouts = _stub_checkouts(tmp_path, {"change": 1})
+    proc = _ab_bench(checkouts, tmp_path / "ab.json")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "not correct: pair 2 change"
+    assert "change better in 2 of 2 pairs" in lines[1]  # the pairs that ran correctly
+    raw = json.loads((tmp_path / "ab.json").read_text())
+    assert raw["pairs"][1]["change"]["correct"] is False
+    assert "no result" in raw["pairs"][1]["change"]["error"]
