@@ -30,7 +30,6 @@ from .metrics import (
 from .patch_features import (
     KernelSet,
     conv_layer,
-    normalize_activation,
     pca_reduce,
     select_kernels,
     stack_features,

@@ -36,7 +36,6 @@ class PipelineConfig:
     depth: int = 4                # convolution layers in the feature stack
     kernels_per_layer: int = 30
     kernel_size: int = 5
-    threshold: float = 0.7        # distinctive-region activation threshold
     kernel_mode: str = "distinctive"
     clean: bool = True            # run label-noise cleaning
     conv: bool = True             # run the convolution stack (else pointwise)
@@ -80,7 +79,6 @@ _FIELD_RULES = {
     "depth": POSITIVE_INT,
     "kernels_per_layer": POSITIVE_INT,
     "kernel_size": (Integral, "an odd integer >= 1", lambda v: v >= 1 and v % 2 == 1),
-    "threshold": FINITE_REAL,
     "kernel_mode": (str, "'distinctive' or 'random'", lambda v: v in ("distinctive", "random")),
     "clean": (bool, "true or false", lambda v: True),
     "conv": (bool, "true or false", lambda v: True),

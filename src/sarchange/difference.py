@@ -13,15 +13,6 @@ from .raster import Raster
 LOG_RATIO_EPS = 1e-6
 
 
-def _min_max(a: np.ndarray) -> Raster:
-    """``a`` rescaled to [0, 1]; a constant ``a`` maps to all zeros."""
-    lo = a.min()
-    hi = a.max()
-    if hi - lo < 1e-300:
-        return Raster.from_array(np.zeros_like(a))
-    return Raster.from_array((a - lo) / (hi - lo))
-
-
 def _column_stats(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``flat.mean(axis=0)`` and ``flat.std(axis=0)`` of an ``(n, c)`` array, bit for bit.
 
@@ -97,4 +88,8 @@ def log_ratio_di(i1: Raster, i2: Raster) -> Raster:
     b = i2.band(0)
     if (a < 0).any() or (b < 0).any():
         raise ParameterError("intensity images must be non-negative")
-    return _min_max(np.abs(np.log((b + LOG_RATIO_EPS) / (a + LOG_RATIO_EPS))))
+    d = np.abs(np.log((b + LOG_RATIO_EPS) / (a + LOG_RATIO_EPS)))
+    lo, hi = d.min(), d.max()
+    if hi - lo < 1e-300:
+        return Raster.from_array(np.zeros_like(d))
+    return Raster.from_array((d - lo) / (hi - lo))

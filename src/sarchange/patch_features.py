@@ -2,9 +2,9 @@
 
 Instead of learning kernels, each layer samples ``m`` patches straight
 from its input and uses them as cross-correlation kernels.  In
-"distinctive" mode the patch centres are drawn from pixels whose
-min-max-normalised activation exceeds a threshold (salient structure);
-in "random" mode they are drawn uniformly, which serves as the baseline.
+"distinctive" mode the patch centres are drawn from the most active
+1.5% of the pixels (salient structure); in "random" mode they are
+drawn uniformly, which serves as the baseline.
 Layer outputs are reduced to three channels each, z-scored, and stacked,
 the z-scored inputs last.  Kernels and convolution reflect the input at
 its borders by one index, :func:`_reflected`; a layer without variance
@@ -21,13 +21,14 @@ projects it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import POSITIVE_INT, PipelineConfig, check
-from .difference import _min_max, box_mean, zscore_channels
+from .difference import box_mean, zscore_channels
 from .errors import ParameterError, ShapeError
 from .raster import Raster
 from .seeds import derive_seed
@@ -35,6 +36,7 @@ from .seeds import derive_seed
 _TILE_PIXELS = 2048  # pixels per block of rows convolved or reduced at once
 _FIT_PIXELS = 1 << 14  # about the pixels sampled to fit each layer's PCA
 _PIXEL_STEP = 8  # a block's pixel columns are padded to a multiple of this
+_POOL_SHARE = 0.015  # distinctive centres come from this share of the most active pixels
 
 
 @dataclass
@@ -42,16 +44,7 @@ class KernelSet:
     kernels: np.ndarray   # (m, k, k, c)
     centers: np.ndarray   # (m, 2) row/col source coordinates
     mode: str             # "distinctive" | "random"
-    fallback: bool = False  # distinctive pool was smaller than m; used top-m
-
-
-def normalize_activation(f: Raster) -> Raster:
-    """The per-pixel L2 magnitude of ``f``, min-max normalised to [0, 1].
-
-    One channel is no exception, so a channel and its negation give the
-    same map.  A constant map normalises to all zeros.
-    """
-    return _min_max(np.sqrt((f.data ** 2).sum(axis=2)))
+    fallback: bool = False  # the share was under m pixels; the pool is the top m
 
 
 def _reflected(n: int, half: int) -> np.ndarray:
@@ -67,7 +60,6 @@ def select_kernels(
     mode: str,
     m: int,
     k: int,
-    threshold: float = PipelineConfig.threshold,
     seed: int = 0,
 ) -> KernelSet:
     """Sample ``m`` patch kernels from ``f``.
@@ -76,14 +68,17 @@ def select_kernels(
     a centre pixel: both reflect ``f`` at its borders through
     :func:`_reflected`, and a kernel gathers its rows and columns from it.
 
-    distinctive: centres drawn without replacement from pixels whose
-    normalised activation exceeds ``threshold``; if fewer than ``m``
-    qualify, the top-``m`` pixels by activation are taken instead and the
-    fallback flag is set.  random: centres drawn uniformly over all
-    pixels (with replacement).  Every kernel is scaled to unit L2 norm so
-    bright patches cannot dominate the activations; the mean is kept, as
-    removing it would strip the kernels' response to local averages, the
-    main carrier of contextual evidence.  An all-zero patch stays zero.
+    distinctive: centres drawn without replacement from the pool of the
+    ``max(m, ceil(_POOL_SHARE * n))`` most active of the ``n`` pixels,
+    and every pixel tied with the least active of them.  A pixel's
+    activation is the squared L2 norm of its channels, so one channel
+    and its negation give the same pool.  The fallback flag is set when
+    the share is under ``m`` pixels, so the pool is the top ``m``.
+    random: centres drawn uniformly over all pixels (with replacement).
+    Every kernel is scaled to unit L2 norm so bright patches cannot
+    dominate the activations; the mean is kept, as removing it would
+    strip the kernels' response to local averages, the main carrier of
+    contextual evidence.  An all-zero patch stays zero.
     """
     check("kernel_mode", mode)
     check("kernels_per_layer", m)
@@ -95,7 +90,6 @@ def select_kernels(
         raise ParameterError(
             f"kernel size {k} exceeds image extent {f.height}x{f.width}"
         )
-    check("threshold", threshold)
     check("seed", seed)
 
     rng = np.random.default_rng(seed)
@@ -103,15 +97,11 @@ def select_kernels(
     if mode == "random":
         flat = rng.integers(0, n_pixels, size=m)
     else:
-        activation = normalize_activation(f).band(0).ravel()
-        pool = np.flatnonzero(activation > threshold)
-        if pool.size >= m:
-            flat = rng.choice(pool, size=m, replace=False)
-        else:
-            fallback = True
-            # Highest activations first; ties broken by flat index.
-            order = np.lexsort((np.arange(n_pixels), -activation))
-            flat = order[:m]
+        activation = (f.data ** 2).sum(axis=2).ravel()
+        size = max(m, math.ceil(_POOL_SHARE * n_pixels))
+        fallback = size == m
+        cut = np.partition(activation, n_pixels - size)[n_pixels - size]
+        flat = rng.choice(np.flatnonzero(activation >= cut), size=m, replace=False)
     centers = np.stack([flat // f.width, flat % f.width], axis=1)
 
     half, window = k // 2, np.arange(k)
@@ -347,9 +337,8 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
     C-contiguous array that the z-scored ``channels`` end; each layer's
     convolution streams through its PCA (:func:`pca_reduce` with
     ``kernels``).  Kernel selection at layer d uses the child seed
-    ``(seed, d)`` and reads ``kernel_mode``, ``kernels_per_layer``,
-    ``kernel_size`` and ``threshold`` from ``cfg``; :func:`check_shape`
-    runs first.
+    ``(seed, d)`` and reads ``kernel_mode``, ``kernels_per_layer`` and
+    ``kernel_size`` from ``cfg``; :func:`check_shape` runs first.
     """
     check_shape(cfg, channels.height, channels.width)
     k = cfg.kernel_size
@@ -358,8 +347,7 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
     used = 0
     for d in range(1, cfg.depth + 1):
         kernels = select_kernels(
-            current, cfg.kernel_mode, cfg.kernels_per_layer, k,
-            cfg.threshold, derive_seed(seed, d),
+            current, cfg.kernel_mode, cfg.kernels_per_layer, k, derive_seed(seed, d)
         )
         current = pca_reduce(current, 3, kernels)
         out[:, :, used : used + current.channels] = zscore_channels(current.data)

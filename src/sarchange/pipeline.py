@@ -114,11 +114,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.clean:
         # Segment the contextually smoothed difference image: regions that
         # follow raw speckle texture scramble the propagation domains.
-        smoothed_di = Raster.from_array(box_mean(di.band(0), cfg.patch_size))
-        training = timer.run(
-            "clean", clean_labels, smoothed_di, training, cfg,
+        training = timer.run("clean", lambda: clean_labels(
+            Raster.from_array(box_mean(di.band(0), cfg.patch_size)), training, cfg,
             derive_seed(cfg.seed, STAGE_CLEAN),
-        )
+        ))
 
     def _features():
         channels = Raster(np.stack([i1.band(0), i2.band(0), di.band(0)], axis=2))

@@ -160,8 +160,7 @@ def clean_labels(
         raise ParameterError("label cleaning needs at least one labeled pixel")
 
     rm = segment_superpixels(img, cfg.n_regions, cfg.compactness)
-    region = rm.region_id.ravel()
-    labeled_region = region[labeled_idx]
+    labeled_region = rm.region_id.ravel()[labeled_idx]
     n_changed = np.bincount(labeled_region[flat_labels[labeled_idx] == CHANGED],
                             minlength=rm.region_count)
     n_labeled = np.bincount(labeled_region, minlength=rm.region_count)
@@ -179,8 +178,9 @@ def clean_labels(
                 break
         y0[labeled_idx[keep], rnd] = np.where(kept_labels == CHANGED, 1.0, -1.0)
     # A one-class region's anchor sum in a round has its class's sign, or is 0.
-    signs = np.sign(np.stack([np.bincount(region, weights=col, minlength=rm.region_count)
-                              for col in y0.T], axis=1))
+    # Anchors lie on labeled pixels only, so only their rows are summed.
+    signs = np.sign(np.stack([np.bincount(labeled_region, weights=col, minlength=rm.region_count)
+                              for col in y0[labeled_idx].T], axis=1))
     y0[labeled_idx[~mixed]] = 0.0
     y = np.where(mixed[:, np.newaxis], propagate(img, rm, y0, cfg.alpha)[labeled_idx],
                  signs[labeled_region])

@@ -12,10 +12,10 @@ from sarchange.difference import zscore_channels
 from sarchange.errors import ParameterError, ShapeError
 from sarchange.patch_features import (
     _FIT_PIXELS,
+    _POOL_SHARE,
     _TILE_PIXELS,
     KernelSet,
     conv_layer,
-    normalize_activation,
     pca_reduce,
     select_kernels,
     stack_features,
@@ -24,37 +24,13 @@ from sarchange.raster import Raster
 from sarchange.seeds import derive_seed
 
 
-def test_normalize_activation_midpoint():
-    rng = np.random.default_rng(0)
-    values = rng.uniform(2.0, 12.0, size=(6, 6))
-    values[0, 0], values[-1, -1], values[2, 3] = 2.0, 12.0, 9.0
-    act = normalize_activation(Raster.from_array(values)).band(0)
-    assert act[2, 3] == pytest.approx(0.7)
-    assert act[0, 0] == 0.0 and act[-1, -1] == 1.0
-    assert act.min() >= 0.0 and act.max() <= 1.0
-
-
-def test_normalize_activation_constant_is_zero():
-    act = normalize_activation(Raster.from_array(np.full((4, 4), 3.3)))
-    np.testing.assert_array_equal(act.band(0), 0.0)
-
-
-def test_normalize_activation_multichannel_uses_magnitude():
-    data = np.zeros((2, 2, 2))
-    data[0, 0] = [3.0, 4.0]  # magnitude 5
-    act = normalize_activation(Raster(data)).band(0)
-    assert act[0, 0] == 1.0 and act[1, 1] == 0.0
-
-
-def test_normalize_activation_of_one_channel_ignores_its_sign():
-    """One channel is normalised by its magnitude as many are, so a layer
+def test_distinctive_centres_of_one_channel_ignore_its_sign():
+    """One channel is ranked by its magnitude as many are, so a layer
     whose PCA keeps one direction draws the same distinctive centres
     whichever sign that direction was fixed to."""
     x = np.random.default_rng(18).standard_normal((16, 16, 1))
-    pos, neg = Raster(x), Raster(-x)
-    np.testing.assert_array_equal(normalize_activation(pos).data, normalize_activation(neg).data)
-    a = select_kernels(pos, "distinctive", 10, 3, threshold=0.5, seed=3)
-    b = select_kernels(neg, "distinctive", 10, 3, threshold=0.5, seed=3)
+    a = select_kernels(Raster(x), "distinctive", 10, 3, seed=3)
+    b = select_kernels(Raster(-x), "distinctive", 10, 3, seed=3)
     np.testing.assert_array_equal(a.centers, b.centers)
 
 
@@ -86,7 +62,7 @@ def test_select_kernels_are_reference_patches_over_their_norm(mode, channels, k)
         h, w = int(rng.integers(k, 12)), int(rng.integers(k, 12))
         img = Raster(rng.random((h, w, channels)))
         m = int(rng.integers(1, h * w + 1)) if mode == "random" else min(h * w, 10)
-        ks = select_kernels(img, mode, m, k, threshold=0.5, seed=seed)
+        ks = select_kernels(img, mode, m, k, seed=seed)
         for kernel, (r, c) in zip(ks.kernels, ks.centers):
             patch = reference_extract_patch(img, (int(r), int(c)), k)
             np.testing.assert_array_equal(kernel, patch / np.sqrt((patch ** 2).sum()))
@@ -106,7 +82,7 @@ def reference_windows(data, k):
 def test_select_kernels_have_the_bits_of_pixel_major_windows(mode, channels, k):
     rng = np.random.default_rng([channels, k, 7])
     img = Raster(rng.standard_normal((13, 17, channels)))
-    ks = select_kernels(img, mode, 30, k, threshold=0.5, seed=k)
+    ks = select_kernels(img, mode, 30, k, seed=k)
     patches = np.ascontiguousarray(
         reference_windows(img.data, k)[ks.centers[:, 0], ks.centers[:, 1]].transpose(0, 2, 3, 1)
     )
@@ -120,13 +96,13 @@ def test_select_kernels_cut_border_centres_like_the_reference(k):
     h, w = k + 2, k + 3
     img = Raster(rng.random((h, w, 2)))
     border = edge_and_corner_centres(h, w)
-    # The top-m fallback takes the centres with the highest activation:
-    # plant the border pixels as the maxima so each one becomes a kernel.
+    # Border pixels outnumber the share, so the pool is the top m: plant
+    # them as the maxima so each one becomes a kernel.
     data = img.data.copy()
     for r, c in border:
         data[r, c] += 10.0
     img = Raster(data)
-    ks = select_kernels(img, "distinctive", len(border), k, threshold=1.0, seed=0)
+    ks = select_kernels(img, "distinctive", len(border), k, seed=0)
     assert ks.fallback
     assert sorted(map(tuple, ks.centers.tolist())) == border
     for kernel, (r, c) in zip(ks.kernels, ks.centers):
@@ -148,26 +124,43 @@ def test_select_kernels_all_zero_patch_stays_zero():
 
 
 def test_select_kernels_forced_set_when_pool_equals_m():
+    # 64 * 1.5% is under one pixel, so the pool is the top 3, whatever the seed.
     values = np.zeros((8, 8))
     chosen = [(1, 2), (4, 4), (6, 1)]
     for r, c in chosen:
         values[r, c] = 1.0
     img = Raster.from_array(values)
     for seed in (0, 1, 99):
-        ks = select_kernels(img, "distinctive", 3, 3, threshold=0.7, seed=seed)
-        assert not ks.fallback
+        ks = select_kernels(img, "distinctive", 3, 3, seed=seed)
+        assert ks.fallback
         assert sorted(map(tuple, ks.centers.tolist())) == sorted(chosen)
 
 
 def test_select_kernels_topm_fallback():
     rng = np.random.default_rng(5)
-    values = rng.uniform(0.0, 0.5, size=(8, 8))  # nothing above 0.7 post-normalise?
-    # Normalisation rescales to [0, 1]; force a known top-3 by planting maxima.
-    values[0, 0], values[3, 3], values[5, 6] = 2.0, 1.9, 1.8
+    values = rng.uniform(0.0, 0.5, size=(8, 8))
+    values[0, 0], values[3, 3], values[5, 6] = 2.0, 1.9, 1.8  # a known top 3
     img = Raster.from_array(values)
-    ks = select_kernels(img, "distinctive", 3, 3, threshold=0.999, seed=7)
+    ks = select_kernels(img, "distinctive", 3, 3, seed=7)
     assert ks.fallback
     assert sorted(map(tuple, ks.centers.tolist())) == [(0, 0), (3, 3), (5, 6)]
+
+
+def test_select_kernels_draw_from_the_share_when_it_exceeds_m():
+    # 40 * 40 * 1.5% = 24 planted maxima form the pool; 5 centres come from it.
+    rng = np.random.default_rng(8)
+    values = rng.uniform(0.0, 0.5, size=(40, 40))
+    planted = rng.choice(values.size, size=24, replace=False)
+    values.flat[planted] = rng.uniform(1.0, 2.0, size=24)
+    img = Raster.from_array(values)
+    drawn = set()
+    for seed in range(8):
+        ks = select_kernels(img, "distinctive", 5, 3, seed=seed)
+        assert not ks.fallback
+        flat = ks.centers[:, 0] * 40 + ks.centers[:, 1]
+        assert set(flat.tolist()) <= set(planted.tolist())
+        drawn |= set(flat.tolist())
+    assert len(drawn) > 5  # the draw spreads over the pool, not its top 5
 
 
 def test_select_kernels_deterministic_and_seed_sensitive():
@@ -181,27 +174,60 @@ def test_select_kernels_deterministic_and_seed_sensitive():
     assert sorted(map(tuple, a.centers.tolist())) != sorted(map(tuple, c.centers.tolist()))
 
 
-def test_select_kernels_distinctive_centres_exceed_threshold():
+def test_select_kernels_distinctive_centres_are_in_the_top_share():
     rng = np.random.default_rng(9)
-    img = Raster.from_array(rng.random((32, 32)))
-    ks = select_kernels(img, "distinctive", 15, 3, threshold=0.7, seed=1)
-    act = normalize_activation(img).band(0)
-    if not ks.fallback:
-        assert all(act[r, c] > 0.7 for r, c in ks.centers)
+    img = Raster.from_array(rng.standard_normal((32, 32)))
+    ks = select_kernels(img, "distinctive", 15, 3, seed=1)
+    assert not ks.fallback  # 1024 * 1.5% rounds up to 16 pixels
+    top = np.argsort(-np.abs(img.band(0)), axis=None)[:16]
+    assert set((ks.centers[:, 0] * 32 + ks.centers[:, 1]).tolist()) <= set(top.tolist())
+
+
+@given(
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 24), st.integers(1, 3)),
+    levels=st.integers(1, 6),
+    m_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_distinctive_centres_are_distinct_seeded_and_in_the_top_share(
+    shape, levels, m_share, seed, data_seed
+):
+    # Few levels make ties at the cut common; tied pixels all join the pool.
+    data = np.random.default_rng(data_seed).integers(-levels, levels + 1, size=shape) * 1.0
+    img = Raster(data)
+    n = shape[0] * shape[1]
+    m = max(1, round(m_share * n))
+    ks = select_kernels(img, "distinctive", m, 1, seed=seed)
+    again = select_kernels(img, "distinctive", m, 1, seed=seed)
+    np.testing.assert_array_equal(ks.centers, again.centers)
+    flat = ks.centers[:, 0] * shape[1] + ks.centers[:, 1]
+    assert np.unique(flat).size == m
+    size = max(m, int(np.ceil(_POOL_SHARE * n)))
+    activation = (data ** 2).sum(axis=2).ravel()
+    cut = np.sort(activation)[::-1][size - 1]
+    assert (activation[flat] >= cut).all()
+    assert ks.fallback == (size == m)
+
+
+def test_a_few_outliers_do_not_shrink_the_pool():
+    """Five huge pixels in a 64² raster: the pool still holds the top
+    1.5%, 62 pixels, so 30 centres are drawn from it, not forced."""
+    rng = np.random.default_rng(4)
+    values = rng.random((64, 64))
+    outliers = rng.choice(values.size, size=5, replace=False)
+    values.flat[outliers] = 1e6
+    ks = select_kernels(Raster.from_array(values), "distinctive", 30, 3, seed=2)
+    assert not ks.fallback
+    flat = ks.centers[:, 0] * 64 + ks.centers[:, 1]
+    top = np.argsort(-values, axis=None)[:62]
+    assert set(flat.tolist()) <= set(top.tolist())
 
 
 def test_select_kernels_rejects_more_centres_than_pixels():
     img = Raster.from_array(np.random.default_rng(0).random((3, 3)))
     with pytest.raises(ParameterError):
         select_kernels(img, "random", 10, 3, seed=0)
-
-
-@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("mode", ["distinctive", "random"])
-def test_select_kernels_rejects_a_non_finite_threshold(mode, threshold):
-    img = Raster.from_array(np.random.default_rng(0).random((8, 8)))
-    with pytest.raises(ParameterError, match="threshold"):
-        select_kernels(img, mode, 3, 3, threshold=threshold, seed=0)
 
 
 def test_conv_layer_delta_kernel_is_identity():
@@ -578,10 +604,10 @@ def test_stack_features_matches_stepwise_composition():
         prepared = Raster(zscore_channels(
             ndimage.uniform_filter(img.data, size=(3, 3, 1), mode="reflect")
         ))
-        k1 = select_kernels(prepared, cfg.kernel_mode, 5, 3, cfg.threshold, derive_seed(seed, 1))
+        k1 = select_kernels(prepared, cfg.kernel_mode, 5, 3, derive_seed(seed, 1))
         f1 = conv_layer(prepared, k1)
         r1 = pca_reduce(f1, 3)
-        k2 = select_kernels(r1, cfg.kernel_mode, 5, 3, cfg.threshold, derive_seed(seed, 2))
+        k2 = select_kernels(r1, cfg.kernel_mode, 5, 3, derive_seed(seed, 2))
         f2 = conv_layer(r1, k2)
         r2 = pca_reduce(f2, 3)
         expected = np.concatenate(

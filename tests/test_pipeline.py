@@ -125,6 +125,18 @@ def test_stage_error_carries_stage_name(tmp_path):
     assert exc_info.value.stage == "load"
 
 
+def test_smoothing_the_difference_image_is_part_of_the_clean_stage(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("smoothing failed")
+
+    monkeypatch.setattr(pipeline, "box_mean", broken)
+    t1, t2, _ = write_scene(small_scene(), tmp_path / "scene")
+    with pytest.raises(PipelineStageError) as exc_info:
+        run_pipeline(PipelineConfig(t1=t1, t2=t2, out_dir=tmp_path / "o"))
+    assert exc_info.value.stage == "clean"
+    assert isinstance(exc_info.value.cause, ValueError)
+
+
 @pytest.mark.parametrize(
     "shape, overrides, field",
     [
@@ -191,7 +203,7 @@ def _reference_features(channels: np.ndarray, cfg: PipelineConfig, seed: int) ->
     reduced = []
     for d in range(1, cfg.depth + 1):
         kernels = select_kernels(current, cfg.kernel_mode, cfg.kernels_per_layer, k,
-                                 cfg.threshold, derive_seed(seed, d))
+                                 derive_seed(seed, d))
         current = pca_reduce(conv_layer(current, kernels), 3)
         reduced.append(zscore_channels(current.data))
     return np.concatenate(reduced + [raw], axis=2)
@@ -281,8 +293,7 @@ def test_the_feature_raster_is_written_once(tmp_path, monkeypatch):
 
 BAD_FIELD_VALUES = [
     ("alpha", 1.0), ("patch_size", 4), ("sample_ratio", 0), ("depth", 0), ("depth", True),
-    ("kernels_per_layer", 0), ("kernel_size", 4), ("threshold", float("nan")),
-    ("threshold", float("-inf")), ("kernel_mode", "learned"), ("rounds", 2.0),
+    ("kernels_per_layer", 0), ("kernel_size", 4), ("kernel_mode", "learned"), ("rounds", 2.0),
     ("labeled_fraction", 1.5), ("n_regions", 0), ("compactness", -1.0),
     ("svm_c", float("inf")), ("svm_c", 0.0), ("seed", -1), ("clean", "false"), ("conv", 0),
 ]
@@ -296,7 +307,7 @@ def test_config_is_checked_when_built_or_replaced(field, value):
         replace(PipelineConfig(), **{field: value})
 
 
-@pytest.mark.parametrize("field", ["threshold", "compactness", "svm_c"])
+@pytest.mark.parametrize("field", ["compactness", "svm_c"])
 def test_an_int_too_large_for_a_float_is_not_a_finite_number(field):
     with pytest.raises(ParameterError, match=f"^{field} must be a finite number"):
         PipelineConfig(**{field: 10**400})
@@ -325,7 +336,6 @@ def _stage_calls():
         "kernel_mode": [lambda v: select_kernels(img, v, 2, 3)],
         "kernels_per_layer": [lambda v: select_kernels(img, "random", v, 3)],
         "kernel_size": [lambda v: select_kernels(img, "random", 2, v)],
-        "threshold": [lambda v: select_kernels(img, "distinctive", 2, 3, v)],
         "svm_c": [lambda v: train_svm(x, y, v)],
         "seed": [
             lambda v: derive_seed(v, 1),
@@ -456,7 +466,7 @@ def test_cli_bench_sweep_rows_and_unknown_field(tmp_path, capsys):
         "depth=0", "depth=x", "kernel_size=4", "kernels_per_layer=0", "rounds=0",
         "svm_c=-1", "svm_epochs=0", "patch_size=4", "labeled_fraction=0",
         "n_regions=0", "alpha=x", "compactness=NaN", "compactness=Infinity",
-        "compactness=-1", "svm_c=Infinity", "threshold=NaN", "threshold=Infinity",
+        "compactness=-1", "svm_c=Infinity",
         "clean=False",
     ]
     for sweep in bad_values:
@@ -661,7 +671,6 @@ FLAG_VALUES = {
     "depth": (["--depth", "2"], 2),
     "kernels_per_layer": (["--kernels-per-layer", "12"], 12),
     "kernel_size": (["--kernel-size", "3"], 3),
-    "threshold": (["--threshold", "-0.5"], -0.5),
     "kernel_mode": (["--kernel-mode", "random"], "random"),
     "clean": (["--no-clean"], False),
     "conv": (["--no-conv"], False),
@@ -712,8 +721,8 @@ def test_cli_flag_overrides_config_file_with_null(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flag, value, field", [
     ("--seed", "1.5", "seed"),
     ("--kernel-mode", "x", "kernel_mode"),
-    ("--threshold", "nan", "threshold"),
-    ("--threshold=-inf", None, "threshold"),
+    ("--compactness", "-1", "compactness"),
+    ("--compactness=-inf", None, "compactness"),
 ])
 def test_cli_bad_flag_value_names_the_field(tmp_path, capsys, flag, value, field):
     out = tmp_path / "o"
@@ -727,6 +736,6 @@ def test_cli_bad_flag_value_names_the_field(tmp_path, capsys, flag, value, field
 def test_cli_dash_value_needs_the_equals_form(tmp_path, capsys):
     # argparse reads "-inf" after a space as a flag, not as a value.
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--t1", "a.f32", "--t2", "b.f32", "--threshold", "-inf"])
+        main(["run", "--t1", "a.f32", "--t2", "b.f32", "--compactness", "-inf"])
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err

@@ -214,19 +214,21 @@ assert sys.argv[1:] == ["--workload", "full-256", "--seed", "7", "--seconds", "0
 n = calls.count(checkout.name)  # this side's earlier runs
 if n == int((checkout / "crash_at").read_text()):
     sys.exit("no result")
-run_s = {"parent": [1.0, 1.2, 0.9], "change": [0.8, 1.25, 0.7]}[checkout.name][n]
+run_s = json.loads((checkout / "run_s.json").read_text())[n]
 print("run_s", run_s)
 print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {
     "run_s": {"value": run_s, "unit": "s"}, "pcc": {"value": 0.9, "unit": "1"}}}))
 '''
 
 
-def _stub_checkouts(tmp_path: Path, crash_at: dict) -> list[Path]:
+def _stub_checkouts(tmp_path: Path, crash_at: dict, run_s: dict | None = None) -> list[Path]:
     """Checkouts named parent and change whose perfbench/run.py is a stub
-    that logs its side, and exits without a result on its ``crash_at``-th run."""
-    benchmark = {"end_to_end": [{"name": "run_s", "unit": "s", "better": "lower"},
+    that logs its side, reports the side's ``run_s`` values in turn, and
+    exits without a result on its ``crash_at``-th run."""
+    run_s = run_s or {"parent": [1.0, 1.2, 0.9], "change": [0.8, 1.25, 0.7]}
+    benchmark = {"end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
                                 {"name": "mpix_per_s", "unit": "Mpx/s", "better": "higher"},
-                                {"name": "pcc", "unit": "1", "better": "higher"}]}
+                                {"name": "pcc", "unit": "1", "better": "higher", "bound": 0.05}]}
     checkouts = []
     for side in ("parent", "change"):
         root = tmp_path / side
@@ -234,6 +236,7 @@ def _stub_checkouts(tmp_path: Path, crash_at: dict) -> list[Path]:
         (root / "perfbench" / "run.py").write_text(_STUB_RUN)
         (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
         (root / "crash_at").write_text(str(crash_at.get(side, -1)))
+        (root / "run_s.json").write_text(json.dumps(run_s[side]))
         checkouts.append(root)
     return checkouts
 
@@ -252,10 +255,16 @@ def test_ab_bench_alternates_sides_and_counts_pairs_won(tmp_path):
     assert (tmp_path / "log.txt").read_text() == "parent change change parent parent change"
     assert proc.stdout.splitlines() == [
         f"full-256, seed 7, 0.5 s, 3 pairs; raw runs in {tmp_path / 'ab.json'}",
-        "run_s [s, lower is better]: parent median 1 (min-max 0.9-1.2); "
-        "change median 0.8 (min-max 0.7-1.25); change better in 2 of 3 pairs, worse in 1",
-        "pcc [1, higher is better]: parent median 0.9 (min-max 0.9-0.9); "
-        "change median 0.9 (min-max 0.9-0.9); change better in 0 of 3 pairs, worse in 0",
+        "run_s [s, lower is better]: parent median 1 (quartiles 0.95-1.1, min-max 0.9-1.2); "
+        "change median 0.8 (quartiles 0.75-1.025, min-max 0.7-1.25); "
+        "change better in 2 of 3 pairs, worse in 1",
+        "  median shift -0.2 clears the parent's IQR 0.15; "
+        "not worse than the parent by more than the bound, 0.25 of its median",
+        "pcc [1, higher is better]: parent median 0.9 (quartiles 0.9-0.9, min-max 0.9-0.9); "
+        "change median 0.9 (quartiles 0.9-0.9, min-max 0.9-0.9); "
+        "change better in 0 of 3 pairs, worse in 0",
+        "  median shift +0 does not clear the parent's IQR 0; "
+        "not worse than the parent by more than the bound, 0.05 of its median",
     ]
     raw = json.loads((tmp_path / "ab.json").read_text())
     assert [p["order"] for p in raw["pairs"]] == [["parent", "change"], ["change", "parent"],
@@ -270,6 +279,20 @@ def test_ab_bench_exits_1_on_a_run_without_a_correct_result(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[-1] == "not correct: pair 2 change"
     assert "change better in 2 of 2 pairs" in lines[1]  # the pairs that ran correctly
+    assert lines[2].startswith("  median shift -0.2 clears the parent's IQR 0.05;")
     raw = json.loads((tmp_path / "ab.json").read_text())
     assert raw["pairs"][1]["change"]["correct"] is False
     assert "no result" in raw["pairs"][1]["change"]["error"]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    ([1.3, 1.2, 1.25], "not worse"),  # +0.25 on a median of 1: at the bound, not beyond it
+    ([1.3, 1.4, 1.26], "worse"),
+])
+def test_ab_bench_flags_a_median_worse_than_the_bound(tmp_path, change, verdict):
+    checkouts = _stub_checkouts(tmp_path, {}, {"parent": [1.0, 1.2, 0.9], "change": change})
+    proc = _ab_bench(checkouts, tmp_path / "ab.json")
+    assert proc.returncode == 0, proc.stderr  # the timings decide nothing
+    line = proc.stdout.splitlines()[2]
+    assert line.endswith(f"; {verdict} than the parent by more than the bound, 0.25 of its median")
+    assert "clears the parent's IQR 0.15" in line

@@ -11,9 +11,14 @@ perfbench, one run after the other; the first side alternates from pair
 to pair (parent first in pairs 1, 3, ...), so a drift of the machine's
 speed falls on both sides alike.  For each end-to-end metric of
 ``BENCHMARK.json`` in CHANGE it then prints the two medians over the
-pairs, each side's min-max, and in how many pairs the change was better
-in the direction that file gives, and worse.  The raw results of every
-run go to ``--out`` as JSON.  Exits 1 when a run is not ``correct`` or
+pairs, each side's quartiles and min-max, and in how many pairs the
+change was better in the direction that file gives, and worse.  A
+second line gives the shift of the median, whether it clears the
+parent's interquartile range (IQR), and whether the change's median is
+worse than the parent's by more than the metric's ``bound``, a share of
+the parent's median.  Quartiles are ``statistics.quantiles(...,
+method="inclusive")``.  The raw results of every run go to ``--out`` as
+JSON.  Exits 1 when a run is not ``correct`` or
 gives no result, and 0 otherwise; the timings decide nothing.
 """
 
@@ -40,8 +45,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def summary(pairs: list[dict], metrics: list[dict]) -> list[str]:
-    """One line per end-to-end metric that both sides report in every pair."""
+    """Two lines per end-to-end metric that both sides report in every pair."""
     if not pairs:
         return []
     lines = []
@@ -52,11 +64,23 @@ def summary(pairs: list[dict], metrics: list[dict]) -> list[str]:
         except KeyError:
             continue
         diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
-        parts = [f"{side} median {statistics.median(v):.6g} (min-max {min(v):.6g}-{max(v):.6g})"
+        quartiles = {side: _quartiles(v) for side, v in values.items()}
+        parts = [f"{side} median {statistics.median(v):.6g} (quartiles {quartiles[side][0]:.6g}-"
+                 f"{quartiles[side][1]:.6g}, min-max {min(v):.6g}-{max(v):.6g})"
                  for side, v in values.items()]
         lines.append(f"{name} [{m['unit']}, {m['better']} is better]: " + "; ".join(parts)
                      + f"; change better in {sum(d > 0 for d in diffs)} of {len(pairs)} pairs, "
                      f"worse in {sum(d < 0 for d in diffs)}")
+        parent = statistics.median(values["parent"])
+        shift = statistics.median(values["change"]) - parent
+        iqr = quartiles["parent"][1] - quartiles["parent"][0]
+        clears = "clears" if abs(shift) > iqr else "does not clear"
+        line = f"  median shift {shift:+.6g} {clears} the parent's IQR {iqr:.6g}"
+        if "bound" in m:
+            worse = sign * shift < -m["bound"] * abs(parent)
+            line += (f"; {'worse' if worse else 'not worse'} than the parent by more than "
+                     f"the bound, {m['bound']:g} of its median")
+        lines.append(line)
     return lines
 
 
