@@ -296,6 +296,9 @@ BAD_FIELD_VALUES = [
     ("kernels_per_layer", 0), ("kernel_size", 4), ("kernel_mode", "learned"), ("rounds", 2.0),
     ("labeled_fraction", 1.5), ("n_regions", 0), ("compactness", -1.0),
     ("svm_c", float("inf")), ("svm_c", 0.0), ("seed", -1), ("clean", "false"), ("conv", 0),
+    # NaN fails every comparison, so a range rule must reject it rather than let it through.
+    ("alpha", float("nan")), ("sample_ratio", float("nan")), ("labeled_fraction", float("nan")),
+    ("compactness", float("nan")), ("compactness", float("-inf")), ("svm_c", float("nan")),
 ]
 
 
