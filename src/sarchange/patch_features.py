@@ -97,7 +97,12 @@ def select_kernels(
     if mode == "random":
         flat = rng.integers(0, n_pixels, size=m)
     else:
-        activation = (f.data ** 2).sum(axis=2).ravel()
+        # Summed plane by plane: a reduction over the inner channel axis
+        # takes five times as long, for the same bits below 8 channels.
+        activation = np.square(f.data[:, :, 0])
+        for j in range(1, f.channels):
+            activation += np.square(f.data[:, :, j])
+        activation = activation.ravel()
         size = max(m, math.ceil(_POOL_SHARE * n_pixels))
         fallback = size == m
         cut = np.partition(activation, n_pixels - size)[n_pixels - size]
