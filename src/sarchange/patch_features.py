@@ -10,13 +10,12 @@ the z-scored inputs last.  Kernels and convolution reflect the input at
 its borders by one index, :func:`_reflected`; a layer without variance
 is refused by one rule, in :func:`_fit`.
 
-No layer's (pixels, kernels) output is ever stored: each layer is
-convolved in blocks of whole rows of about 2048 pixels, twice.  The
-first pass fits the mean and covariance of its PCA on a sample of
-evenly spaced row blocks, about 16384 pixels in all (at 256², every
-4th of 32 blocks of 8 rows; at 1024², every 64th of 512 blocks of 2
-rows; at 2048², every 256th row); the second convolves every block and
-projects it.
+No layer's (pixels, kernels) output is ever stored.  Each layer's PCA
+is first fitted on 16 evenly spaced stripes of whole rows, about 4096
+pixels in all (2 rows each at 128², one row from 256² up), each
+convolved as its own block; then every block of whole rows of about
+2048 pixels is convolved and projected.  A 128² layer is thus
+convolved 1.25 times, not twice.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from .raster import Raster
 from .seeds import derive_seed
 
 _TILE_PIXELS = 2048  # pixels per block of rows convolved or reduced at once
-_FIT_PIXELS = 1 << 14  # about the pixels sampled to fit each layer's PCA
+_FIT_PIXELS = 1 << 12  # about the pixels sampled to fit each layer's PCA
+_FIT_STRIPES = 16  # the row stripes that sample holds
 _PIXEL_STEP = 8  # a block's pixel columns are padded to a multiple of this
 _POOL_SHARE = 0.015  # distinctive centres come from this share of the most active pixels
 
@@ -133,6 +133,20 @@ def _row_blocks(h: int, w: int) -> list[tuple[int, int]]:
     """
     blocks = min(h, -(-h * w // _TILE_PIXELS))
     return [(h * i // blocks, h * (i + 1) // blocks) for i in range(blocks)]
+
+
+def _fit_stripes(h: int, w: int) -> list[tuple[int, int]]:
+    """The row stripes an h-by-w image's PCA is fitted on, as ``(top,
+    bottom)`` bounds: ``_FIT_STRIPES`` stripes of ``ceil(_FIT_PIXELS /
+    (_FIT_STRIPES * w))`` whole rows each, evenly spaced from the first
+    row to the last.  Empty when they would overlap or cover every row,
+    as for every image of at most ``_FIT_PIXELS`` pixels.
+    """
+    rows = -(-_FIT_PIXELS // (_FIT_STRIPES * w))
+    if _FIT_STRIPES * rows >= h:
+        return []
+    last = _FIT_STRIPES - 1
+    return [(top, top + rows) for top in ((h - rows) * i // last for i in range(_FIT_STRIPES))]
 
 
 def _conv_blocks(f: Raster, kernels: KernelSet, bounds: list[tuple[int, int]]):
@@ -280,18 +294,17 @@ def pca_reduce(f: Raster, keep: int, kernels: KernelSet | None = None) -> Raster
     padded, so the output may have fewer than ``keep`` channels; an input
     without variance, by :func:`_fit`'s one rule, is refused.
 
-    The channels are read in the row blocks of :func:`conv_layer`
-    (convolved again on each read when ``kernels`` is given), twice.  The
-    first read fits the mean and covariance, merged block by block, on
-    every s-th block from the first, where s = ceil(n / ``_FIT_PIXELS``)
-    for n pixels: about ``_FIT_PIXELS`` pixels in stripes spread over the
-    image.  At 256² these are 8 blocks of 8 rows, 32 rows apart; at
-    1024², 8 blocks of 2 rows, 128 rows apart; at 2048², 8 single rows,
-    256 apart.  An image of at most ``_FIT_PIXELS`` pixels is read whole.
-    If the sampled pixels have no variance, the fit reads every block
-    instead, before the input is refused.  The second read centres every
-    block and projects it into the output.  Beyond the output, only one
-    block's scratch is allocated.
+    The channels are read twice (convolved again on each read when
+    ``kernels`` is given).  The first read fits the mean and covariance,
+    merged block by block, on the row stripes of :func:`_fit_stripes`,
+    each one block: at 128², 16 stripes of 2 rows about 8 rows apart; at
+    256², 16 single rows about 17 apart; at 1024², 16 single rows about
+    68 apart.  An image of at most ``_FIT_PIXELS`` pixels, or one whose
+    stripes would cover every row, is read whole.  If the stripes have
+    no variance, the fit reads every block instead, before the input is
+    refused.  The second read centres each row block of
+    :func:`conv_layer` and projects it into the output.  Beyond the
+    output, only one block's scratch is allocated.
     """
     check("keep", keep, POSITIVE_INT)
     n = f.height * f.width
@@ -303,9 +316,9 @@ def pca_reduce(f: Raster, keep: int, kernels: KernelSet | None = None) -> Raster
         return _raster_blocks(f, bounds) if kernels is None else _conv_blocks(f, kernels, bounds)
 
     bounds = _row_blocks(f.height, f.width)
-    stride = -(-n // _FIT_PIXELS)
-    mean, basis = _fit(blocks(bounds[::stride]), c, keep)
-    if stride > 1 and basis.shape[1] == 0:
+    stripes = _fit_stripes(f.height, f.width)
+    mean, basis = _fit(blocks(stripes or bounds), c, keep)
+    if stripes and basis.shape[1] == 0:
         # The stripes are constant; the variance, if any, lies between them.
         mean, basis = _fit(blocks(bounds), c, keep)
     if basis.shape[1] == 0:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
+from sarchange import patch_features
 from sarchange.config import PipelineConfig
 from sarchange.difference import zscore_channels
 from sarchange.errors import ParameterError, ShapeError
@@ -450,13 +451,15 @@ def test_pca_reduce_tiles_match_the_one_shot_reference(h, w, case):
     (13, 331),                 # blocks of 1324, 1324 and 1655 pixels, none a multiple of 8
     (3, 4500),                 # rows wider than a block: one row per block
     (4097, 1),                 # a one-pixel-wide column of three blocks
-    (160, 128),                # above _FIT_PIXELS: the covariance reads every 2nd block
+    (160, 128),                # the covariance reads 16 stripes of 2 rows
+    (200, 64),                 # 16 stripes of 4 rows, each 256 pixels
+    (40, 300),                 # 16 stripes of one row wider than 256 pixels
 ])
 @pytest.mark.parametrize("c, k", [(1, 3), (3, 1), (3, 5)])
 def test_pca_reduce_of_kernels_has_the_bits_of_reducing_the_layer_output(h, w, c, k):
     """Streaming a layer through its PCA gives the bits of reducing the
     assembled layer: both read the same blocks of rows in the same
-    (channels, pixels) layout, and fit on the same sampled blocks."""
+    (channels, pixels) layout, and fit on the same row stripes."""
     rng = np.random.default_rng([h, w, c, k])
     f = Raster(rng.standard_normal((h, w, c)))
     for m, keep in [(2, 3), (5, 3), (PipelineConfig.kernels_per_layer, 3),
@@ -469,14 +472,80 @@ def test_pca_reduce_of_kernels_has_the_bits_of_reducing_the_layer_output(h, w, c
         assert streamed.data.tobytes() == assembled.data.tobytes(), (m, keep)
 
 
-def sampled_rows(h, w):
-    """The rows the covariance of an h-by-w input is fitted on: every s-th
-    block of about ``_TILE_PIXELS`` pixels, s = ceil(n / ``_FIT_PIXELS``)."""
-    n = h * w
-    blocks = min(h, -(-n // _TILE_PIXELS))
-    stride = -(-n // _FIT_PIXELS)
-    return np.concatenate([np.arange(h * i // blocks, h * (i + 1) // blocks)
-                           for i in range(0, blocks, stride)])
+def stripe_rows(h, w):
+    """The rows the covariance of an h-by-w input is fitted on: 16 stripes
+    of ceil(4096 / (16 w)) rows, the i-th from row (h - rows) * i // 15,
+    or every row when the stripes would overlap or cover the input."""
+    rows = -(-4096 // (16 * w))
+    if 16 * rows >= h:
+        return np.arange(h)
+    return np.concatenate([np.arange(top, top + rows) for top in (h - rows) * np.arange(16) // 15])
+
+
+def passes(monkeypatch, f, keep, ks=None):
+    """The row bounds of each pass that ``pca_reduce(f, keep, ks)`` reads."""
+    name = "_raster_blocks" if ks is None else "_conv_blocks"
+    read, reads = getattr(patch_features, name), []
+
+    def spy(*args):
+        reads.append(list(args[-1]))
+        return read(*args)
+
+    monkeypatch.setattr(patch_features, name, spy)
+    pca_reduce(f, keep, ks)
+    return reads
+
+
+@pytest.mark.parametrize("h, w, rows", [
+    (128, 128, 2),
+    (256, 256, 1),
+    (1024, 64, 4),   # stripes of 4 rows, each 256 pixels
+    (40, 300, 1),    # rows wider than 256 pixels: 16 single rows of 40
+    (4097, 1, 256),  # a one-pixel-wide column just above _FIT_PIXELS
+])
+@pytest.mark.parametrize("conv", [False, True])
+def test_pca_reduce_fits_on_16_stripes_from_the_first_row_to_the_last(monkeypatch, h, w, rows,
+                                                                      conv):
+    """Above ``_FIT_PIXELS`` pixels the fit reads 16 stripes of ``rows``
+    whole rows, each of at least 256 pixels, which together hold at least
+    ``_FIT_PIXELS`` pixels and less than one more row per stripe.  The
+    first starts at row 0 and the last ends at the last row; the gaps
+    between them differ by at most one row.  The projection then reads
+    every row once, in row blocks."""
+    rng = np.random.default_rng([h, w])
+    f = Raster(rng.standard_normal((h, w, 2)))
+    ks = None
+    if conv:
+        ks = KernelSet(kernels=rng.standard_normal((4, 1, 1, 2)),
+                       centers=np.zeros((4, 2), dtype=int), mode="random")
+    fit, projection = passes(monkeypatch, f, 2, ks)
+    assert len(fit) == 16
+    assert {bottom - top for top, bottom in fit} == {rows}
+    assert rows * w >= 256
+    assert _FIT_PIXELS <= 16 * rows * w < _FIT_PIXELS + 16 * w
+    tops = np.array([top for top, _ in fit])
+    assert (tops[0], fit[-1][1]) == (0, h)
+    assert np.ptp(np.diff(tops)) <= 1 and np.diff(tops).min() >= rows
+    assert np.array_equal(np.concatenate([np.arange(*b) for b in fit]), stripe_rows(h, w))
+    assert np.array_equal(np.concatenate([np.arange(*b) for b in projection]), np.arange(h))
+
+
+@pytest.mark.parametrize("h, w", [
+    (64, 64),    # exactly _FIT_PIXELS
+    (37, 29),
+    (4096, 1),
+    (15, 300),   # above _FIT_PIXELS, but 16 single rows would cover every row
+    (3, 6000),   # rows wider than a block
+])
+def test_pca_reduce_reads_a_small_input_whole_to_fit(monkeypatch, h, w):
+    """At or below ``_FIT_PIXELS`` pixels, or wherever 16 stripes would
+    overlap or cover every row, the fit reads every row block, as the
+    projection does, and nothing else is read."""
+    f = Raster(np.random.default_rng([h, w]).standard_normal((h, w, 3)))
+    fit, projection = passes(monkeypatch, f, 2)
+    assert fit == projection
+    assert np.array_equal(np.concatenate([np.arange(*b) for b in fit]), np.arange(h))
+    assert np.array_equal(stripe_rows(h, w), np.arange(h))
 
 
 def reference_sampled_pca(values, keep, rows):
@@ -492,20 +561,20 @@ def reference_sampled_pca(values, keep, rows):
     return ((values.reshape(-1, c) - mean) @ basis).reshape(h, w, keep)
 
 
-@pytest.mark.parametrize("h, w, stride", [
-    (160, 128, 2),   # 10 blocks of 16 rows: blocks 0, 2, 4, 6 and 8
-    (256, 256, 4),   # 32 blocks of 8 rows: blocks 0, 4, ..., 28
-    (3, 6000, 2),    # rows wider than a block: rows 0 and 2
-    (20000, 1, 2),   # a one-pixel-wide column of 10 blocks
+@pytest.mark.parametrize("h, w", [
+    (160, 128),   # 16 stripes of 2 rows
+    (256, 256),   # 16 single rows
+    (40, 300),    # 16 single rows wider than 256 pixels
+    (20000, 1),   # a one-pixel-wide column: 16 stripes of 256 rows
 ])
 @pytest.mark.parametrize("conv", [False, True])
-def test_pca_reduce_above_the_budget_fits_on_the_sampled_rows_only(h, w, stride, conv):
-    """Above ``_FIT_PIXELS`` pixels the mean and covariance come from every
-    s-th row block only, and every pixel is projected: the scores, and so
+def test_pca_reduce_above_the_budget_fits_on_the_stripes_only(h, w, conv):
+    """Above ``_FIT_PIXELS`` pixels the mean and covariance come from the
+    16 row stripes only, and every pixel is projected: the scores, and so
     the basis, match a one-shot reference fitted on exactly those rows,
     within 1e-12 of the largest score, and not one fitted on every row.
     The input's spread grows down the rows, so the two fits differ."""
-    assert -(-h * w // _FIT_PIXELS) == stride
+    assert len(stripe_rows(h, w)) < h
     rng = np.random.default_rng([h, w, conv])
     grow = np.linspace(1.0, 4.0, h)[:, None, None]
     if conv:
@@ -518,7 +587,7 @@ def test_pca_reduce_above_the_budget_fits_on_the_sampled_rows_only(h, w, stride,
         mix = rng.standard_normal((12, 12))
         values = np.maximum(rng.standard_normal((h, w, 12)) * grow @ mix, 0.0) + 1e3
         out = pca_reduce(Raster(values), 3).data
-    ref = reference_sampled_pca(values, 3, sampled_rows(h, w))
+    ref = reference_sampled_pca(values, 3, stripe_rows(h, w))
     atol = 1e-12 * np.abs(ref).max()
     np.testing.assert_allclose(out, ref, rtol=0, atol=atol)
     every_row = reference_sampled_pca(values, 3, np.arange(h))
@@ -527,16 +596,16 @@ def test_pca_reduce_above_the_budget_fits_on_the_sampled_rows_only(h, w, stride,
 
 @pytest.mark.parametrize("conv", [False, True])
 def test_pca_reduce_reads_every_block_before_refusing_an_input_without_variance(conv):
-    """An input whose variance lies only between the sampled stripes is
+    """An input whose variance lies only between the fit's stripes is
     reduced on a fit over every block, also when the stripes' convolved
     values vary by the rounding of their mean alone; one with no variance
     anywhere is still refused, also when its convolved values vary by
-    that rounding alone, with the fit sampled (160x128) or whole (40x40)."""
-    h, w = 160, 128  # 10 blocks of 16 rows; the covariance samples blocks 0, 2, 4, 6, 8
-    assert list(np.unique(sampled_rows(h, w) // 16)) == [0, 2, 4, 6, 8]
+    that rounding alone, with the fit striped (160x128) or whole (40x40)."""
+    h, w = 160, 128  # stripes of 2 rows; the 2nd and 3rd start at rows 10 and 21
+    assert not np.isin(np.arange(12, 21), stripe_rows(h, w)).any()
     rng = np.random.default_rng(17)
     values = np.full((h, w, 2), 0.5)
-    values[16:32] += rng.standard_normal((16, w, 2))  # block 1 alone varies
+    values[12:21] += rng.standard_normal((9, w, 2))  # rows 12-20 alone vary
     if conv:
         kernels = rng.standard_normal((6, 1, 1, 2))
         ks = KernelSet(kernels=kernels, centers=np.zeros((6, 2), dtype=int), mode="random")
@@ -629,7 +698,7 @@ def test_a_stack_of_short_layers_is_contiguous_and_ends_with_the_zscored_inputs(
     np.testing.assert_array_equal(fs.data[:, :, 2 * cfg.depth :], zscore_channels(img.data))
 
 
-@pytest.mark.parametrize("h, w", [(40, 40), (160, 128)])  # the PCA fits on every block; every 2nd
+@pytest.mark.parametrize("h, w", [(40, 40), (160, 128)])  # the PCA fits on every block; on stripes
 def test_the_feature_stack_leaves_its_input_unchanged(h, w):
     """Blocks are centred in place, so every entry point must read its input
     into copies: each leaves the input raster's bytes as they were."""
