@@ -356,7 +356,10 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
     convolution streams through its PCA (:func:`pca_reduce` with
     ``kernels``).  Kernel selection at layer d uses the child seed
     ``(seed, d)`` and reads ``kernel_mode``, ``kernels_per_layer`` and
-    ``kernel_size`` from ``cfg``; :func:`check_shape` runs first.
+    ``kernel_size`` from ``cfg``; :func:`check_shape` runs first.  When
+    a layer's input is all zero, as the prepared input of a constant
+    image is, no more layers are added: a flat pair's raster holds its
+    z-scored inputs alone, as without the convolution.
     """
     check_shape(cfg, channels.height, channels.width)
     k = cfg.kernel_size
@@ -364,6 +367,8 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
     out = np.empty((channels.height, channels.width, 3 * cfg.depth + channels.channels))
     used = 0
     for d in range(1, cfg.depth + 1):
+        if not current.data.any():
+            break  # a flat input: every layer would be refused as without variance
         kernels = select_kernels(
             current, cfg.kernel_mode, cfg.kernels_per_layer, k, derive_seed(seed, d)
         )

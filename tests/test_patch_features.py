@@ -698,6 +698,20 @@ def test_a_stack_of_short_layers_is_contiguous_and_ends_with_the_zscored_inputs(
     np.testing.assert_array_equal(fs.data[:, :, 2 * cfg.depth :], zscore_channels(img.data))
 
 
+def test_a_flat_input_adds_no_layer_though_its_pca_is_still_refused():
+    """A constant image's prepared input is all zero, so the stack holds its
+    z-scored inputs alone, zero as well; ``pca_reduce`` on its own still
+    refuses the image, with the convolution or without."""
+    img = Raster(np.full((32, 32, 3), 0.5))
+    cfg = PipelineConfig(depth=2, kernels_per_layer=8, kernel_size=3)
+    fs = stack_features(img, cfg, seed=1)
+    assert fs.channels == 3 and fs.data.flags.c_contiguous and not fs.data.any()
+    ks = select_kernels(img, "random", 8, 3, seed=1)
+    for kernels in (None, ks):
+        with pytest.raises(ParameterError, match="no variance"):
+            pca_reduce(img, 3, kernels)
+
+
 @pytest.mark.parametrize("h, w", [(40, 40), (160, 128)])  # the PCA fits on every block; on stripes
 def test_the_feature_stack_leaves_its_input_unchanged(h, w):
     """Blocks are centred in place, so every entry point must read its input

@@ -408,10 +408,11 @@ def test_identical_pair_gives_an_all_unchanged_map(tmp_path, row):
     assert (load_raster(result.change_map_path).band(0) == 0.0).all()
 
 
-@pytest.mark.parametrize("row", ["1", "4"])
+@pytest.mark.parametrize("row", ["1", "3", "4", "6"])
 @pytest.mark.parametrize("levels", [(0.5, 0.5), (0.5, 2.0)])
-def test_a_flat_pair_without_the_convolution_gives_an_all_unchanged_map(tmp_path, row, levels):
+def test_a_flat_pair_gives_an_all_unchanged_map(tmp_path, row, levels):
     # Every feature column is flat, so z-scored to zero: the model is its bias alone.
+    # With the convolution on, the flat input adds no layer to convolve.
     paths = [tmp_path / "t1.f32", tmp_path / "t2.f32"]
     for level, path in zip(levels, paths):
         save_raster(Raster.from_array(np.full((64, 64), level)), path)
