@@ -259,12 +259,12 @@ def test_ab_bench_alternates_sides_and_counts_pairs_won(tmp_path):
         "change median 0.8 (quartiles 0.75-1.025, min-max 0.7-1.25); "
         "change better in 2 of 3 pairs, worse in 1",
         "  median shift -0.2 clears the parent's IQR 0.15; "
-        "not worse than the parent by more than the bound, 0.25 of its median",
+        "not worse than the parent by more than the bound, 0.25 of its median; no gain shown",
         "pcc [1, higher is better]: parent median 0.9 (quartiles 0.9-0.9, min-max 0.9-0.9); "
         "change median 0.9 (quartiles 0.9-0.9, min-max 0.9-0.9); "
         "change better in 0 of 3 pairs, worse in 0",
         "  median shift +0 does not clear the parent's IQR 0; "
-        "not worse than the parent by more than the bound, 0.05 of its median",
+        "not worse than the parent by more than the bound, 0.05 of its median; no gain shown",
     ]
     raw = json.loads((tmp_path / "ab.json").read_text())
     assert [p["order"] for p in raw["pairs"]] == [["parent", "change"], ["change", "parent"],
@@ -280,6 +280,7 @@ def test_ab_bench_exits_1_on_a_run_without_a_correct_result(tmp_path):
     assert lines[-1] == "not correct: pair 2 change"
     assert "change better in 2 of 2 pairs" in lines[1]  # the pairs that ran correctly
     assert lines[2].startswith("  median shift -0.2 clears the parent's IQR 0.05;")
+    assert lines[2].endswith("; no gain shown")  # 2 of the 3 pairs run were won
     raw = json.loads((tmp_path / "ab.json").read_text())
     assert raw["pairs"][1]["change"]["correct"] is False
     assert "no result" in raw["pairs"][1]["change"]["error"]
@@ -294,5 +295,22 @@ def test_ab_bench_flags_a_median_worse_than_the_bound(tmp_path, change, verdict)
     proc = _ab_bench(checkouts, tmp_path / "ab.json")
     assert proc.returncode == 0, proc.stderr  # the timings decide nothing
     line = proc.stdout.splitlines()[2]
-    assert line.endswith(f"; {verdict} than the parent by more than the bound, 0.25 of its median")
+    assert line.endswith(f"; {verdict} than the parent by more than the bound, 0.25 of its median"
+                         "; no gain shown")
     assert "clears the parent's IQR 0.15" in line
+
+
+@pytest.mark.parametrize("change, verdict", [
+    ([0.8, 1.0, 0.7], "gain shown"),        # 3 of 3 pairs won, median shift -0.2
+    ([0.95, 1.15, 0.85], "no gain shown"),  # 3 of 3 won, but a shift of -0.05 is inside the IQR
+    ([0.8, 1.25, 0.7], "no gain shown"),    # a shift of -0.2, but 2 of 3 won, under 9 in 10
+])
+def test_ab_bench_shows_a_gain_only_on_9_in_10_pairs_won_and_a_shift_past_the_iqr(
+        tmp_path, change, verdict):
+    checkouts = _stub_checkouts(tmp_path, {}, {"parent": [1.0, 1.2, 0.9], "change": change})
+    proc = _ab_bench(checkouts, tmp_path / "ab.json")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "the parent's IQR 0.15;" in lines[2]
+    assert lines[2].endswith(f"of its median; {verdict}")
+    assert lines[4].endswith("; no gain shown")  # pcc: equal in every pair

@@ -16,7 +16,12 @@ change was better in the direction that file gives, and worse.  A
 second line gives the shift of the median, whether it clears the
 parent's interquartile range (IQR), and whether the change's median is
 worse than the parent's by more than the metric's ``bound``, a share of
-the parent's median.  Quartiles are ``statistics.quantiles(...,
+the parent's median.  It ends with the verdict of the benchmark's rule
+for a gain: "gain shown" when the change was better in at least 9 of
+every 10 pairs run, ties counting for neither and pairs without a
+correct result counting as lost, and its median is better than the
+parent's by more than the parent's IQR; "no gain shown" otherwise.
+Quartiles are ``statistics.quantiles(...,
 method="inclusive")``.  The raw results of every run go to ``--out`` as
 JSON.  Exits 1 when a run is not ``correct`` or
 gives no result, and 0 otherwise; the timings decide nothing.
@@ -52,8 +57,9 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summary(pairs: list[dict], metrics: list[dict]) -> list[str]:
-    """Two lines per end-to-end metric that both sides report in every pair."""
+def summary(pairs: list[dict], metrics: list[dict], runs: int) -> list[str]:
+    """Two lines per end-to-end metric that both sides report in every pair
+    of ``pairs``, the correct ones of the ``runs`` pairs run."""
     if not pairs:
         return []
     lines = []
@@ -64,12 +70,13 @@ def summary(pairs: list[dict], metrics: list[dict]) -> list[str]:
         except KeyError:
             continue
         diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+        won = sum(d > 0 for d in diffs)
         quartiles = {side: _quartiles(v) for side, v in values.items()}
         parts = [f"{side} median {statistics.median(v):.6g} (quartiles {quartiles[side][0]:.6g}-"
                  f"{quartiles[side][1]:.6g}, min-max {min(v):.6g}-{max(v):.6g})"
                  for side, v in values.items()]
         lines.append(f"{name} [{m['unit']}, {m['better']} is better]: " + "; ".join(parts)
-                     + f"; change better in {sum(d > 0 for d in diffs)} of {len(pairs)} pairs, "
+                     + f"; change better in {won} of {len(pairs)} pairs, "
                      f"worse in {sum(d < 0 for d in diffs)}")
         parent = statistics.median(values["parent"])
         shift = statistics.median(values["change"]) - parent
@@ -80,7 +87,8 @@ def summary(pairs: list[dict], metrics: list[dict]) -> list[str]:
             worse = sign * shift < -m["bound"] * abs(parent)
             line += (f"; {'worse' if worse else 'not worse'} than the parent by more than "
                      f"the bound, {m['bound']:g} of its median")
-        lines.append(line)
+        gain = 10 * won >= 9 * runs and sign * shift > iqr
+        lines.append(line + ("; gain shown" if gain else "; no gain shown"))
     return lines
 
 
@@ -115,7 +123,8 @@ def main(argv=None) -> int:
                  if p[side].get("correct") is not True]
     print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s, {args.pairs} pairs; "
           f"raw runs in {args.out}")
-    for line in summary([p for p in pairs if all(p[s].get("correct") for s in SIDES)], metrics):
+    correct = [p for p in pairs if all(p[s].get("correct") for s in SIDES)]
+    for line in summary(correct, metrics, len(pairs)):
         print(line)
     if incorrect:
         print(f"not correct: {', '.join(incorrect)}")
