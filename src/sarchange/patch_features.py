@@ -97,12 +97,10 @@ def select_kernels(
     if mode == "random":
         flat = rng.integers(0, n_pixels, size=m)
     else:
-        # Summed plane by plane: a reduction over the inner channel axis
-        # takes five times as long, for the same bits below 8 channels.
-        activation = np.square(f.data[:, :, 0])
+        # Plane by plane: 5x faster than a reduction over the inner axis, same bits.
+        activation = np.square(f.data[:, :, 0]).ravel()
         for j in range(1, f.channels):
-            activation += np.square(f.data[:, :, j])
-        activation = activation.ravel()
+            activation += np.square(f.data[:, :, j]).ravel()
         size = max(m, math.ceil(_POOL_SHARE * n_pixels))
         fallback = size == m
         cut = np.partition(activation, n_pixels - size)[n_pixels - size]
@@ -145,8 +143,8 @@ def _fit_stripes(h: int, w: int) -> list[tuple[int, int]]:
     rows = -(-_FIT_PIXELS // (_FIT_STRIPES * w))
     if _FIT_STRIPES * rows >= h:
         return []
-    last = _FIT_STRIPES - 1
-    return [(top, top + rows) for top in ((h - rows) * i // last for i in range(_FIT_STRIPES))]
+    tops = [(h - rows) * i // (_FIT_STRIPES - 1) for i in range(_FIT_STRIPES)]
+    return [(top, top + rows) for top in tops]
 
 
 def _conv_blocks(f: Raster, kernels: KernelSet, bounds: list[tuple[int, int]]):
@@ -356,10 +354,8 @@ def stack_features(channels: Raster, cfg: PipelineConfig, seed: int = 0) -> Rast
     convolution streams through its PCA (:func:`pca_reduce` with
     ``kernels``).  Kernel selection at layer d uses the child seed
     ``(seed, d)`` and reads ``kernel_mode``, ``kernels_per_layer`` and
-    ``kernel_size`` from ``cfg``; :func:`check_shape` runs first.  When
-    a layer's input is all zero, as the prepared input of a constant
-    image is, no more layers are added: a flat pair's raster holds its
-    z-scored inputs alone, as without the convolution.
+    ``kernel_size`` from ``cfg``; :func:`check_shape` runs first.  No
+    layer follows an all-zero input, such as a constant image's.
     """
     check_shape(cfg, channels.height, channels.width)
     k = cfg.kernel_size
