@@ -167,9 +167,7 @@ def segment_superpixels(
     ]
     spatial_w = (compactness / step) ** 2
 
-    pixel_r = np.repeat(np.arange(h, dtype=np.float64), w)
-    pixel_c = np.tile(np.arange(w, dtype=np.float64), h)
-    for _ in range(N_SWEEPS):
+    def assign() -> np.ndarray:
         flat = _assign(flat_colour, (h, w), cen_r, cen_c, cen_colour, step,
                        spatial_w, grid_r.shape[1])
         # Pixels outside every window (possible on extreme aspect ratios)
@@ -179,6 +177,14 @@ def segment_superpixels(
             mr, mc = np.divmod(np.flatnonzero(missing), w)
             d = (mr[:, None] - cen_r[None, :]) ** 2 + (mc[:, None] - cen_c[None, :]) ** 2
             flat[missing] = np.argmin(d, axis=1)
+        return flat
+
+    pixel_r = np.repeat(np.arange(h, dtype=np.float64), w)
+    pixel_c = np.tile(np.arange(w, dtype=np.float64), h)
+    flat = assign()
+    # Each sweep after the first moves the centres to their members' means
+    # and assigns again; nothing reads the centres after the last assignment.
+    for _ in range(N_SWEEPS - 1):
         counts = np.bincount(flat, minlength=n_cen).astype(np.float64)
         occupied = counts > 0
         sum_r = np.bincount(flat, weights=pixel_r, minlength=n_cen)
@@ -188,5 +194,6 @@ def segment_superpixels(
         for ch in range(c):
             sum_col = np.bincount(flat, weights=flat_colour[:, ch], minlength=n_cen)
             cen_colour[occupied, ch] = sum_col[occupied] / counts[occupied]
+        flat = assign()
 
     return _relabel(flat.reshape(h, w))

@@ -147,6 +147,26 @@ def test_segment_matches_per_centre_loop_reference(monkeypatch):
     assert n_fallback_cases > 20  # the nearest-centre fallback is exercised
 
 
+@pytest.mark.parametrize("n_sweeps", [None, 1, 3])
+def test_segment_assigns_once_per_sweep(monkeypatch, n_sweeps):
+    if n_sweeps is not None:
+        monkeypatch.setattr(superpixels, "N_SWEEPS", n_sweeps)
+    real_assign = superpixels._assign
+    calls = []
+
+    def counting_assign(*args):
+        calls.append(args)
+        return real_assign(*args)
+
+    monkeypatch.setattr(superpixels, "_assign", counting_assign)
+    img = Raster.from_array(np.random.default_rng(4).random((24, 20)))
+    rm = segment_superpixels(img, 12)
+    assert len(calls) == superpixels.N_SWEEPS
+    # the same map as the per-centre loop, which updates after every sweep
+    expected = reference_segment_superpixels(img, 12)
+    np.testing.assert_array_equal(rm.region_id, expected.region_id)
+
+
 def test_constant_image_gives_near_equal_tiles():
     rm = segment_superpixels(Raster.from_array(np.full((8, 8), 0.4)), 4)
     assert rm.region_count == 4
