@@ -81,6 +81,12 @@ def test_output_digests_runs_on_two_checkouts_use_their_own_work_directories(
     assert (key(change) / "stale").exists()  # the other checkout's is left alone
 
 
+def _unmoved(group: str, key: str) -> str:
+    """The quality line of a group of one key whose PCC, KC and AUC did not move."""
+    same = f"+0.000000 (min +0.000000 at {key}, max +0.000000 at {key}; 0 worse, 0 better)"
+    return f"quality {group}, 1 keys: auc {same}; kc {same}; pcc {same}"
+
+
 def test_compare_digests_reports_moved_failed_and_missing_keys(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import compare_digests
@@ -105,12 +111,8 @@ def test_compare_digests_reports_moved_failed_and_missing_keys(tmp_path, monkeyp
         "failed in parent: 1: w/1/0/6",
         "failed in change: 1: w/1/0/4",
         "only in change: 1: synth/2",
-        "quality w row 1, 1 keys: auc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
-        "kc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
-        "pcc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better)",
-        "quality w row 3, 1 keys: auc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
-        "kc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
-        "pcc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better)",
+        _unmoved("w row 1", "w/1/0/1"),
+        _unmoved("w row 3", "w/1/0/3"),
     ]
     assert compare_digests.main([str(paths[0]), str(paths[0])]) == 1  # a failed run
     paths[0].write_text(json.dumps({"w/1/0/1": run}))
@@ -140,29 +142,43 @@ def test_compare_digests_reports_quality_deltas_outside_its_exit_rule(
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(digests))
     # Only quality moved.  Row 6's mean KC change, -0.0625, hides key
-    # w/1/0/6's -0.25: the per-key minimum shows it.
+    # w/1/0/6's -0.25: the per-key minimum shows it, and names the key.
     assert compare_digests.main([str(p) for p in paths]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "change_map.pgm: 0 of 4 keys moved",
         "run/roc.csv: 0 of 1 keys moved",
         "failed in parent: 0",
         "failed in change: 0",
-        "quality v row 6, 1 keys: auc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
-        "kc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
-        "pcc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better)",
-        "quality w row 1, 1 keys: auc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
-        "kc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better); "
-        "pcc +0.000000 (min +0.000000, max +0.000000; 0 worse, 0 better)",
+        _unmoved("v row 6", "v/1/0/6"),
+        _unmoved("w row 1", "w/1/0/1"),
         "quality w row 6, 2 keys: "
-        "auc +0.062500 (min +0.000000, max +0.125000; 0 worse, 1 better); "
-        "kc -0.062500 (min -0.250000, max +0.125000; 1 worse, 1 better); "
-        "pcc +0.025000 (min +0.000000, max +0.050000; 0 worse, 1 better)",
+        "auc +0.062500 (min +0.000000 at w/1/0/6, max +0.125000 at w/2/0/6; 0 worse, 1 better); "
+        "kc -0.062500 (min -0.250000 at w/1/0/6, max +0.125000 at w/2/0/6; 1 worse, 1 better); "
+        "pcc +0.025000 (min +0.000000 at w/2/0/6, max +0.050000 at w/1/0/6; 0 worse, 1 better)",
     ]
     # A map written before quality was recorded compares on its digests alone.
     paths[0].write_text(json.dumps({k: {n: h for n, h in d.items() if n != "quality"}
                                     for k, d in parent.items()}))
     assert compare_digests.main([str(p) for p in paths]) == 0
     assert not any(line.startswith("quality") for line in capsys.readouterr().out.splitlines())
+
+
+def test_compare_digests_names_the_key_of_the_smallest_and_largest_change(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import compare_digests
+
+    def run(kc):
+        return {"change_map.pgm": "a", "quality": {"kc": kc}}
+
+    parent = {f"w/{s}/{k}/6": run(0.5) for s in (1, 2) for k in (0, 1)}
+    change = {"w/1/0/6": run(0.5), "w/1/1/6": run(0.25), "w/2/0/6": run(0.75),
+              "w/2/1/6": run(0.25)}
+    # Keys w/1/1/6 and w/2/1/6 tie for the smallest change: the first in key
+    # order is named; w/1/0/6's zero change is neither worse nor better.
+    assert compare_digests.quality_deltas(parent, change, sorted(parent)) == [
+        "quality w row 6, 4 keys: kc -0.062500 (min -0.250000 at w/1/1/6, "
+        "max +0.250000 at w/2/0/6; 2 worse, 1 better)",
+    ]
 
 
 def _run_into_a_closed_pipe(args: list[str]) -> subprocess.CompletedProcess:

@@ -10,8 +10,9 @@ which keys those are.  Then it prints the keys that failed in each map
 and the keys that only one map has.  Last, for each workload and row,
 the mean change of each ``quality`` metric (PCC, KC, AUC) over the keys
 that ran in both maps with quality recorded, the smallest and largest
-change on one key, so the worst key shows next to the mean, and how
-many of those keys got worse and better.  Exits 0 when every key ran in
+change on one key, each with the key that made it, so the worst key
+shows next to the mean, and how many of those keys got worse and
+better.  Exits 0 when every key ran in
 both maps with the same digests, and 1 otherwise; quality does not
 enter that rule, nor does a reader that closes the pipe early, as
 ``| head`` does.
@@ -57,24 +58,25 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
 def quality_deltas(parent: dict, change: dict, ran: list[str]) -> list[str]:
     """One line per workload and row: each quality metric's mean change
     from ``parent`` to ``change`` over the ``ran`` keys, its smallest and
-    largest change on one key, and the number of keys where it fell and
-    where it rose."""
+    largest change on one key with that key (the first in key order on a
+    tie), and the number of keys where it fell and where it rose."""
     groups = defaultdict(list)
     for k in ran:
         if QUALITY in parent[k] and QUALITY in change[k]:
             workload, _, _, row = k.split("/")
-            groups[workload, row].append((parent[k][QUALITY], change[k][QUALITY]))
+            groups[workload, row].append((k, parent[k][QUALITY], change[k][QUALITY]))
     lines = []
-    for (workload, row), pairs in sorted(groups.items()):
+    for (workload, row), runs in sorted(groups.items()):
         parts = []
-        for metric in sorted(pairs[0][0]):
-            deltas = [c[metric] - p[metric] for p, c in pairs]
-            worse = sum(d < 0 for d in deltas)
-            better = sum(d > 0 for d in deltas)
-            parts.append(f"{metric} {sum(deltas) / len(deltas):+.6f} "
-                         f"(min {min(deltas):+.6f}, max {max(deltas):+.6f}; "
+        for metric in sorted(runs[0][1]):
+            deltas = [(c[metric] - p[metric], k) for k, p, c in runs]
+            (lo, lo_key), (hi, hi_key) = (f(deltas, key=lambda dk: dk[0]) for f in (min, max))
+            worse = sum(d < 0 for d, _ in deltas)
+            better = sum(d > 0 for d, _ in deltas)
+            parts.append(f"{metric} {sum(d for d, _ in deltas) / len(deltas):+.6f} "
+                         f"(min {lo:+.6f} at {lo_key}, max {hi:+.6f} at {hi_key}; "
                          f"{worse} worse, {better} better)")
-        lines.append(f"quality {workload} row {row}, {len(pairs)} keys: " + "; ".join(parts))
+        lines.append(f"quality {workload} row {row}, {len(runs)} keys: " + "; ".join(parts))
     return lines
 
 
