@@ -72,9 +72,12 @@ def box_mean(data: np.ndarray, size: int) -> np.ndarray:
 def log_ratio_di(i1: Raster, i2: Raster) -> Raster:
     """Absolute log-ratio of two intensity images, min-max rescaled to [0, 1].
 
-    The per-pixel map ``|ln((i2 + eps) / (i1 + eps))|`` is symmetric in its
-    arguments and insensitive to the multiplicative speckle level shared by
-    both acquisitions.  Rescaling pins the output to [0, 1] so downstream
+    The per-pixel map ``ln((max(i1, i2) + eps) / (min(i1, i2) + eps))``, the
+    absolute log-ratio, is insensitive to the multiplicative speckle level
+    shared by both acquisitions.  Dividing the larger intensity by the
+    smaller makes it symmetric in its arguments bit for bit, which
+    ``|ln((i2 + eps) / (i1 + eps))|`` is not: the two quotients round
+    apart.  Rescaling pins the output to [0, 1] so downstream
     thresholds behave consistently across scenes; a constant pre-rescale
     map (the degenerate no-change case) maps to all zeros.
     """
@@ -88,7 +91,7 @@ def log_ratio_di(i1: Raster, i2: Raster) -> Raster:
     b = i2.band(0)
     if (a < 0).any() or (b < 0).any():
         raise ParameterError("intensity images must be non-negative")
-    d = np.abs(np.log((b + LOG_RATIO_EPS) / (a + LOG_RATIO_EPS)))
+    d = np.log((np.maximum(a, b) + LOG_RATIO_EPS) / (np.minimum(a, b) + LOG_RATIO_EPS))
     lo, hi = d.min(), d.max()
     if hi - lo < 1e-300:
         return Raster.from_array(np.zeros_like(d))
