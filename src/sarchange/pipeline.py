@@ -24,8 +24,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from .config import PipelineConfig
 from .difference import box_mean, log_ratio_di, zscore_channels
-from .errors import ParameterError, PipelineStageError, ShapeError
-from .labels import CHANGED, UNCHANGED, LabelField
+from .errors import DegenerateTrainingError, ParameterError, PipelineStageError, ShapeError
+from .labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from .patch_features import check_shape, stack_features
 from .preclassify import preclassify_di, sample_training
 from .propagation import clean_labels
@@ -87,6 +87,15 @@ def _load(cfg: PipelineConfig) -> tuple[Raster, Raster, LabelField | None]:
     )
 
 
+def _sample(pseudo: LabelField, ratio: float, seed: int) -> LabelField:
+    """The training subset of ``pseudo``, which must keep a pixel to train on."""
+    training = sample_training(pseudo, ratio, seed)
+    if (training.labels == UNLABELED).all():
+        raise DegenerateTrainingError(
+            f"sample_ratio {ratio} keeps none of the {pseudo.labels.size} pixels")
+    return training
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Execute the full pipeline and write its artifacts to ``cfg.out_dir``.
 
@@ -108,7 +117,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         derive_seed(cfg.seed, STAGE_PRECLASSIFY),
     )
     training = timer.run(
-        "sample", sample_training, pseudo, cfg.sample_ratio,
+        "sample", _sample, pseudo, cfg.sample_ratio,
         derive_seed(cfg.seed, STAGE_SAMPLE),
     )
     if cfg.clean:

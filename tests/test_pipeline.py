@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.stats import rankdata
 
@@ -16,7 +19,13 @@ from sarchange import cli, pipeline
 from sarchange.cli import main
 from sarchange.config import _FIELD_RULES
 from sarchange.difference import log_ratio_di, zscore_channels
-from sarchange.errors import ParameterError, PipelineStageError, ShapeError
+from sarchange.errors import (
+    ChangeDetectionError,
+    DegenerateTrainingError,
+    ParameterError,
+    PipelineStageError,
+    ShapeError,
+)
 from sarchange.labels import CHANGED, UNCHANGED, UNLABELED, LabelField
 from sarchange.patch_features import (
     _TILE_PIXELS,
@@ -421,6 +430,86 @@ def test_a_flat_pair_gives_an_all_unchanged_map(tmp_path, row, levels):
     result = run_pipeline(cfg)
     assert (result.change.labels == UNCHANGED).all()
     assert (load_raster(result.change_map_path).band(0) == 0.0).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 4)])
+def test_a_pair_too_small_to_sample_fails_at_sample(tmp_path, monkeypatch, shape):
+    # sample_ratio 0.12 of at most 4 pixels rounds to no training label.
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a stage after sample ran without training labels")
+
+    monkeypatch.setattr(pipeline, "clean_labels", not_reached)
+    monkeypatch.setattr(pipeline, "train_svm", not_reached)
+    rng = np.random.default_rng(2)
+    paths = [tmp_path / "t1.f32", tmp_path / "t2.f32"]
+    for path in paths:
+        save_raster(Raster.from_array(rng.gamma(4.0, 0.25, size=shape)), path)
+    cfg = PipelineConfig(t1=paths[0], t2=paths[1], out_dir=tmp_path / "o", **ABLATION_ROWS["4"])
+    with pytest.raises(PipelineStageError, match="keeps none of the") as exc_info:
+        run_pipeline(cfg)
+    assert exc_info.value.stage == "sample"
+    assert isinstance(exc_info.value.cause, DegenerateTrainingError)
+
+
+@st.composite
+def degenerate_pairs(draw):
+    """An acquisition pair and a reference of one shape: tiny, a strip 1-2
+    pixels wide, or up to 40x40; gamma speckle, constant, unchanged, every
+    pixel changed 16-fold, or holding zeros."""
+    kind = draw(st.sampled_from(["tiny", "strip", "constant", "no-change",
+                                 "all-changed", "zeros"]))
+    if kind == "tiny":
+        h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    elif kind == "strip":
+        h, w = draw(st.permutations([draw(st.integers(1, 2)), draw(st.integers(2, 80))]))
+    else:
+        h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t1, t2 = rng.gamma(4.0, 0.25, size=(2, h, w))
+    truth = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    if kind == "constant":
+        levels = st.sampled_from([0.0, 0.5, 2.0])
+        t1, t2 = np.full((h, w), draw(levels)), np.full((h, w), draw(levels))
+    elif kind == "no-change":
+        t2 = t1.copy()
+    elif kind == "all-changed":
+        t2 = 16.0 * t1
+    elif kind == "zeros":
+        for image in (t1, t2) if draw(st.booleans()) else (t1,):
+            image[rng.random((h, w)) < draw(st.sampled_from([0.1, 0.5, 1.0]))] = 0.0
+    return t1, t2, truth
+
+
+@given(degenerate_pairs())
+def test_a_degenerate_pair_gives_artifacts_or_a_typed_error_before_clean(pair):
+    # Every ablation row either writes its artifacts or raises a typed
+    # error, from its own rules, before the first stage from clean on starts.
+    early = {"load", "difference", "preclassify", "sample"}
+    started = []
+    run_stage = pipeline._StageTimer.run
+
+    def recording_run(self, stage, fn, *args, **kwargs):
+        started.append(stage)
+        return run_stage(self, stage, fn, *args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline._StageTimer, "run", recording_run)
+        paths = [Path(tmp) / name for name in ("t1.f32", "t2.f32", "gt.pgm")]
+        for array, path in zip(pair, paths):
+            save_raster(Raster.from_array(array.astype(np.float64)), path)
+        for row in sorted(ABLATION_ROWS):
+            started.clear()
+            out = Path(tmp) / f"row{row}"
+            cfg = PipelineConfig(t1=paths[0], t2=paths[1], gt=paths[2], out_dir=out, seed=1,
+                                 **ABLATION_ROWS[row])
+            try:
+                run_pipeline(cfg)
+            except ChangeDetectionError as exc:
+                assert isinstance(getattr(exc, "cause", exc), ChangeDetectionError), exc
+                assert set(started) <= early, (row, started, exc)
+                continue
+            names = ("change_map.pgm", "scores.f32", "timing.json", "metrics.json", "roc.csv")
+            assert all((out / name).is_file() for name in names), row
 
 
 def test_config_overrides_rejects_unknown_fields():
