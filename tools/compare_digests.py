@@ -70,7 +70,8 @@ def quality_deltas(parent: dict, change: dict, ran: list[str]) -> list[str]:
         parts = []
         for metric in sorted(runs[0][1]):
             deltas = [(c[metric] - p[metric], k) for k, p, c in runs]
-            (lo, lo_key), (hi, hi_key) = (f(deltas, key=lambda dk: dk[0]) for f in (min, max))
+            lo, lo_key = min(deltas, key=lambda dk: dk[0])
+            hi, hi_key = max(deltas, key=lambda dk: dk[0])
             worse = sum(d < 0 for d, _ in deltas)
             better = sum(d > 0 for d, _ in deltas)
             parts.append(f"{metric} {sum(d for d, _ in deltas) / len(deltas):+.6f} "
