@@ -83,12 +83,18 @@ def build_transition(values: np.ndarray) -> np.ndarray:
     return w
 
 
-def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.ndarray:
+def propagate(
+    img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Exact fixpoint of anchored propagation, per region.
 
     ``y0`` is a ``(pixels, k)`` matrix of anchor scores over the flat
-    pixels of ``img``; any number of columns propagate independently in
-    one solve.  Each region r of ``rm`` returns
+    pixels of ``img``, of any real dtype (solved in float64); any number
+    of columns propagate independently in one solve.  With ``rows``,
+    distinct flat pixel indices, ``y0`` is ``(len(rows), k)`` instead:
+    the anchor scores of those pixels, every other pixel scoring 0, and
+    the fixpoint comes back at ``rows`` only, with the bits of the dense
+    form's rows ``rows``.  Each region r of ``rm`` returns
     ``(1 - alpha) (I - alpha T_r)^-1 y0[r]``, the limit of the iteration
     in the module docstring, with ``T_r`` from :func:`build_transition`.
     Regions of one pixel count are solved together, in chunks of at most
@@ -96,29 +102,42 @@ def propagate(img: Raster, rm: RegionMap, y0: np.ndarray, alpha: float) -> np.nd
     stacked build and one stacked solve per chunk, each chunk's blocks
     turned into ``I - alpha T`` in place and dropped before the next
     chunk's are built.  Every region gets the bits of a solve on its own.
-    A region whose rows of ``y0`` are all zero gets exact zeros, its
+    A region whose anchor scores are all zero gets exact zeros, its
     fixpoint, and no block is built for it.
     """
     if (img.height, img.width) != (rm.height, rm.width):
         raise ShapeError("image and region map dimensions disagree")
     check("alpha", alpha)
-    y0 = np.asarray(y0, dtype=np.float64)
-    if y0.ndim != 2 or y0.shape[0] != img.height * img.width:
+    n_pixels = img.height * img.width
+    rows = np.arange(n_pixels) if rows is None else np.asarray(rows)
+    y0 = np.asarray(y0)
+    if rows.ndim != 1 or y0.ndim != 2 or y0.shape[0] != rows.size:
         raise ShapeError(
-            f"anchor scores must have shape ({img.height * img.width}, k), "
-            f"got {y0.shape}"
+            f"anchor scores must have shape ({rows.size}, k) for {rows.size} rows, got {y0.shape}"
         )
+    if rows.dtype.kind not in "iu" or rows.size and (rows.min() < 0 or rows.max() >= n_pixels):
+        raise ParameterError(f"rows must be flat pixel indices in [0, {n_pixels})")
+    # at[p] is pixel p's row of y0, or the zero row appended to y0 below.
+    at = np.full(n_pixels, rows.size, dtype=np.int32)
+    positions = np.arange(rows.size, dtype=np.int32)
+    at[rows] = positions
+    if not np.array_equal(at[rows], positions):
+        raise ParameterError("rows must be distinct")
+    region = rm.region_id.ravel()
+    anchored = np.zeros(rm.region_count, dtype=bool)
+    anchored[region[rows[(y0 != 0.0).any(axis=1)]]] = True
     values = img.data.reshape(-1, img.channels)
-    anchored = (y0 != 0.0).any(axis=1)
+    y0 = np.concatenate([y0, np.zeros((1, y0.shape[1]))], dtype=np.float64)
     out = np.zeros_like(y0)
     for group in rm.size_groups():
-        group = group[anchored[group].any(axis=1)]
+        group = group[anchored[region[group[:, 0]]]]
         n = group.shape[1]
         step = max(1, min(_CHUNK_REGIONS, _CHUNK_ENTRIES // (n * n)))
         for first in range(0, group.shape[0], step):
             idx = group[first : first + step]
-            out[idx] = _solve(build_transition(values[idx]), (1.0 - alpha) * y0[idx], alpha)
-    return out
+            pos = at[idx]
+            out[pos] = _solve(build_transition(values[idx]), (1.0 - alpha) * y0[pos], alpha)
+    return out[:-1]
 
 
 def _solve(t: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
@@ -153,6 +172,10 @@ def clean_labels(
     so a ``pseudo`` of one class keeps the last draw).  Reads ``alpha``,
     ``n_regions``, ``rounds``, ``labeled_fraction`` and ``compactness``
     from ``cfg``.
+
+    The anchors live in one ``(labeled, rounds)`` int8 array, which
+    :func:`propagate` takes with ``rows`` set to the labeled pixels and
+    answers at those rows, so no ``(pixels, rounds)`` array is made.
     """
     flat_labels = pseudo.labels.ravel()
     labeled_idx = np.flatnonzero(flat_labels != UNLABELED)
@@ -167,8 +190,9 @@ def clean_labels(
     mixed = ((n_changed > 0) & (n_changed < n_labeled))[labeled_region]
 
     n_keep = max(1, int(np.floor(cfg.labeled_fraction * labeled_idx.size + 0.5)))
-    # Column rnd holds round rnd's signed anchors: +1 CHANGED, -1 UNCHANGED.
-    y0 = np.zeros((flat_labels.size, cfg.rounds))
+    # Column rnd holds round rnd's signed anchors on the labeled pixels:
+    # +1 CHANGED, -1 UNCHANGED, as int8: propagate solves a float64 copy.
+    y0 = np.zeros((labeled_idx.size, cfg.rounds), dtype=np.int8)
     for rnd in range(cfg.rounds):
         rng = np.random.default_rng(derive_seed(seed, 1 + rnd))
         for _ in range(11):  # after the retries, proceed with the last draw
@@ -176,13 +200,12 @@ def clean_labels(
             kept_labels = flat_labels[labeled_idx[keep]]
             if (kept_labels == CHANGED).any() and (kept_labels == UNCHANGED).any():
                 break
-        y0[labeled_idx[keep], rnd] = np.where(kept_labels == CHANGED, 1.0, -1.0)
+        y0[keep, rnd] = np.where(kept_labels == CHANGED, 1, -1)
     # A one-class region's anchor sum in a round has its class's sign, or is 0.
-    # Anchors lie on labeled pixels only, so only their rows are summed.
     signs = np.sign(np.stack([np.bincount(labeled_region, weights=col, minlength=rm.region_count)
-                              for col in y0[labeled_idx].T], axis=1))
-    y0[labeled_idx[~mixed]] = 0.0
-    y = np.where(mixed[:, np.newaxis], propagate(img, rm, y0, cfg.alpha)[labeled_idx],
+                              for col in y0.T], axis=1))
+    y0[~mixed] = 0
+    y = np.where(mixed[:, np.newaxis], propagate(img, rm, y0, cfg.alpha, labeled_idx),
                  signs[labeled_region])
     changed_votes = np.count_nonzero(y > 0.0, axis=1)
 

@@ -132,9 +132,10 @@ def scene_points(seed):
     return (pts - pts.mean(axis=0)) / np.where(spread > 1e-12, spread, 1.0)
 
 
-def assign_step(pts, ids):
-    """One Lloyd assignment from the centroids of ``ids``, ties to cluster 0."""
-    c0, c1 = pts[ids == 0].mean(axis=0), pts[ids == 1].mean(axis=0)
+def assign_step(pts, ids, centroids=None):
+    """One Lloyd assignment from ``centroids`` or else the centroids of
+    ``ids``, ties to cluster 0."""
+    c0, c1 = centroids or (pts[ids == 0].mean(axis=0), pts[ids == 1].mean(axis=0))
     d0 = (pts[:, 0] - c0[0]) ** 2 + (pts[:, 1] - c0[1]) ** 2
     d1 = (pts[:, 0] - c1[0]) ** 2 + (pts[:, 1] - c1[1]) ** 2
     return (d1 < d0).astype(np.int64)
@@ -263,13 +264,18 @@ def outcome(cluster, pts, seed):
 # so every point ties into cluster 0 and cluster 1 empties.
 @example(np.array([[0.0, 0.0], [0.0, 1e-300], [0.0, 1.0]]), 1)
 def test_kmeans_matches_general_k_reference_on_drawn_points(pts, seed):
+    assert outcome(kmeans_cluster, pts, seed) == reference_outcome(pts, seed)
+
+
+def reference_outcome(pts, seed):
+    """What kmeans_cluster should return for ``pts``, by the general-k reference."""
     reseeds = []
     expected = outcome(
         lambda p, s: reference_kmeans(p, 2, seed=s, max_iter=10**6, reseeds=reseeds), pts, seed
     )
     if reseeds:  # an underflowed distance emptied a cluster, which is one cluster here
         expected = [0] * len(pts)
-    assert outcome(kmeans_cluster, pts, seed) == expected
+    return expected
 
 
 def _same_bits(got, expected):
@@ -278,25 +284,135 @@ def _same_bits(got, expected):
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-@given(st.lists(st.tuples(_lloyd_coordinate, _lloyd_coordinate), min_size=1, max_size=60))
-@example([(-0.0, -0.0)])
-@example([(-0.0, 1.0), (-0.0, -1.0)])
-def test_mean_row_has_the_bits_of_the_row_mean(rows):
+def carried_mean(pts, members, block):
+    """The mean of ``pts[members]`` as kmeans_cluster takes it: each block's
+    members gathered, and their row sum carried by ``_add_rows``."""
+    z = pts.view(np.complex128).ravel()
+    total = None
+    for start in range(0, len(z), block):
+        total = preclassify._add_rows(total, z[start : start + block][members[start : start + block]])
+    return preclassify._mean(total, int(np.count_nonzero(members)))
+
+
+@given(st.lists(st.tuples(_lloyd_coordinate, _lloyd_coordinate), min_size=1, max_size=60),
+       st.integers(1, 61))
+@example([(-0.0, -0.0)], 1)
+@example([(-0.0, 1.0), (-0.0, -1.0)], 1)
+@example([(-5e-324, 0.0), (0.0, -0.0), (-0.0, -0.0)], 2)  # means of -0.0 and +0.0
+def test_carried_row_sums_have_the_bits_of_the_row_mean(rows, block):
     pts = np.array(rows, dtype=np.float64)
     every = np.ones(len(pts), dtype=bool)
-    _same_bits(preclassify._mean_row(pts.view(np.complex128).ravel(), every), pts.mean(axis=0))
+    _same_bits(carried_mean(pts, every, block), pts.mean(axis=0))
 
 
+@pytest.mark.parametrize("block", [97, preclassify._LLOYD_BLOCK])
 @pytest.mark.parametrize("n", [1000, 65536])
-def test_mean_row_has_the_bits_of_the_masked_row_mean_on_many_rows(n):
+def test_carried_row_sums_have_the_bits_of_the_masked_row_mean_on_many_rows(n, block):
     # numpy's pairwise sum of a contiguous column rounds differently here.
     pts = np.random.default_rng(n).normal(size=(n, 2)) * np.array([1.0, 1e6])
     mask = np.random.default_rng(n + 1).random(n) < 0.7
     before = pts.copy()
     for members in (mask, ~mask):
-        _same_bits(preclassify._mean_row(pts.view(np.complex128).ravel(), members),
-                   pts[members].mean(axis=0))
-    np.testing.assert_array_equal(pts, before)  # the sums run in a copy
+        _same_bits(carried_mean(pts, members, block), pts[members].mean(axis=0))
+    np.testing.assert_array_equal(pts, before)  # the sums run in copies
+
+
+def seam_points(shift, zeros):
+    """Points over 3 blocks of ``_LLOYD_BLOCK`` and a ragged tail: two
+    clusters ``shift`` apart, interleaved so that every block holds both.
+    With ``zeros`` the second coordinate is +0.0 or -0.0 in the shifted
+    cluster, whose centroid then has +0.0 there, and +0.0, -0.0 or
+    -5e-324 in the other, whose centroid then has -0.0."""
+    n = 3 * preclassify._LLOYD_BLOCK + 1234
+    rng = np.random.default_rng(n)
+    shifted = rng.random(n) < 0.4
+    pts = rng.normal(size=(n, 2)) + np.where(shifted, shift, 0.0)[:, np.newaxis]
+    if zeros:
+        pts[:, 1] = np.where(shifted, rng.choice([0.0, -0.0], size=n),
+                             rng.choice([0.0, -0.0, -5e-324], size=n))
+    return pts
+
+
+def lloyd_centroids(pts, seed):
+    """The centroids (c0, c1) after each step of whole-array Lloyd steps from
+    kmeans_cluster's initial centroids, until an assignment repeats."""
+    distinct = preclassify._distinct_rows(pts)
+    c0, c1 = distinct[np.random.default_rng(seed).choice(len(distinct), size=2, replace=False)]
+    steps, ids = [], None
+    while True:
+        new_ids = assign_step(pts, None, (c0, c1)).astype(bool)
+        if ids is not None and np.array_equal(new_ids, ids):
+            return steps
+        ids = new_ids
+        c0, c1 = pts[~ids].mean(axis=0), pts[ids].mean(axis=0)
+        steps += [c0, c1]
+
+
+@pytest.mark.parametrize("shift, zeros", [(3.0, False), (12.0, True)])
+def test_kmeans_blocks_keep_the_labels_and_centroid_bits(monkeypatch, shift, zeros):
+    pts = seam_points(shift, zeros)
+    means = []
+    mean = preclassify._mean
+    monkeypatch.setattr(preclassify, "_mean",
+                        lambda total, count: means.append(mean(total, count)) or means[-1])
+    ids = kmeans_cluster(pts, seed=1)
+    for lo in range(0, len(pts), preclassify._LLOYD_BLOCK):
+        assert set(ids[lo : lo + preclassify._LLOYD_BLOCK]) == {0, 1}  # both in every block
+    expected = lloyd_centroids(pts, seed=1)
+    assert len(means) == len(expected) >= 4
+    for got, want in zip(means, expected):
+        _same_bits(got, want)
+    if zeros:
+        assert {np.signbit(c[1]) for c in means} == {True, False}
+    np.testing.assert_array_equal(ids, reference_kmeans(pts, 2, seed=1, max_iter=10**6))
+
+
+@given(lloyd_point_sets(), st.integers(0, 3), st.integers(1, 8))
+@example(np.array([[0.0, 0.0], [0.0, 1e-300], [0.0, 1.0]]), 1, 1)  # a cluster empties
+def test_kmeans_outcome_does_not_depend_on_the_block_length(pts, seed, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preclassify, "_LLOYD_BLOCK", block)
+        blocked = outcome(kmeans_cluster, pts, seed)
+    assert blocked == outcome(kmeans_cluster, pts, seed)
+
+
+def test_step_cap_error_above_the_block_length_keeps_its_text(monkeypatch):
+    pts = np.concatenate([scene_points(0), scene_points(1)[:5000]])
+    assert len(pts) > preclassify._LLOYD_BLOCK
+    monkeypatch.setattr(preclassify, "MAX_LLOYD_STEPS", 2)
+    with pytest.raises(ConvergenceError) as info:
+        kmeans_cluster(pts, seed=0)
+    assert str(info.value) == "k-means reached no fixpoint within 2 steps"
+
+
+@st.composite
+def first_column_point_sets(draw):
+    """Points whose first coordinates tie or not (+0.0 and -0.0 tie), with
+    repeated rows or not, on both sides of a block length of 16."""
+    tied = draw(st.booleans())
+    firsts = draw(st.lists(_lloyd_coordinate, min_size=1, max_size=40, unique=not tied))
+    pts = np.array([(x, draw(_lloyd_coordinate)) for x in firsts], dtype=np.float64)
+    if tied:
+        pts = pts[draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=40))]
+    return pts
+
+
+@given(first_column_point_sets(), st.integers(0, 3))
+@example(np.array([[0.0, 1.0], [-0.0, 2.0], [1.0, 0.0]]), 0)  # a tie of +0.0 and -0.0
+@example(np.array([[2.0, -0.0], [1.0, 0.0], [-0.0, 5.0]]), 2)
+def test_initial_centroids_are_the_drawn_distinct_rows(pts, seed):
+    distinct = preclassify._distinct_rows(pts)
+    got = preclassify._initial_centroids(pts, seed)
+    if len(distinct) < 2:
+        assert got is None
+    else:
+        chosen = np.random.default_rng(seed).choice(len(distinct), size=2, replace=False)
+        assert got.tobytes() == distinct[chosen].tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preclassify, "_LLOYD_BLOCK", 16)
+        got_ids = outcome(kmeans_cluster, pts, seed)
+    assume(len(distinct) >= 2)  # the reference warns on fewer
+    assert got_ids == reference_outcome(pts, seed)
 
 
 def test_kmeans_returns_a_lloyd_fixpoint():

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -504,10 +505,67 @@ def test_propagate_matches_reference_where_a_size_group_spans_several_chunks(mon
     assert chunks == 3 * expected
 
 
+@st.composite
+def rows_problems(draw):
+    """An image, a region map with singleton and identical-pixel regions,
+    distinct rows in any order, and anchors on those rows in some rounds
+    only, zero on every other pixel."""
+    h, w, channels = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = h * w
+    region = rng.integers(0, draw(st.integers(1, n)), size=n)
+    region[rng.integers(n)] = region.max() + 1  # a singleton, unless it was one already
+    region = np.unique(region, return_inverse=True)[1].astype(np.int32)
+    values = rng.random((n, channels))
+    values[region == region[0]] = values[0]  # a region of identical pixels
+    rows = rng.permutation(n)[: draw(st.integers(0, n))]
+    y0 = np.zeros((n, draw(st.integers(1, 4))))
+    live = rng.random(y0.shape[1]) < 0.6  # the rounds that hold anchors at all
+    y0[np.ix_(rows, live)] = rng.choice([-1.0, 0.0, 1.0], size=(rows.size, live.sum()))
+    rm = RegionMap(region_id=region.reshape(h, w), region_count=int(region.max()) + 1)
+    return Raster(values.reshape(h, w, channels)), rm, y0, rows
+
+
+@given(rows_problems(), st.sampled_from([0.3, 0.7, 0.9]))
+def test_propagate_at_rows_has_the_bits_of_the_dense_rows(problem, alpha):
+    img, rm, y0, rows = problem
+    dense = propagate(img, rm, y0, alpha)
+    at_rows = propagate(img, rm, y0[rows], alpha, rows)
+    assert at_rows.shape == (rows.size, y0.shape[1])
+    assert at_rows.tobytes() == dense[rows].tobytes()
+    # clean_labels hands its anchors over as int8.
+    as_int8 = propagate(img, rm, y0[rows].astype(np.int8), alpha, rows)
+    assert as_int8.tobytes() == at_rows.tobytes()
+
+
+def test_propagate_rejects_rows_that_are_not_distinct_pixels():
+    img, rm = single_region([0.1, 0.9, 0.4])
+    for bad in (np.array([0, 3]), np.array([-1, 2]), np.array([1, 1]), np.array([0.0, 1.0])):
+        with pytest.raises(ParameterError, match="rows"):
+            propagate(img, rm, np.ones((2, 1)), 0.7, bad)
+    for bad in (np.zeros((3, 1)), np.zeros(2)):
+        with pytest.raises(ShapeError):
+            propagate(img, rm, bad, 0.7, np.array([0, 2]))
+
+
+def test_clean_labels_holds_no_pixels_by_rounds_array():
+    img, training = pipeline_clean_input(1, 4.0, size=256)
+    cfg = PipelineConfig()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        clean_labels(img, training, cfg, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    # About 0.92 of one at 256x256; the dense anchor matrix took about 2.5.
+    assert peak < training.labels.size * cfg.rounds * 8
+
+
 def test_clean_labels_tie_goes_to_unchanged(monkeypatch):
     # Rows 0-1 of the image score positive in 2 of 4 rounds, rows 2-3 in 3 of 4.
     positive = np.repeat([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, 1.0]], 8, axis=0)
-    monkeypatch.setattr(propagation, "propagate", lambda img, rm, y0, alpha: positive)
+    monkeypatch.setattr(propagation, "propagate", lambda img, rm, y0, alpha, rows: positive[rows])
     labels = np.tile(np.array([CHANGED, UNCHANGED], dtype=np.int8), (4, 2))
     cfg = PipelineConfig(rounds=4, n_regions=2)
     cleaned = clean_labels(Raster.from_array(np.arange(16.0).reshape(4, 4)),
@@ -589,10 +647,11 @@ def test_clean_labels_requires_a_labeled_pixel():
 
 
 
-def pipeline_clean_input(seed, looks):
+def pipeline_clean_input(seed, looks, size=128):
     """The smoothed difference image and sampled pseudo-labels that the
-    pipeline hands to ``clean_labels`` on a ``default_scene`` at ``looks``."""
-    spec = dataclasses.replace(sc.default_scene(seed=seed), looks=looks)
+    pipeline hands to ``clean_labels`` on a ``default_scene`` at ``looks``,
+    of ``size`` pixels a side."""
+    spec = dataclasses.replace(sc.default_scene(seed=seed), looks=looks, width=size, height=size)
     i1, i2, _ = sc.gen_pair(spec)
     di = sc.log_ratio_di(i1, i2)
     training = sample_training(sc.preclassify_di(di, 7, seed=seed), 0.12, seed=seed + 1)
@@ -626,7 +685,7 @@ def test_signed_vote_matches_reference_with_one_class_and_anchorless_regions(mon
                         lambda *args: scores.append(propagate(*args)) or scores[-1])
     cleaned = clean_labels(img, pseudo, cfg, seed=3)
     (y,) = scores
-    zero_rounds = np.count_nonzero(y[labels.ravel() != UNLABELED] == 0.0, axis=1)
+    zero_rounds = np.count_nonzero(y == 0.0, axis=1)  # y holds the labelled rows only
     assert (2 * zero_rounds >= cfg.rounds).any()  # some pixel's region lacks an anchor that often
     assert not y.any()  # every region holds one class, so none is solved
     monkeypatch.undo()
@@ -643,8 +702,8 @@ def test_signed_vote_matches_reference_where_regions_miss_anchors(monkeypatch):
     cleaned = clean_labels(img, training, cfg, seed=4)
     labeled = training.labels.ravel() != UNLABELED
     (y,) = scores
-    assert y.shape == (training.labels.size, cfg.rounds)
-    assert (y[labeled] == 0.0).any()  # a labelled pixel's region had no anchor in a round
+    assert y.shape == (np.count_nonzero(labeled), cfg.rounds)  # the labelled rows only
+    assert (y == 0.0).any()  # a labelled pixel's region had no anchor in a round
     monkeypatch.undo()
     expected = reference_clean_labels(img, training, cfg, seed=4)
     assert cleaned.labels.tobytes() == expected.labels.tobytes()
