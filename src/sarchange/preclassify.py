@@ -34,28 +34,6 @@ def _distinct_rows(pts: np.ndarray) -> np.ndarray:
     return keys.view(np.float64).reshape(-1, 2)
 
 
-def _initial_centroids(pts: np.ndarray, seed: int) -> np.ndarray | None:
-    """``_distinct_rows(pts)[chosen]`` for two distinct row indices drawn
-    with ``seed``, or None when ``pts`` has fewer than 2 distinct rows.
-
-    When a float sort of the first column finds no ties (0.0 and -0.0
-    tie), the rows are distinct and that is their lexicographic order, so
-    each drawn row is the one row holding its sorted first coordinate;
-    only ties need the complex sort of :func:`_distinct_rows`.
-    """
-    first = np.sort(pts[:, 0])
-    if (first[1:] == first[:-1]).any():
-        del first  # before the complex sort allocates
-        distinct = _distinct_rows(pts)
-        if distinct.shape[0] < 2:
-            return None
-        return distinct[np.random.default_rng(seed).choice(distinct.shape[0], size=2, replace=False)]
-    if first.size < 2:
-        return None
-    chosen = first[np.random.default_rng(seed).choice(first.size, size=2, replace=False)]
-    return np.stack([pts[np.argmax(pts[:, 0] == c)] for c in chosen])
-
-
 def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
     """The running sum ``total`` (None before the first row) carried through
     the complex ``rows``, overwritten with their prefix sums: the running
@@ -100,10 +78,11 @@ def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
         raise ParameterError("points must be a non-empty (n, 2) array")
     if not np.isfinite(pts).all():
         raise ParameterError("points must be finite")
-    centroids = _initial_centroids(pts, seed)
-    if centroids is None:
+    distinct = _distinct_rows(pts)
+    if distinct.shape[0] < 2:
         return np.zeros(pts.shape[0], dtype=np.int64)
-    c0, c1 = centroids
+    chosen = np.random.default_rng(seed).choice(distinct.shape[0], size=2, replace=False)
+    c0, c1 = distinct[chosen]
 
     # Each distinct seed lands in its own cluster, and afterwards each centroid
     # is the mean of its members, which cannot all be nearer the other centroid

@@ -385,36 +385,6 @@ def test_step_cap_error_above_the_block_length_keeps_its_text(monkeypatch):
     assert str(info.value) == "k-means reached no fixpoint within 2 steps"
 
 
-@st.composite
-def first_column_point_sets(draw):
-    """Points whose first coordinates tie or not (+0.0 and -0.0 tie), with
-    repeated rows or not, on both sides of a block length of 16."""
-    tied = draw(st.booleans())
-    firsts = draw(st.lists(_lloyd_coordinate, min_size=1, max_size=40, unique=not tied))
-    pts = np.array([(x, draw(_lloyd_coordinate)) for x in firsts], dtype=np.float64)
-    if tied:
-        pts = pts[draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=40))]
-    return pts
-
-
-@given(first_column_point_sets(), st.integers(0, 3))
-@example(np.array([[0.0, 1.0], [-0.0, 2.0], [1.0, 0.0]]), 0)  # a tie of +0.0 and -0.0
-@example(np.array([[2.0, -0.0], [1.0, 0.0], [-0.0, 5.0]]), 2)
-def test_initial_centroids_are_the_drawn_distinct_rows(pts, seed):
-    distinct = preclassify._distinct_rows(pts)
-    got = preclassify._initial_centroids(pts, seed)
-    if len(distinct) < 2:
-        assert got is None
-    else:
-        chosen = np.random.default_rng(seed).choice(len(distinct), size=2, replace=False)
-        assert got.tobytes() == distinct[chosen].tobytes()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(preclassify, "_LLOYD_BLOCK", 16)
-        got_ids = outcome(kmeans_cluster, pts, seed)
-    assume(len(distinct) >= 2)  # the reference warns on fewer
-    assert got_ids == reference_outcome(pts, seed)
-
-
 def test_kmeans_returns_a_lloyd_fixpoint():
     # This clustering needs more than 100 steps; a 100-step cap left 3 labels off.
     pts = scene_points(76)
