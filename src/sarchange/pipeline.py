@@ -129,7 +129,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         ))
 
     def _features():
+        nonlocal i1, i2, di
         channels = Raster(np.stack([i1.band(0), i2.band(0), di.band(0)], axis=2))
+        del i1, i2, di  # their bands are in the stack, and nothing later reads them
         if cfg.conv:
             return stack_features(channels, cfg, derive_seed(cfg.seed, STAGE_FEATURES))
         return Raster(zscore_channels(channels.data))

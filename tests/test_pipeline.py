@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -299,6 +300,35 @@ def test_the_feature_raster_is_written_once(tmp_path, monkeypatch):
     bound = 8 * (n * (3 * depth + c) + n * c + 3 * n * 3 + _TILE_PIXELS * (c * k * k + m)) + 2**19
     assert peaks[0] < bound, (peaks[0], bound)
 
+
+
+@pytest.mark.parametrize("conv", [True, False])
+def test_the_features_stage_drops_the_inputs_once_stacked(tmp_path, monkeypatch, conv):
+    """t1, t2 and the difference image are freed before the stacked channels
+    are z-scored or convolved: their bands are in the stack, and no later
+    stage reads them."""
+    inputs, alive = [], []
+
+    def tracked(fn):
+        def call(*args):
+            result = fn(*args)
+            inputs.append(weakref.ref(result))
+            return result
+        return call
+
+    def checked(fn):
+        def call(*args):
+            alive.append([ref() is not None for ref in inputs])
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(pipeline, "load_raster", tracked(load_raster))
+    monkeypatch.setattr(pipeline, "log_ratio_di", tracked(log_ratio_di))
+    monkeypatch.setattr(pipeline, "stack_features", checked(stack_features))
+    monkeypatch.setattr(pipeline, "zscore_channels", checked(zscore_channels))
+    t1, t2, _ = write_scene(default_scene(seed=1), tmp_path / "scene")
+    run_pipeline(PipelineConfig(t1=t1, t2=t2, out_dir=tmp_path / "o", clean=False, conv=conv))
+    assert alive == [[False, False, False]]
 
 BAD_FIELD_VALUES = [
     ("alpha", 1.0), ("patch_size", 4), ("sample_ratio", 0), ("depth", 0), ("depth", True),
