@@ -15,6 +15,8 @@ MAX_LLOYD_STEPS = 1000  # the benchmark's scenes reach their fixpoint within 150
 # Points per block of a Lloyd step, so that its temporaries stay in cache; the
 # fastest of 1024-32768 at 256x256 and 1024x1024 on one core.
 _LLOYD_BLOCK = 16384
+# Pixels per chunk in which sample_training finds the pixels of its ranks.
+_SAMPLE_CHUNK = 65536
 
 
 def _round_half_up(x: float) -> int:
@@ -34,23 +36,43 @@ def _distinct_rows(pts: np.ndarray) -> np.ndarray:
     return keys.view(np.float64).reshape(-1, 2)
 
 
-def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
-    """The running sum ``total`` (None before the first row) carried through
-    the complex ``rows``, overwritten with their prefix sums: the running
-    sum of one ``cumsum`` over all rows so far, in the same additions."""
-    if rows.size == 0:
-        return total
-    if total is not None:
-        rows[:1] += total
-    return np.cumsum(rows, out=rows)[-1:]
+def _seed_rows(pts: np.ndarray, seed: int) -> np.ndarray | None:
+    """The two initial centroids: the rows at ``default_rng(seed).choice(m,
+    2, replace=False)`` of :func:`_distinct_rows`, m its row count, or None
+    when m < 2.
+
+    When no two first coordinates compare equal (0.0 and -0.0 do), every
+    row is distinct and a float sort of that column alone puts them in
+    order, far cheaper than the complex sort."""
+    first = np.sort(pts[:, 0])
+    distinct = None if (first[1:] != first[:-1]).all() else _distinct_rows(pts)
+    m = first.size if distinct is None else distinct.shape[0]
+    if m < 2:
+        return None
+    chosen = np.random.default_rng(seed).choice(m, size=2, replace=False)
+    if distinct is not None:
+        return distinct[chosen]
+    return np.stack([pts[np.argmax(pts[:, 0] == x)] for x in first[chosen]])
 
 
-def _mean(total: np.ndarray, count: int) -> np.ndarray:
-    """The ``(2,)`` mean of ``count`` points whose row sum :func:`_add_rows`
-    carried as ``total``, with the bits of ``pts[members].mean(axis=0)``:
-    cumsum adds in row order as the axis-0 reduce does, and ``+ 0.0`` is
-    that reduce's +0.0 start."""
-    return (total.view(np.float64) + 0.0) / count
+def _centroids(pts: np.ndarray, in1: np.ndarray, n1: int,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The means of the rows of ``pts`` outside and inside ``in1``, which
+    holds ``n1`` of them.  Each cluster's row sum adds one BLAS dot
+    product per block of ``w.size`` rows, whose 0/1 weights are written
+    into the scratch ``w``.  It is a matrix-vector product of the block's
+    rows, whose bits do not depend on the BLAS thread count as those of a
+    dot product of one column do."""
+    n = pts.shape[0]
+    total0, total1 = np.zeros(2), np.zeros(2)
+    for start in range(0, n, w.size):
+        rows = pts[start : start + w.size]
+        weights = w[: rows.shape[0]]
+        np.copyto(weights, in1[start : start + w.size])
+        total1 += rows.T @ weights
+        np.subtract(1.0, weights, out=weights)
+        total0 += rows.T @ weights
+    return total0 / (n - n1), total1 / n1
 
 
 def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -67,38 +89,39 @@ def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
     rises.
 
     Each step runs over blocks of ``_LLOYD_BLOCK`` points in preallocated
-    scratch: distances, assignment, the fixpoint test and each cluster's
-    row sum, carried from block to block by :func:`_add_rows`.  Each
-    point's least distance goes into one n-long buffer, summed once.  So
-    labels, centroids and objective have the bits of whole-array passes.
+    scratch: distances, assignment and the fixpoint test.  Each point's
+    least distance goes into one n-long buffer, summed once, so the
+    labels and objective of a step have the bits of whole-array passes
+    from its centroids.  The centroids are means whose row sums come
+    from :func:`_centroids`' BLAS dot products, which round differently
+    from a sequential sum: a label can differ from sequential-mean
+    Lloyd's only where a point's two squared distances tie within that
+    rounding.
     """
     check("seed", seed)
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ParameterError("points must be a non-empty (n, 2) array")
     if not np.isfinite(pts).all():
         raise ParameterError("points must be finite")
-    distinct = _distinct_rows(pts)
-    if distinct.shape[0] < 2:
+    seeds = _seed_rows(pts, seed)
+    if seeds is None:
         return np.zeros(pts.shape[0], dtype=np.int64)
-    chosen = np.random.default_rng(seed).choice(distinct.shape[0], size=2, replace=False)
-    c0, c1 = distinct[chosen]
+    c0, c1 = seeds
 
     # Each distinct seed lands in its own cluster, and afterwards each centroid
     # is the mean of its members, which cannot all be nearer the other centroid
     # without their mean being nearer too, unless squared distances underflow.
-    z = np.ascontiguousarray(pts).view(np.complex128).ravel()
-    n = z.size
-    p0, p1 = z.real.copy(), z.imag.copy()
+    n = pts.shape[0]
+    p0, p1 = pts[:, 0].copy(), pts[:, 1].copy()
     block = min(n, _LLOYD_BLOCK)
     d0, d1, sq = np.empty(block), np.empty(block), np.empty(block)
-    in0 = np.empty(block, dtype=bool)
     least = np.empty(n)
     in1, new_in1 = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     prev_objective = np.inf
     for step in range(MAX_LLOYD_STEPS):
         same = step > 0
-        n1, total0, total1 = 0, None, None
+        n1 = 0
         for start in range(0, n, block):
             stop = min(start + block, n)
             k = stop - start
@@ -109,8 +132,6 @@ def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
             np.minimum(d0[:k], d1[:k], out=least[start:stop])
             same = same and np.array_equal(mask, in1[start:stop])
             n1 += np.count_nonzero(mask)
-            total1 = _add_rows(total1, np.compress(mask, z[start:stop]))
-            total0 = _add_rows(total0, np.compress(np.logical_not(mask, out=in0[:k]), z[start:stop]))
         objective = float(least.sum())
         # Lloyd's steps never increase the within-cluster sum of squares.
         if objective > prev_objective * (1.0 + 1e-12) + 1e-12:
@@ -123,7 +144,7 @@ def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
         in1, new_in1 = new_in1, in1
         if n1 in (0, n):  # emptied by underflow: one cluster
             return np.zeros(n, dtype=np.int64)
-        c0, c1 = _mean(total0, n - n1), _mean(total1, n1)
+        c0, c1 = _centroids(pts, in1, n1, sq)
     raise ConvergenceError(f"k-means reached no fixpoint within {MAX_LLOYD_STEPS} steps")
 
 
@@ -174,21 +195,31 @@ def sample_training(lf: LabelField, ratio: float, seed: int = 0) -> LabelField:
     check("sample_ratio", ratio)
     check("seed", seed)
     flat = lf.labels.ravel()
-    changed_idx = np.flatnonzero(flat == CHANGED)
-    unchanged_idx = np.flatnonzero(flat == UNCHANGED)
-    n_total = _round_half_up(ratio * (changed_idx.size + unchanged_idx.size))
-    if changed_idx.size >= unchanged_idx.size:
-        n_un = _round_half_up(ratio * unchanged_idx.size)
+    n_changed = int(np.count_nonzero(flat == CHANGED))
+    n_unchanged = int(np.count_nonzero(flat == UNCHANGED))
+    n_total = _round_half_up(ratio * (n_changed + n_unchanged))
+    if n_changed >= n_unchanged:
+        n_un = _round_half_up(ratio * n_unchanged)
         n_ch = n_total - n_un
     else:
-        n_ch = _round_half_up(ratio * changed_idx.size)
+        n_ch = _round_half_up(ratio * n_changed)
         n_un = n_total - n_ch
 
+    # Ranks among a class's pixels in flat order, drawn as ``rng.choice`` of
+    # the class's index array would draw them, without that array.  They are
+    # drawn before ``out`` exists: the index range the draw builds inside is
+    # the peak.
     rng = np.random.default_rng(seed)
-    keep_ch = rng.choice(changed_idx, size=n_ch, replace=False) if n_ch else np.empty(0, int)
-    keep_un = rng.choice(unchanged_idx, size=n_un, replace=False) if n_un else np.empty(0, int)
-    keep = np.concatenate([keep_ch, keep_un])
-
+    kept = [(value, rng.choice(count, size=size, replace=False))
+            for value, count, size in ((CHANGED, n_changed, n_ch), (UNCHANGED, n_unchanged, n_un))
+            if size]
     out = np.full(flat.shape, UNLABELED, dtype=np.int8)
-    out[keep] = flat[keep]
+    for value, ranks in kept:
+        ranks.sort()
+        seen = 0  # pixels of the class before the chunk
+        for start in range(0, flat.size, _SAMPLE_CHUNK):
+            where = np.flatnonzero(flat[start : start + _SAMPLE_CHUNK] == value)
+            lo, hi = np.searchsorted(ranks, (seen, seen + where.size))
+            out[start + where[ranks[lo:hi] - seen]] = value
+            seen += where.size
     return LabelField(labels=out.reshape(lf.labels.shape))

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -122,9 +124,11 @@ def wcss(points, ids, k):
     return total
 
 
-def scene_points(seed):
-    """The standardised (value, 7x7 mean) points preclassify_di clusters."""
-    di = sc.log_ratio_di(*sc.gen_pair(sc.default_scene(seed=seed))[:2])
+def scene_points(seed, size=128, looks=4.0):
+    """The standardised (value, 7x7 mean) points preclassify_di clusters on
+    a ``default_scene`` at ``looks``, of ``size`` pixels a side."""
+    spec = dataclasses.replace(sc.default_scene(seed=seed), looks=looks, width=size, height=size)
+    di = sc.log_ratio_di(*sc.gen_pair(spec)[:2])
     band = di.band(0)
     local_mean = ndimage.uniform_filter(band, size=7, mode="reflect")
     pts = np.stack([band.ravel(), local_mean.ravel()], axis=1)
@@ -284,37 +288,85 @@ def _same_bits(got, expected):
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def carried_mean(pts, members, block):
-    """The mean of ``pts[members]`` as kmeans_cluster takes it: each block's
-    members gathered, and their row sum carried by ``_add_rows``."""
-    z = pts.view(np.complex128).ravel()
-    total = None
-    for start in range(0, len(z), block):
-        total = preclassify._add_rows(total, z[start : start + block][members[start : start + block]])
-    return preclassify._mean(total, int(np.count_nonzero(members)))
+_row = st.tuples(_lloyd_coordinate, _lloyd_coordinate)
 
 
-@given(st.lists(st.tuples(_lloyd_coordinate, _lloyd_coordinate), min_size=1, max_size=60),
+@given(st.one_of(st.lists(_row, min_size=1, max_size=40),  # mostly with first-coordinate ties
+                 # none before the repeats; 0.0 and -0.0 count as one value here too
+                 st.lists(_row, min_size=1, max_size=40, unique_by=lambda row: row[0])),
+       st.sampled_from([0, preclassify._LLOYD_BLOCK - 1, preclassify._LLOYD_BLOCK + 1]),
+       st.integers(0, 3))
+@example([(0.0, 1.0)], 0, 0)  # n = 1
+@example([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], 0, 0)  # one distinct row
+@example([(0.0, 1.0), (-0.0, 1.0)], 0, 0)  # one distinct row, up to the sign of zero
+@example([(0.0, 1.0), (-0.0, 2.0)], 0, 0)  # n = 2, tied by the sign of zero
+@example([(3.0, 1.0), (-0.0, 2.0)], 0, 0)  # n = 2, no tie
+@example([(3.0, 1.0), (-0.0, 2.0)], preclassify._LLOYD_BLOCK + 1, 0)
+def test_seed_rows_are_the_drawn_distinct_rows(rows, n_spread, repeats):
+    """``_seed_rows`` takes the rows at ``choice(m, 2)`` of ``_distinct_rows``
+    for every seed, bit for bit, whether or not the first coordinate ties.
+    ``n_spread`` rows with first coordinates apart from all drawn ones put
+    the point count on either side of ``_LLOYD_BLOCK``."""
+    spread = np.column_stack([2e6 + np.arange(n_spread), np.arange(n_spread) / 3.0])
+    pts = np.concatenate([np.array(rows * (repeats + 1), dtype=np.float64), spread])
+    np.random.default_rng(len(rows)).shuffle(pts)
+    distinct = preclassify._distinct_rows(pts)
+    for seed in range(8):
+        got = preclassify._seed_rows(pts, seed)
+        if len(distinct) < 2:
+            assert got is None
+            continue
+        chosen = np.random.default_rng(seed).choice(len(distinct), size=2, replace=False)
+        assert got.dtype == np.float64 and got.tobytes() == distinct[chosen].tobytes()
+
+
+def blocked_mean(pts, members, block):
+    """The mean of ``pts[members]`` as a sum of one dot product with 0/1
+    weights per block of ``block`` rows."""
+    total = np.zeros(2)
+    for start in range(0, len(pts), block):
+        total += pts[start : start + block].T @ members[start : start + block].astype(np.float64)
+    return total / np.count_nonzero(members)
+
+
+def near_row_mean(got, pts, members):
+    """Check that ``got`` is the mean of ``pts[members]`` up to the rounding
+    of any order of summation: n ulps of the mean magnitude."""
+    rows = pts[members]
+    slack = len(rows) * np.finfo(np.float64).eps * np.abs(rows).mean(axis=0)
+    assert (np.abs(got - rows.mean(axis=0)) <= slack).all(), (got, rows.mean(axis=0))
+
+
+def same_centroids(pts, in1, block):
+    """Check that ``_centroids`` gives the bits of :func:`blocked_mean` of
+    both clusters, whatever its scratch held, and leaves ``pts`` as is."""
+    before = pts.copy()
+    got = preclassify._centroids(pts, in1, int(np.count_nonzero(in1)), np.full(block, np.nan))
+    for cluster, members in zip(got, (~in1, in1)):
+        _same_bits(cluster, blocked_mean(pts, members, block))
+        near_row_mean(cluster, pts, members)
+    assert pts.tobytes() == before.tobytes()
+
+
+@given(st.lists(st.tuples(_lloyd_coordinate, _lloyd_coordinate, st.booleans()),
+                min_size=2, max_size=60),
        st.integers(1, 61))
-@example([(-0.0, -0.0)], 1)
-@example([(-0.0, 1.0), (-0.0, -1.0)], 1)
-@example([(-5e-324, 0.0), (0.0, -0.0), (-0.0, -0.0)], 2)  # means of -0.0 and +0.0
-def test_carried_row_sums_have_the_bits_of_the_row_mean(rows, block):
-    pts = np.array(rows, dtype=np.float64)
-    every = np.ones(len(pts), dtype=bool)
-    _same_bits(carried_mean(pts, every, block), pts.mean(axis=0))
+@example([(-0.0, -0.0, True), (-0.0, -0.0, False)], 1)
+@example([(-0.0, 1.0, True), (-0.0, -1.0, False), (2.0, 3.0, True)], 2)
+@example([(-5e-324, 0.0, True), (0.0, -0.0, False), (-0.0, -0.0, True)], 2)  # means of -0.0
+@example([(0.0, 0.0, True), (0.0, 3e6, False), (0.0, -3e6, False), (0.0, 0.7, False)], 2)
+def test_centroids_are_blocked_dot_product_means(rows, block):
+    pts = np.array([row[:2] for row in rows], dtype=np.float64)
+    in1 = np.array([row[2] for row in rows])
+    assume(0 < np.count_nonzero(in1) < len(rows))
+    same_centroids(pts, in1, block)
 
 
 @pytest.mark.parametrize("block", [97, preclassify._LLOYD_BLOCK])
-@pytest.mark.parametrize("n", [1000, 65536])
-def test_carried_row_sums_have_the_bits_of_the_masked_row_mean_on_many_rows(n, block):
-    # numpy's pairwise sum of a contiguous column rounds differently here.
+@pytest.mark.parametrize("n", [1000, 65536, 3 * preclassify._LLOYD_BLOCK + 1234])
+def test_centroids_are_blocked_dot_product_means_on_many_rows(n, block):
     pts = np.random.default_rng(n).normal(size=(n, 2)) * np.array([1.0, 1e6])
-    mask = np.random.default_rng(n + 1).random(n) < 0.7
-    before = pts.copy()
-    for members in (mask, ~mask):
-        _same_bits(carried_mean(pts, members, block), pts[members].mean(axis=0))
-    np.testing.assert_array_equal(pts, before)  # the sums run in copies
+    same_centroids(pts, np.random.default_rng(n + 1).random(n) < 0.7, block)
 
 
 def seam_points(shift, zeros):
@@ -333,18 +385,20 @@ def seam_points(shift, zeros):
     return pts
 
 
-def lloyd_centroids(pts, seed):
+def lloyd_centroids(pts, seed, mean=lambda pts, members: pts[members].mean(axis=0)):
     """The centroids (c0, c1) after each step of whole-array Lloyd steps from
-    kmeans_cluster's initial centroids, until an assignment repeats."""
+    kmeans_cluster's initial centroids, until an assignment repeats, and
+    that assignment.  Each centroid is ``mean(pts, members)``, by default
+    the sequential row mean."""
     distinct = preclassify._distinct_rows(pts)
     c0, c1 = distinct[np.random.default_rng(seed).choice(len(distinct), size=2, replace=False)]
     steps, ids = [], None
     while True:
         new_ids = assign_step(pts, None, (c0, c1)).astype(bool)
         if ids is not None and np.array_equal(new_ids, ids):
-            return steps
+            return steps, ids
         ids = new_ids
-        c0, c1 = pts[~ids].mean(axis=0), pts[ids].mean(axis=0)
+        c0, c1 = mean(pts, ~ids), mean(pts, ids)
         steps += [c0, c1]
 
 
@@ -352,18 +406,26 @@ def lloyd_centroids(pts, seed):
 def test_kmeans_blocks_keep_the_labels_and_centroid_bits(monkeypatch, shift, zeros):
     pts = seam_points(shift, zeros)
     means = []
-    mean = preclassify._mean
-    monkeypatch.setattr(preclassify, "_mean",
-                        lambda total, count: means.append(mean(total, count)) or means[-1])
+    centroids = preclassify._centroids
+    monkeypatch.setattr(preclassify, "_centroids",
+                        lambda *args: means.extend(centroids(*args)) or means[-2:])
     ids = kmeans_cluster(pts, seed=1)
     for lo in range(0, len(pts), preclassify._LLOYD_BLOCK):
         assert set(ids[lo : lo + preclassify._LLOYD_BLOCK]) == {0, 1}  # both in every block
-    expected = lloyd_centroids(pts, seed=1)
+    block = preclassify._LLOYD_BLOCK
+    expected, expected_ids = lloyd_centroids(
+        pts, seed=1, mean=lambda pts, members: blocked_mean(pts, members, block))
     assert len(means) == len(expected) >= 4
     for got, want in zip(means, expected):
         _same_bits(got, want)
     if zeros:
         assert {np.signbit(c[1]) for c in means} == {True, False}
+    np.testing.assert_array_equal(ids, expected_ids)
+    # The labels of sequential means, whose centroids differ only by rounding.
+    sequential, sequential_ids = lloyd_centroids(pts, seed=1)
+    np.testing.assert_array_equal(ids, sequential_ids)
+    slack = len(pts) * np.finfo(np.float64).eps * np.abs(pts).max(axis=0)
+    assert (np.abs(np.subtract(means, sequential)) <= slack).all()
     np.testing.assert_array_equal(ids, reference_kmeans(pts, 2, seed=1, max_iter=10**6))
 
 
@@ -383,6 +445,23 @@ def test_step_cap_error_above_the_block_length_keeps_its_text(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         kmeans_cluster(pts, seed=0)
     assert str(info.value) == "k-means reached no fixpoint within 2 steps"
+
+
+def test_kmeans_holds_no_n_long_buffer_beyond_its_own():
+    """Above entry at 256x256: two column copies (16 B/px), the least
+    distances (8), two assignments (2), the returned ids (8) and the block
+    scratch (6) make 40 B/px.  One more n-long float64 array breaks the
+    bound; the cumsum-carried row sums and a kept distinct-row copy
+    peaked at 60 B/px."""
+    pts = scene_points(1, size=256)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        kmeans_cluster(pts, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * len(pts), peak / len(pts)
 
 
 def test_kmeans_returns_a_lloyd_fixpoint():
@@ -507,6 +586,25 @@ def test_sample_training_matches_clamped_reference(n_changed, n_unchanged, n_unl
         sample_training(lf, ratio, seed=seed).labels,
         reference_sample_training(lf, ratio, seed=seed).labels,
     )
+
+
+def test_sample_training_holds_no_index_array_of_a_class():
+    """Above entry at 1024x1024 with 8% changed: the output (1 B/px) and
+    the ranks drawn, besides the int64 index range of the larger class
+    (7.4 B/px) that ``Generator.choice`` builds inside for a draw this
+    large.  The class index arrays of the earlier draw added 8 B/px."""
+    labels = np.where(np.random.default_rng(4).random((1024, 1024)) < 0.08, CHANGED, UNCHANGED)
+    lf = LabelField(labels=labels.astype(np.int8))
+    larger = max(np.count_nonzero(labels == CHANGED), np.count_nonzero(labels == UNCHANGED))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = sample_training(lf, 0.12, seed=2)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * larger + 2 * labels.size, peak / labels.size
+    assert out.labels.tobytes() == reference_sample_training(lf, 0.12, seed=2).labels.tobytes()
 
 
 def test_sample_training_rejects_bad_ratio():

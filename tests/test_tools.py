@@ -225,7 +225,9 @@ checkout = Path(__file__).resolve().parent.parent
 log = checkout.parent / "log.txt"
 calls = log.read_text().split() if log.exists() else []
 log.write_text(" ".join(calls + [checkout.name]))
-assert sys.argv[1:] == ["--workload", "full-256", "--seed", "7", "--seconds", "0.5",
+workloads = checkout.parent / "workloads.txt"
+workloads.write_text((workloads.read_text() if workloads.exists() else "") + sys.argv[2] + " ")
+assert sys.argv[1:] == ["--workload", sys.argv[2], "--seed", "7", "--seconds", "0.5",
                         "--trace", "0"], sys.argv
 n = calls.count(checkout.name)  # this side's earlier runs
 if n == int((checkout / "crash_at").read_text()):
@@ -257,8 +259,8 @@ def _stub_checkouts(tmp_path: Path, crash_at: dict, run_s: dict | None = None) -
     return checkouts
 
 
-def _ab_bench(checkouts, out: Path) -> subprocess.CompletedProcess:
-    args = [*map(str, checkouts), "--workload", "full-256", "--pairs", "3",
+def _ab_bench(checkouts, out: Path, workload="full-256") -> subprocess.CompletedProcess:
+    args = [*map(str, checkouts), "--workload", workload, "--pairs", "3",
             "--seconds", "0.5", "--seed", "7", "--out", str(out)]
     return subprocess.run([sys.executable, "-B", str(ROOT / "tools" / "ab_bench.py"), *args],
                           capture_output=True, text=True, timeout=120)
@@ -282,10 +284,10 @@ def test_ab_bench_alternates_sides_and_counts_pairs_won(tmp_path):
         "  median shift +0 does not clear the parent's IQR 0; "
         "not worse than the parent by more than the bound, 0.05 of its median; no gain shown",
     ]
-    raw = json.loads((tmp_path / "ab.json").read_text())
-    assert [p["order"] for p in raw["pairs"]] == [["parent", "change"], ["change", "parent"],
-                                                  ["parent", "change"]]
-    assert [p["change"]["metrics"]["run_s"]["value"] for p in raw["pairs"]] == [0.8, 1.25, 0.7]
+    pairs = json.loads((tmp_path / "ab.json").read_text())["workloads"]["full-256"]
+    assert [p["order"] for p in pairs] == [["parent", "change"], ["change", "parent"],
+                                           ["parent", "change"]]
+    assert [p["change"]["metrics"]["run_s"]["value"] for p in pairs] == [0.8, 1.25, 0.7]
 
 
 def test_ab_bench_exits_1_on_a_run_without_a_correct_result(tmp_path):
@@ -297,9 +299,9 @@ def test_ab_bench_exits_1_on_a_run_without_a_correct_result(tmp_path):
     assert "change better in 2 of 2 pairs" in lines[1]  # the pairs that ran correctly
     assert lines[2].startswith("  median shift -0.2 clears the parent's IQR 0.05;")
     assert lines[2].endswith("; no gain shown")  # 2 of the 3 pairs run were won
-    raw = json.loads((tmp_path / "ab.json").read_text())
-    assert raw["pairs"][1]["change"]["correct"] is False
-    assert "no result" in raw["pairs"][1]["change"]["error"]
+    pairs = json.loads((tmp_path / "ab.json").read_text())["workloads"]["full-256"]
+    assert pairs[1]["change"]["correct"] is False
+    assert "no result" in pairs[1]["change"]["error"]
 
 
 @pytest.mark.parametrize("change, verdict", [
@@ -330,3 +332,24 @@ def test_ab_bench_shows_a_gain_only_on_9_in_10_pairs_won_and_a_shift_past_the_iq
     assert "the parent's IQR 0.15;" in lines[2]
     assert lines[2].endswith(f"of its median; {verdict}")
     assert lines[4].endswith("; no gain shown")  # pcc: equal in every pair
+
+
+def test_ab_bench_runs_the_pairs_of_each_workload_in_turn_with_a_block_each(tmp_path):
+    checkouts = _stub_checkouts(tmp_path, {"change": 4}, {
+        "parent": [1.0, 1.2, 0.9, 2.0, 2.4, 1.8], "change": [0.8, 1.25, 0.7, 1.6, 2.5, 1.4]})
+    proc = _ab_bench(checkouts, tmp_path / "ab.json", workload="full-256,lowlook-256")
+    assert proc.returncode == 1  # the change's fifth run gives no result
+    assert (tmp_path / "workloads.txt").read_text().split() == ["full-256"] * 6 + ["lowlook-256"] * 6
+    assert (tmp_path / "log.txt").read_text() == " ".join(
+        ["parent change change parent parent change"] * 2)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"full-256, seed 7, 0.5 s, 3 pairs; raw runs in {tmp_path / 'ab.json'}"
+    assert "change better in 2 of 3 pairs" in lines[1]
+    assert lines[5] == f"lowlook-256, seed 7, 0.5 s, 3 pairs; raw runs in {tmp_path / 'ab.json'}"
+    # Pair 2 of lowlook-256 gave no result on the change's side.
+    assert "parent median 1.9 (quartiles 1.85-1.95, min-max 1.8-2)" in lines[6]
+    assert "change better in 2 of 2 pairs" in lines[6]
+    assert lines[-1] == "not correct: pair 2 change"
+    raw = json.loads((tmp_path / "ab.json").read_text())["workloads"]
+    assert list(raw) == ["full-256", "lowlook-256"]
+    assert [p["parent"]["metrics"]["run_s"]["value"] for p in raw["lowlook-256"]] == [2.0, 2.4, 1.8]

@@ -5,6 +5,10 @@ Usage, with two checkouts of the repository:
     python3 tools/ab_bench.py PARENT CHANGE --workload full-256 --pairs 10 \\
         --seconds 10 --seed 17 --out ab.json
 
+``--workload`` also takes a comma-separated list, such as
+``full-256,ablation-128,lowlook-256``: the pairs of each workload run in
+turn, and each workload gets its own block of output.
+
 Each pair runs ``perfbench/run.py --workload W --seed K --seconds S
 --trace 0`` once in PARENT and once in CHANGE, each checkout with its own
 perfbench, one run after the other; the first side alternates from pair
@@ -23,8 +27,9 @@ correct result counting as lost, and its median is better than the
 parent's by more than the parent's IQR; "no gain shown" otherwise.
 Quartiles are ``statistics.quantiles(...,
 method="inclusive")``.  The raw results of every run go to ``--out`` as
-JSON.  Exits 1 when a run is not ``correct`` or
-gives no result, and 0 otherwise; the timings decide nothing.
+JSON, the pairs of each workload under its name in ``"workloads"``.
+Exits 1 when a run is not ``correct`` or gives no result, and 0
+otherwise; the timings decide nothing.
 """
 
 import argparse
@@ -96,7 +101,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or several separated by commas")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True)
@@ -106,28 +112,32 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    pairs = []
-    for i in range(args.pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"order": list(order)}
-        for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, args.seed, args.seconds)
-        pairs.append(pair)
-        print(f"pair {i + 1} of {args.pairs}: " + ", ".join(
-            f"{side} correct={pair[side].get('correct')}" for side in order), file=sys.stderr)
-    args.out.write_text(json.dumps({
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "checkouts": {side: str(path) for side, path in checkouts.items()}, "pairs": pairs,
-    }, indent=1))
-    incorrect = [f"pair {i + 1} {side}" for i, p in enumerate(pairs) for side in SIDES
-                 if p[side].get("correct") is not True]
-    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s, {args.pairs} pairs; "
-          f"raw runs in {args.out}")
-    correct = [p for p in pairs if all(p[s].get("correct") for s in SIDES)]
-    for line in summary(correct, metrics, len(pairs)):
-        print(line)
-    if incorrect:
-        print(f"not correct: {', '.join(incorrect)}")
+    runs = {}
+    raw = {"seed": args.seed, "seconds": args.seconds,
+           "checkouts": {side: str(path) for side, path in checkouts.items()}, "workloads": runs}
+    incorrect = False
+    for workload in args.workload.split(","):
+        pairs = runs[workload] = []
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"order": list(order)}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, args.seed, args.seconds)
+            pairs.append(pair)
+            print(f"{workload} pair {i + 1} of {args.pairs}: " + ", ".join(
+                f"{side} correct={pair[side].get('correct')}" for side in order), file=sys.stderr)
+        args.out.write_text(json.dumps(raw, indent=1))
+        failed = [f"pair {i + 1} {side}" for i, p in enumerate(pairs) for side in SIDES
+                  if p[side].get("correct") is not True]
+        print(f"{workload}, seed {args.seed}, {args.seconds:g} s, {args.pairs} pairs; "
+              f"raw runs in {args.out}")
+        correct = [p for p in pairs if all(p[s].get("correct") for s in SIDES)]
+        for line in summary(correct, metrics, len(pairs)):
+            print(line)
+        if failed:
+            print(f"not correct: {', '.join(failed)}")
+            incorrect = True
+        sys.stdout.flush()
     return 1 if incorrect else 0
 
 
