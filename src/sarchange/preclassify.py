@@ -23,36 +23,24 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def _distinct_rows(pts: np.ndarray) -> np.ndarray:
-    """The distinct rows of finite ``(n, 2)`` points in lexicographic order,
-    as ``np.unique(pts, axis=0)`` gives them (up to the sign of a zero).
-
-    Each row is viewed as one complex number, which numpy orders by real
-    part, then imaginary part; a flat sort of those is far cheaper than a
-    sort of rows.
-    """
-    keys = np.sort(np.ascontiguousarray(pts).view(np.complex128).ravel())
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-    return keys.view(np.float64).reshape(-1, 2)
-
-
 def _seed_rows(pts: np.ndarray, seed: int) -> np.ndarray | None:
-    """The two initial centroids: the rows at ``default_rng(seed).choice(m,
-    2, replace=False)`` of :func:`_distinct_rows`, m its row count, or None
-    when m < 2.
-
-    When no two first coordinates compare equal (0.0 and -0.0 do), every
-    row is distinct and a float sort of that column alone puts them in
-    order, far cheaper than the complex sort."""
-    first = np.sort(pts[:, 0])
-    distinct = None if (first[1:] != first[:-1]).all() else _distinct_rows(pts)
-    m = first.size if distinct is None else distinct.shape[0]
-    if m < 2:
-        return None
-    chosen = np.random.default_rng(seed).choice(m, size=2, replace=False)
-    if distinct is not None:
-        return distinct[chosen]
-    return np.stack([pts[np.argmax(pts[:, 0] == x)] for x in first[chosen]])
+    """The two initial centroids, or None when all rows are equal (0.0 and
+    -0.0 are).  Of the first column that holds m >= 2 distinct values,
+    ``default_rng(seed).choice(m, 2, replace=False)`` draws two by rank in
+    increasing order, and each seed is the first row that holds its value.
+    Where that column has no ties, these are the rows of the same draw among
+    the distinct rows in lexicographic order."""
+    for column in pts.T:
+        # np.unique's values, without the numpy.ma import (3 MB) it makes, and
+        # with no second copy of an untied column.
+        values = np.sort(column)
+        new = values[1:] != values[:-1]
+        if not new.all():
+            values = values[np.concatenate([[True], new])]
+        if values.size >= 2:
+            chosen = np.random.default_rng(seed).choice(values.size, size=2, replace=False)
+            return np.stack([pts[np.argmax(column == x)] for x in values[chosen]])
+    return None
 
 
 def _centroids(pts: np.ndarray, in1: np.ndarray, n1: int,
@@ -78,10 +66,12 @@ def _centroids(pts: np.ndarray, in1: np.ndarray, n1: int,
 def kmeans_cluster(points: np.ndarray, seed: int = 0) -> np.ndarray:
     """Two-cluster Lloyd's algorithm on ``(n, 2)`` points, run to its fixpoint.
 
-    The initial centroids are two distinct points drawn with ``seed``;
-    distance ties go to cluster 0.  Returns per-point ids in ``{0, 1}``,
-    all 0 (one cluster) when the points have fewer than 2 distinct rows
-    or squared distances that underflow to 0 empty a cluster.
+    The initial centroids are two distinct points drawn with ``seed`` by
+    :func:`_seed_rows`, by value of one column: 8-bit inputs tie there, and
+    then each is the first point that holds its value.  Distance ties go to
+    cluster 0.  Returns per-point ids in ``{0, 1}``, all 0 (one cluster)
+    when the points have fewer than 2 distinct rows or squared distances
+    that underflow to 0 empty a cluster.
     Raises :class:`ParameterError` unless the points are a finite
     ``(n, 2)`` array with n >= 1 and ``seed`` meets the config's rule,
     and :class:`ConvergenceError` if ``MAX_LLOYD_STEPS`` assignment steps

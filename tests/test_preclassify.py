@@ -37,7 +37,6 @@ def reference_kmeans(
     n = pts.shape[0]
 
     distinct = np.unique(pts, axis=0)
-    rng = np.random.default_rng(seed)
     if distinct.shape[0] < k:
         warnings.warn(
             f"k={k} exceeds the {distinct.shape[0]} distinct points; "
@@ -47,8 +46,10 @@ def reference_kmeans(
         )
         extra = distinct[np.zeros(k - distinct.shape[0], dtype=int)]
         centroids = np.concatenate([distinct, extra], axis=0)
+    elif k == 2:  # kmeans_cluster's draw
+        centroids = reference_seed_rows(pts, seed)
     else:
-        chosen = rng.choice(distinct.shape[0], size=k, replace=False)
+        chosen = np.random.default_rng(seed).choice(distinct.shape[0], size=k, replace=False)
         centroids = distinct[chosen].copy()
 
     ids = np.full(n, -1, dtype=np.int64)
@@ -78,6 +79,18 @@ def reference_kmeans(
                 centroids[j] = pts[int(np.argmax(own))]
                 own[int(np.argmax(own))] = 0.0
     return ids
+
+
+def reference_seed_rows(points: np.ndarray, seed: int) -> np.ndarray | None:
+    """The two seed rows, by the rule: take the first column with m >= 2
+    distinct values, draw ``choice(m, 2)`` of them in increasing order, and
+    take the first row that holds each.  None when no column has two."""
+    for j in range(points.shape[1]):
+        values = np.unique(points[:, j])
+        if len(values) >= 2:
+            chosen = np.random.default_rng(seed).choice(len(values), size=2, replace=False)
+            return np.array([points[np.flatnonzero(points[:, j] == v)[0]] for v in values[chosen]])
+    return None
 
 
 def reference_sample_training(lf: LabelField, ratio: float, seed: int = 0) -> LabelField:
@@ -168,22 +181,6 @@ def test_kmeans_rejects_non_finite_points():
         pts[3, 1] = value
         with pytest.raises(ParameterError, match="finite"):
             kmeans_cluster(pts, seed=0)
-
-
-# Few values, so rows repeat and share first columns; both signs of zero.
-_coordinate = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5e-300, -7.0, 1e150])
-
-
-@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40),
-       st.integers(0, 3))
-@example([(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (1.0, -0.0), (0.0, 1.0)], 0)
-def test_distinct_rows_match_unique_rows(rows, n_repeats):
-    pts = np.array(rows * (n_repeats + 1), dtype=np.float64)
-    np.random.default_rng(len(rows)).shuffle(pts)
-    expected = np.unique(pts, axis=0)
-    got = preclassify._distinct_rows(pts)
-    assert got.shape == expected.shape
-    np.testing.assert_array_equal(got, expected)  # == equates 0.0 and -0.0
 
 
 def test_kmeans_with_restarts_finds_enumerated_optimum():
@@ -291,26 +288,57 @@ def _same_bits(got, expected):
 _row = st.tuples(_lloyd_coordinate, _lloyd_coordinate)
 
 
-@given(st.one_of(st.lists(_row, min_size=1, max_size=40),  # mostly with first-coordinate ties
-                 # none before the repeats; 0.0 and -0.0 count as one value here too
-                 st.lists(_row, min_size=1, max_size=40, unique_by=lambda row: row[0])),
-       st.sampled_from([0, preclassify._LLOYD_BLOCK - 1, preclassify._LLOYD_BLOCK + 1]),
-       st.integers(0, 3))
+_n_spread = st.sampled_from([0, preclassify._LLOYD_BLOCK - 1, preclassify._LLOYD_BLOCK + 1])
+# 0.0 and -0.0 count as one value here too.
+_untied_rows = st.lists(_row, min_size=1, max_size=40, unique_by=lambda row: row[0])
+
+
+def seed_points(rows, n_spread, repeats):
+    """``rows`` ``repeats + 1`` times and ``n_spread`` rows whose first
+    coordinates are apart from theirs, which put the point count on either
+    side of ``_LLOYD_BLOCK``, shuffled."""
+    spread = np.column_stack([4e6 + np.arange(n_spread), np.arange(n_spread) / 3.0])
+    pts = np.concatenate([np.array(rows * (repeats + 1), dtype=np.float64), spread])
+    np.random.default_rng(len(rows)).shuffle(pts)
+    return pts
+
+
+@given(st.one_of(st.lists(_row, min_size=1, max_size=40), _untied_rows),  # mostly tied
+       _n_spread, st.integers(0, 3))
 @example([(0.0, 1.0)], 0, 0)  # n = 1
 @example([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], 0, 0)  # one distinct row
 @example([(0.0, 1.0), (-0.0, 1.0)], 0, 0)  # one distinct row, up to the sign of zero
 @example([(0.0, 1.0), (-0.0, 2.0)], 0, 0)  # n = 2, tied by the sign of zero
+@example([(-0.0, 2.0), (0.0, -0.0), (0.0, 2.0), (-0.0, 0.0)], 0, 1)  # constant first column
 @example([(3.0, 1.0), (-0.0, 2.0)], 0, 0)  # n = 2, no tie
 @example([(3.0, 1.0), (-0.0, 2.0)], preclassify._LLOYD_BLOCK + 1, 0)
-def test_seed_rows_are_the_drawn_distinct_rows(rows, n_spread, repeats):
-    """``_seed_rows`` takes the rows at ``choice(m, 2)`` of ``_distinct_rows``
-    for every seed, bit for bit, whether or not the first coordinate ties.
-    ``n_spread`` rows with first coordinates apart from all drawn ones put
-    the point count on either side of ``_LLOYD_BLOCK``."""
-    spread = np.column_stack([2e6 + np.arange(n_spread), np.arange(n_spread) / 3.0])
-    pts = np.concatenate([np.array(rows * (repeats + 1), dtype=np.float64), spread])
-    np.random.default_rng(len(rows)).shuffle(pts)
-    distinct = preclassify._distinct_rows(pts)
+@example([(1.0, 5.0), (1.0, -3.0), (-0.0, 2.0), (0.0, 7.0)], preclassify._LLOYD_BLOCK - 1, 2)
+def test_seed_rows_are_the_first_rows_of_drawn_column_values(rows, n_spread, repeats):
+    """``_seed_rows`` gives the bits of :func:`reference_seed_rows` for
+    every seed, two distinct rows of the points, whether or not the first
+    coordinate ties."""
+    pts = seed_points(rows, n_spread, repeats)
+    for seed in range(8):
+        got = preclassify._seed_rows(pts, seed)
+        expected = reference_seed_rows(pts, seed)
+        if expected is None:
+            assert got is None and len(np.unique(pts, axis=0)) == 1
+            continue
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+        assert not np.array_equal(got[0], got[1])
+
+
+@given(_untied_rows, _n_spread)
+@example([(0.0, 1.0)], 0)  # n = 1
+@example([(3.0, 1.0), (-0.0, 2.0)], 0)
+@example([(3.0, -0.0), (-0.0, 0.0), (-5e-324, 1.0)], preclassify._LLOYD_BLOCK + 1)
+def test_seed_rows_without_first_column_ties_are_the_drawn_distinct_rows(rows, n_spread):
+    """Where no two first coordinates are equal, ``_seed_rows`` takes the
+    rows at ``choice(m, 2)`` of the distinct rows in lexicographic order,
+    bit for bit: the benchmark's inputs, whose outputs this draw keeps."""
+    pts = seed_points(rows, n_spread, 0)
+    distinct = np.unique(pts, axis=0)
+    assert len(distinct) == len(pts)
     for seed in range(8):
         got = preclassify._seed_rows(pts, seed)
         if len(distinct) < 2:
@@ -387,11 +415,10 @@ def seam_points(shift, zeros):
 
 def lloyd_centroids(pts, seed, mean=lambda pts, members: pts[members].mean(axis=0)):
     """The centroids (c0, c1) after each step of whole-array Lloyd steps from
-    kmeans_cluster's initial centroids, until an assignment repeats, and
+    :func:`reference_seed_rows`, until an assignment repeats, and
     that assignment.  Each centroid is ``mean(pts, members)``, by default
     the sequential row mean."""
-    distinct = preclassify._distinct_rows(pts)
-    c0, c1 = distinct[np.random.default_rng(seed).choice(len(distinct), size=2, replace=False)]
+    c0, c1 = reference_seed_rows(pts, seed)
     steps, ids = [], None
     while True:
         new_ids = assign_step(pts, None, (c0, c1)).astype(bool)

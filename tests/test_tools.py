@@ -35,16 +35,20 @@ def test_output_digests_cover_a_workload_and_write_nothing_into_perfbench(
     before = _tree(PERFBENCH)
     output_digests = _import_output_digests(monkeypatch)
     digests = output_digests.output_digests(pipeline, synth, [1], ["ablation-128"], tmp_path)
-    assert set(digests) == {"synth/1"} | {
+    assert set(digests) == {"synth/1", "pgm/1"} | {
         f"ablation-128/1/{k}/{row}" for k in range(3) for row in ("1", "3", "4", "6")
     }
-    runs = [d for key, d in digests.items() if key != "synth/1"]
+    runs = [d for key, d in digests.items() if key not in ("synth/1", "pgm/1")]
     assert all(set(d) == {*output_digests.ARTIFACTS, "quality"} for d in runs), digests
     for d in runs:  # perfbench's scores of the run
         assert set(d.pop("quality")) == {"pcc", "kc", "auc"}
     assert set(digests["synth/1"]) == {
         f"scene/{name}" for name in ("t1.f32", "t1.f32.json", "t2.f32", "t2.f32.json",
                                      "gt.pgm", "scene.json")
+    } | {f"run/{name}" for name in ("change_map.pgm", "scores.f32", "scores.f32.json",
+                                    "metrics.json", "roc.csv")}
+    assert set(digests["pgm/1"]) == {
+        f"scene/{name}" for name in ("t1.pgm", "t2.pgm", "gt.pgm")
     } | {f"run/{name}" for name in ("change_map.pgm", "scores.f32", "scores.f32.json",
                                     "metrics.json", "roc.csv")}
     every = [h for d in digests.values() for h in d.values()]

@@ -15,9 +15,13 @@ every seed it also adds ``synth/<seed>``: the sha256 of every file that
 the package's own ``write_scene(default_scene(seed))`` writes, under
 ``scene/<name>``, and of every file but ``timing.json`` that a default
 ``run_pipeline`` on that scene writes, under ``run/<name>``, so the
-package's writers are covered too.  Two checkouts give byte-identical outputs when their maps
-are equal; when they are not, the per-file digests tell which artifacts
-moved, for instance how many change maps stayed the same.  The
+package's writers are covered too, and ``pgm/<seed>``: the same for that
+scene with both acquisitions divided by 4.0 and written as 8-bit PGM by
+the package's ``save_raster``, whose difference image has tied values, so
+that k-means draws its seeds from a tied column.  Two checkouts give
+byte-identical outputs when their maps are equal; when they are not, the
+per-file digests tell which artifacts moved, for instance how many
+change maps stayed the same.  The
 workloads, rows and seeding are imported from ``perfbench/`` and only
 read, so the inputs are exactly the benchmark's, BLAS is pinned to one
 thread as there, and nothing is written under ``perfbench/``.  Scenes
@@ -65,12 +69,13 @@ def file_digests(paths: list[Path], base: Path) -> dict:
             for p in paths}
 
 
-def synth_digests(pipeline, synth, seed: int, work: Path) -> dict | str:
-    """Digests of the files of ``synth.write_scene(synth.default_scene(seed))``
-    and of a default ``pipeline.run_pipeline`` on them, keyed ``scene/<name>``
-    and ``run/<name>``; ``"failed"`` when either raises."""
+def run_digests(pipeline, write_inputs, work: Path) -> dict | str:
+    """Digests of the files that ``write_inputs(work / "scene")`` writes,
+    whose (t1, t2, gt) paths it returns, and of a default
+    ``pipeline.run_pipeline`` on them, keyed ``scene/<name>`` and
+    ``run/<name>``; ``"failed"`` when either raises."""
     try:
-        t1, t2, gt = synth.write_scene(synth.default_scene(seed), work / "scene")
+        t1, t2, gt = write_inputs(work / "scene")
         pipeline.run_pipeline(pipeline.PipelineConfig(t1=t1, t2=t2, gt=gt, out_dir=work / "run"))
     except Exception:  # a failed run is recorded in the map, as perfbench's are
         return "failed"
@@ -80,13 +85,31 @@ def synth_digests(pipeline, synth, seed: int, work: Path) -> dict | str:
     return file_digests(files, work)
 
 
+def write_pgm_scene(synth, seed: int, out_dir: Path) -> tuple[Path, Path, Path]:
+    """``synth.default_scene(seed)`` with both acquisitions divided by 4.0,
+    written as 8-bit PGM with its reference by the ``save_raster`` of
+    ``synth``'s own package; return the (t1, t2, gt) paths."""
+    raster = importlib.import_module(f"{synth.__package__}.raster")
+    i1, i2, gt = synth.gen_pair(synth.default_scene(seed))
+    out_dir.mkdir(parents=True)
+    paths = tuple(out_dir / name for name in ("t1.pgm", "t2.pgm", "gt.pgm"))
+    for image, path in zip((i1.band(0) / 4.0, i2.band(0) / 4.0, gt.labels), paths):
+        raster.save_raster(raster.Raster.from_array(image), path)
+    return paths
+
+
 def output_digests(pipeline, synth, seeds: list[int], workloads: list[str], work: Path) -> dict:
     """Run every (workload, seed, scene, row) once with ``pipeline``, the
     imported ``sarchange.pipeline`` module, and every seed's ``synth/<seed>``
-    scene with it and ``synth``, under ``work``; return the map of keys to
-    artifact digests and, for workload runs, quality."""
-    out = {f"synth/{seed}": synth_digests(pipeline, synth, seed, work / "synth" / str(seed))
-           for seed in seeds}
+    and ``pgm/<seed>`` scenes with it and ``synth``, under ``work``; return
+    the map of keys to artifact digests and, for workload runs, quality."""
+    out = {}
+    for seed in seeds:
+        out[f"synth/{seed}"] = run_digests(
+            pipeline, lambda d: synth.write_scene(synth.default_scene(seed), d),
+            work / "synth" / str(seed))
+        out[f"pgm/{seed}"] = run_digests(
+            pipeline, lambda d: write_pgm_scene(synth, seed, d), work / "pgm" / str(seed))
     for name in workloads:
         wl = perfbench.WORKLOADS[name]
         for seed in seeds:
